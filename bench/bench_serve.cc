@@ -7,13 +7,6 @@
 //   cold_load_text     the text edge-list reader on the same graph
 //   family_warm        ExtensionFamily construction + full-grid warm-up
 //                      (the expensive, ε-independent part of a `load`)
-//   family_construct   sharded ExtensionFamily construction on a
-//                      multi-component workload, at 4 threads vs 1
-//   warm_overlap       pipelined warm (induction overlapped with grid
-//                      cells) vs the phased induce-then-warm sequence
-//   warm_skew          cost-ordered (LPT) vs index-ordered warm on a
-//                      skewed mix: one giant component at the top of the
-//                      vertex range plus many small blocks, at 4 threads
 //   warm_query         one ReleaseCc against the warmed server
 //   tier_approx        one approx-tier release (sampled sublinear, no
 //                      family) on a cold-loaded graph, vs the first exact
@@ -24,12 +17,8 @@
 //                      would cost without the family cache
 //
 // Acceptance counters: sweep_speedup = sweep_oneshot / sweep_warm (bar:
-// >= 3x at K = 8), construct_speedup = construct at 1 thread / 4 threads
-// (bar: >= 2x — needs a machine with >= 4 cores to be meaningful; CI
-// smoke boxes are narrower), tiered_speedup = tier_exact_cold /
-// tier_approx (bar: >= 5x), and skew_speedup = index-ordered warm /
-// cost-ordered warm on the skewed workload (bar: >= 1.3x at 4 threads).
-// NODEDP_SERVE_STRICT makes any below-target counter fail the run.
+// >= 3x at K = 8) and tiered_speedup = tier_exact_cold / tier_approx (bar:
+// >= 5x). NODEDP_SERVE_STRICT makes any below-target counter fail the run.
 //
 // Emits BENCH_serve.json (schema nodedp-bench-v1, see bench/README.md).
 // NODEDP_SERVE_VERTICES overrides the target vertex count (default 400,000;
@@ -46,7 +35,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/extension_family.h"
 #include "core/private_cc.h"
 #include "eval/json_report.h"
 #include "eval/table.h"
@@ -55,7 +43,6 @@
 #include "serve/release_server.h"
 #include "serve/socket_client.h"
 #include "serve/socket_server.h"
-#include "util/parallel.h"
 #include "util/random.h"
 
 namespace {
@@ -344,102 +331,6 @@ int main() {
                 {"p99_ns", p99_ns}});
   }
 
-  // --- family_construct: sharded construction, 4 threads vs 1 --------------
-  {
-    // Multi-component construct workload: ~target vertices in 1000-vertex
-    // G(n, p) blocks, chunky enough that per-component induction dominates
-    // the O(n+m) partition pass and shards evenly across the pool. (The
-    // entity graph's <= 4-vertex cliques would measure dispatch overhead,
-    // not induction.)
-    Rng block_rng(17);
-    const int block_size = 1000;
-    const int num_blocks =
-        std::max(4, static_cast<int>(target / block_size));
-    std::vector<Graph> blocks;
-    blocks.reserve(num_blocks);
-    for (int b = 0; b < num_blocks; ++b) {
-      blocks.push_back(
-          gen::ErdosRenyi(block_size, 6.0 / block_size, block_rng));
-    }
-    const Graph multi = gen::DisjointUnion(blocks);
-
-    constexpr int kConstructReps = 3;
-    const auto construct_ns = [&multi](int threads) {
-      ThreadPool pool(threads);
-      ScopedThreadPool scoped(&pool);
-      double best = 0.0;
-      for (int rep = 0; rep < kConstructReps; ++rep) {
-        const auto start = Clock::now();
-        const ExtensionFamily family(multi, {});
-        const double ns = ElapsedNs(start);
-        if (rep == 0 || ns < best) best = ns;
-      }
-      return best;
-    };
-    const double t1 = construct_ns(1);
-    const double t4 = construct_ns(4);
-    const double construct_speedup = t1 / t4;
-    table.Cell("family_construct")
-        .Cell(t4 * 1e-6, 2)
-        .Cell("sharded, 4 threads");
-    table.EndRow();
-    table.Cell("construct_speedup")
-        .Cell(construct_speedup, 2)
-        .Cell("1 thread / 4 threads (target >= 2)");
-    table.EndRow();
-    add_record("family_construct", t4,
-               {{"construct_t1_ns", t1},
-                {"construct_speedup", construct_speedup},
-                {"vertices", multi.NumVertices()},
-                {"edges", multi.NumEdges()}});
-    if (construct_speedup < 2.0) {
-      std::fprintf(stderr,
-                   "WARNING: construct speedup %.2fx below the 2x target "
-                   "(meaningful only on >= 4 cores)\n",
-                   construct_speedup);
-      all_ok = all_ok && std::getenv("NODEDP_SERVE_STRICT") == nullptr;
-    }
-  }
-
-  // --- warm_overlap: pipelined warm vs phased induce-then-warm -------------
-  {
-    PrivateCcOptions options;
-    options.delta_max = kDeltaMax;
-    const std::vector<double> grid =
-        AlgorithmOneDeltaGrid(graph.NumVertices(), options);
-
-    // Phased: eager construction (an induction barrier), then the warm.
-    const auto phased_start = Clock::now();
-    ExtensionFamily phased(graph, options.extension);
-    if (!phased.Values(grid).ok()) {
-      std::fprintf(stderr, "phased warm failed\n");
-      return 1;
-    }
-    const double phased_ns = ElapsedNs(phased_start);
-
-    // Pipelined: deferred construction; every grid cell induces its
-    // component on first touch, overlapping induction with fast-path
-    // probes and LP solves.
-    const auto pipelined_start = Clock::now();
-    ExtensionFamily pipelined(graph, options.extension,
-                              ExtensionFamily::DeferInduction{});
-    if (!pipelined.Warm(grid).ok()) {
-      std::fprintf(stderr, "pipelined warm failed\n");
-      return 1;
-    }
-    const double pipelined_ns = ElapsedNs(pipelined_start);
-
-    const double overlap = phased_ns / pipelined_ns;
-    table.Cell("warm_overlap")
-        .Cell(pipelined_ns * 1e-6, 1)
-        .Cell("pipelined warm (phased / pipelined shown below)");
-    table.EndRow();
-    table.Cell("overlap_gain").Cell(overlap, 2).Cell("phased / pipelined");
-    table.EndRow();
-    add_record("warm_overlap", pipelined_ns,
-               {{"phased_ns", phased_ns}, {"warm_overlap", overlap}});
-  }
-
   // --- the acceptance comparison: warm sweep vs one-shot releases ----------
   std::vector<double> epsilons;
   for (int i = 0; i < kSweepEpsilons; ++i) {
@@ -500,95 +391,6 @@ int main() {
                  speedup);
     all_ok = all_ok && std::getenv("NODEDP_SERVE_STRICT") == nullptr;
   }
-
-  // --- warm_skew: cost-ordered (LPT) vs index-ordered warm, 4 threads ------
-  {
-    // Adversarially skewed component mix: one giant G(n, p) block appended
-    // LAST to the disjoint union, so it owns the top of the vertex range
-    // and index-ordered dispatch reaches its cells at the very end — the
-    // schedule where every other thread drains the tiny blocks and then
-    // idles behind the giant straggler. Cost order (LPT by |C| + m_C)
-    // claims the giant first and back-fills the tiny blocks around it.
-    // Sizes are FIXED (this is a scheduling bench, not a scale bench — and
-    // per-cell LP cost grows ~cubically, so the giant must stay small):
-    // the giant's critical path sits near a third of the tiny work, the
-    // regime where LPT's win over index order is largest at 4 threads.
-    // Like construct_speedup, the counter is meaningful only on a machine
-    // with >= 4 real cores. Runs LAST: its giant-component warms churn the
-    // allocator enough to perturb the stages that follow them, so nothing
-    // may follow.
-    Rng skew_rng(23);
-    const int giant_vertices = 600;
-    const int tiny_size = 150;
-    const int tiny_blocks = 54;
-    std::vector<Graph> parts;
-    parts.reserve(tiny_blocks + 1);
-    for (int b = 0; b < tiny_blocks; ++b) {
-      parts.push_back(gen::ErdosRenyi(tiny_size, 5.0 / tiny_size, skew_rng));
-    }
-    parts.push_back(
-        gen::ErdosRenyi(giant_vertices, 6.0 / giant_vertices, skew_rng));
-    const Graph skew = gen::DisjointUnion(parts);
-
-    PrivateCcOptions options;
-    options.delta_max = kDeltaMax;
-    const std::vector<double> grid =
-        AlgorithmOneDeltaGrid(skew.NumVertices(), options);
-
-    constexpr int kSkewReps = 2;
-    bool skew_ok = true;
-    const auto skew_warm_ns = [&skew, &grid, &options, &skew_ok](
-                                  ExtensionOptions::DispatchOrder order) {
-      ExtensionOptions ext = options.extension;
-      ext.dispatch_order = order;
-      ThreadPool pool(4);
-      ScopedThreadPool scoped(&pool);
-      double best = 0.0;
-      for (int rep = 0; rep < kSkewReps; ++rep) {
-        const auto start = Clock::now();
-        ExtensionFamily family(skew, ext, ExtensionFamily::DeferInduction{});
-        if (!family.Warm(grid).ok()) {
-          skew_ok = false;
-          return 0.0;
-        }
-        const double ns = ElapsedNs(start);
-        if (rep == 0 || ns < best) best = ns;
-      }
-      return best;
-    };
-    const double skew_cost_ns =
-        skew_warm_ns(ExtensionOptions::DispatchOrder::kCostOrdered);
-    const double skew_index_ns =
-        skew_warm_ns(ExtensionOptions::DispatchOrder::kIndexOrdered);
-    if (!skew_ok) {
-      std::fprintf(stderr, "skew warm failed\n");
-      return 1;
-    }
-    const double skew_speedup = skew_index_ns / skew_cost_ns;
-    table.Cell("warm_skew")
-        .Cell(skew_cost_ns * 1e-6, 1)
-        .Cell("cost-ordered warm, 4 threads");
-    table.EndRow();
-    table.Cell("skew_speedup")
-        .Cell(skew_speedup, 2)
-        .Cell("index-ordered / cost-ordered (target >= 1.3)");
-    table.EndRow();
-    add_record("warm_skew", skew_cost_ns,
-               {{"index_ns", skew_index_ns},
-                {"skew_speedup", skew_speedup},
-                {"components", tiny_blocks + 1},
-                {"giant_vertices", giant_vertices},
-                {"vertices", skew.NumVertices()},
-                {"edges", skew.NumEdges()}});
-    if (skew_speedup < 1.3) {
-      std::fprintf(stderr,
-                   "WARNING: skew speedup %.2fx below the 1.3x target "
-                   "(meaningful only on >= 4 cores)\n",
-                   skew_speedup);
-      all_ok = all_ok && std::getenv("NODEDP_SERVE_STRICT") == nullptr;
-    }
-  }
-
 
   table.Print(std::cout);
 

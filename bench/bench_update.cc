@@ -8,12 +8,12 @@
 // maintenance re-solves only those and adopts the rest.
 //
 // Measures:
-//   base_warm           deferred family construction + full-grid warm on
+//   base_warm           lazy family construction + full-grid warm on
 //                       the pre-update graph (context, not the comparison)
 //   delta_apply         Graph::ApplyEdgeDelta — sorted merge + CSR rebuild
 //   incremental_rewarm  incremental ExtensionFamily from the warmed base +
 //                       re-warm of the invalidated cells only
-//   cold_rebuild        deferred family + full-grid warm on the patched
+//   cold_rebuild        lazy family + full-grid warm on the patched
 //                       graph — what the update would cost without the
 //                       incremental path
 //
@@ -137,8 +137,7 @@ int main() {
       AlgorithmOneDeltaGrid(graph.NumVertices(), options);
 
   // --- base family: the pre-update serving state ---------------------------
-  ExtensionFamily base(graph, options.extension,
-                       ExtensionFamily::DeferInduction{});
+  ExtensionFamily base(graph, options.extension);
   double base_ns = 0.0;
   {
     const auto start = Clock::now();
@@ -204,8 +203,7 @@ int main() {
   double cold_ns = 0.0;
   {
     const auto start = Clock::now();
-    ExtensionFamily cold(delta->graph, options.extension,
-                         ExtensionFamily::DeferInduction{});
+    ExtensionFamily cold(delta->graph, options.extension);
     const Status warmed = cold.Warm(grid);
     cold_ns = ElapsedNs(start);
     if (!warmed.ok()) {

@@ -12,7 +12,7 @@ shadowed).
 Direction convention: real_ns is a time, so LOWER is better and a
 regression is current/baseline above the threshold. Counters whose name
 ends in `_speedup` are ratios where HIGHER is better (sweep_speedup,
-construct_speedup, tiered_speedup, ...), so for them the comparison is
+tiered_speedup, delta_speedup, ...), so for them the comparison is
 inverted: a regression is baseline/current above the threshold — i.e. the
 speedup *fell* by that factor. Getting this backwards either flags every
 improvement as a regression or waves real regressions through, which is

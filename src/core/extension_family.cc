@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -41,9 +39,8 @@ Histogram* LpSolveNsHistogram() {
 }
 
 // The straggler tail of a multi-component batch: wall-ns between the
-// second-to-last and the last component settling its final cell. Near zero
-// when LPT dispatch keeps the pool balanced; a wide gap means one component
-// serialized the end of the warm (docs/OBSERVABILITY.md).
+// second-to-last and the last component settling its final cell. A wide gap
+// means one component serialized the end of the warm (docs/OBSERVABILITY.md).
 Histogram* WarmStragglerNsHistogram() {
   static Histogram* h = MetricsRegistry::Default().GetHistogram(
       "nodedp_family_warm_straggler_ns",
@@ -76,98 +73,45 @@ void SortedErase(std::vector<double>& v, double x) {
 
 }  // namespace
 
-// One Values() batch's dynamic claim queue. The owner's workers claim
-// through Next(); concurrent callers blocked on one of the batch's cells
-// find it via Find() (against the family's inflight_batches_ registry) and
-// push it into the demand lane through Demand(), so demanded cells are
-// solved next regardless of where LPT put them. The queue only reorders
-// *claims*: each cell is returned exactly once and its outcome lands in
-// its own index-addressed slot, so results never depend on demand timing.
-struct ExtensionFamily::BatchQueue {
-  std::mutex mu;
-  // Cell indices in claim order (LPT, or the legacy index order); head is
-  // the next unclaimed position.
-  std::vector<std::int64_t> order;
-  std::size_t head = 0;
-  // Demanded cells jump the queue, FIFO among themselves.
-  std::deque<std::int64_t> demanded;
-  std::vector<char> claimed;  // by cell index
-  // (component, delta) -> cell index, sorted; immutable after the batch
-  // registers (one bulk build + sort — deliberately not a node-based map:
-  // a warm touches tens of thousands of cells and per-cell node churn is
-  // measurable). Read without the queue mutex.
-  std::vector<std::pair<std::pair<int, double>, std::int64_t>> cells_by_id;
-
-  explicit BatchQueue(std::vector<std::int64_t> claim_order)
-      : order(std::move(claim_order)), claimed(order.size(), 0) {}
-
-  // The cell's index within this batch, or -1 if the batch doesn't own it.
-  std::int64_t Find(int component, double delta) const {
-    const std::pair<std::pair<int, double>, std::int64_t> probe(
-        {component, delta}, 0);
-    const auto it = std::lower_bound(
-        cells_by_id.begin(), cells_by_id.end(), probe,
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it == cells_by_id.end() || it->first != probe.first) return -1;
-    return it->second;
-  }
-
-  // The next unclaimed cell: demand lane first, then the planned order.
-  // The batch issues exactly order.size() claims, so every cell is
-  // returned exactly once.
-  std::int64_t Next() {
-    std::lock_guard<std::mutex> lock(mu);
-    while (!demanded.empty()) {
-      const std::int64_t cell = demanded.front();
-      demanded.pop_front();
-      if (!claimed[static_cast<std::size_t>(cell)]) {
-        claimed[static_cast<std::size_t>(cell)] = 1;
-        return cell;
-      }
-    }
-    while (head < order.size()) {
-      const std::int64_t cell = order[head++];
-      if (!claimed[static_cast<std::size_t>(cell)]) {
-        claimed[static_cast<std::size_t>(cell)] = 1;
-        return cell;
-      }
-    }
-    NODEDP_CHECK_MSG(false, "BatchQueue: more claims than cells");
-    return -1;
-  }
-
-  void Demand(std::int64_t cell) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!claimed[static_cast<std::size_t>(cell)]) demanded.push_back(cell);
-  }
-};
-
 ExtensionFamily::ExtensionFamily(const Graph& g,
                                  const ExtensionOptions& options)
     : num_vertices_(g.NumVertices()), options_(options) {
-  // Eager path: partition, then induce every component now, sharded across
-  // the pool, straight from the caller's graph (no host copy). Each item
-  // touches only its own component, so the resulting family is identical
-  // at any width. Inductions are claimed largest-first (|C| + m_C): a
-  // giant component dispatched last would serialize the constructor's tail
-  // behind one worker.
-  InitComponents(g, /*retain_host=*/false);
-  std::vector<double> costs;
-  costs.reserve(components_.size());
-  for (const auto& component : components_) costs.push_back(component->weight);
-  ParallelFor(
-      static_cast<std::int64_t>(components_.size()),
-      [this, &g](std::int64_t i) {
-        EnsureInduced(*components_[static_cast<std::size_t>(i)], g);
-      },
-      CostOrder(costs));
-}
+  NODEDP_CHECK_MSG(options_.decompose_components,
+                   "ExtensionFamily requires decompose_components");
+  // The constructor's single whole-graph pass; nothing is induced here.
+  // Labels are assigned in order of each component's smallest vertex, so
+  // components_ has a deterministic order.
+  const std::vector<int> labels = ComponentLabels(g);
+  int num_components = 0;
+  for (int label : labels) num_components = std::max(num_components, label + 1);
+  // f_sf(G) = n - f_cc(G) (Eq. (1)) straight from the partition — no
+  // separate SpanningForestSize union-find pass.
+  f_sf_total_ = g.NumVertices() - num_components;
 
-ExtensionFamily::ExtensionFamily(const Graph& g,
-                                 const ExtensionOptions& options,
-                                 DeferInduction)
-    : num_vertices_(g.NumVertices()), options_(options) {
-  InitComponents(g, /*retain_host=*/true);
+  std::vector<int> sizes(num_components, 0);
+  for (int label : labels) ++sizes[label];
+  // Singleton components contribute nothing to any f_Δ; only label ->
+  // kept-component-index survivors get a state.
+  std::vector<int> kept(num_components, -1);
+  for (int label = 0; label < num_components; ++label) {
+    if (sizes[label] < 2) continue;
+    kept[label] = static_cast<int>(components_.size());
+    auto state = std::make_unique<ComponentState>();
+    state->vertices.reserve(static_cast<std::size_t>(sizes[label]));
+    state->f_sf = sizes[label] - 1;  // connected, by construction
+    components_.push_back(std::move(state));
+  }
+  for (int v = 0; v < g.NumVertices(); ++v) {
+    const int index = kept[labels[v]];
+    if (index < 0) continue;
+    components_[static_cast<std::size_t>(index)]->vertices.push_back(v);
+  }
+  remaining_inductions_.store(static_cast<int>(components_.size()),
+                              std::memory_order_relaxed);
+  if (!components_.empty()) {
+    host_graph_ = g;
+    host_released_ = false;
+  }
 }
 
 ExtensionFamily::ExtensionFamily(const Graph& graph,
@@ -175,13 +119,6 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
                                  const std::vector<Edge>& inserts)
     : num_vertices_(graph.NumVertices()), options_(base.options_) {
   NODEDP_CHECK_EQ(num_vertices_, base.num_vertices_);
-  if (!options_.decompose_components) {
-    // The whole-graph pseudo-component has no per-component state to
-    // carve up; any insert invalidates it. Build cold.
-    InitComponents(graph, /*retain_host=*/false);
-    components_invalidated_ = static_cast<int>(components_.size());
-    return;
-  }
 
   // Reconstruct a dense labeling of the OLD partition from base's vertex
   // lists: kept component i keeps label i, every remaining vertex is its
@@ -322,7 +259,6 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
     components_.push_back(std::move(p.state));
   }
   NODEDP_DCHECK(static_cast<int>(f_sf_total_) == SpanningForestSize(graph));
-  AssignComponentWeights(graph);
 
   remaining_inductions_.store(to_induce, std::memory_order_relaxed);
   if (to_induce > 0) {
@@ -331,106 +267,11 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
   }
 }
 
-ExtensionFamily::~ExtensionFamily() {
-  if (warm_thread_.joinable()) warm_thread_.join();
-}
-
-void ExtensionFamily::InitComponents(const Graph& g, bool retain_host) {
-  // The constructor's single whole-graph pass. Labels are assigned in order
-  // of each component's smallest vertex, so components_ keeps the same
-  // deterministic order the old ComponentVertexSets loop produced.
-  const std::vector<int> labels = ComponentLabels(g);
-  int num_components = 0;
-  for (int label : labels) num_components = std::max(num_components, label + 1);
-  // f_sf(G) = n - f_cc(G) (Eq. (1)) straight from the partition — the old
-  // separate SpanningForestSize union-find pass is gone.
-  f_sf_total_ = g.NumVertices() - num_components;
-
-  if (!options_.decompose_components) {
-    if (g.NumEdges() > 0) {
-      auto state = std::make_unique<ComponentState>();
-      state->graph = g;
-      state->f_sf = f_sf_total_;
-      state->weight = g.NumVertices() + g.NumEdges();
-      state->induced.store(true, std::memory_order_release);
-      components_.push_back(std::move(state));
-    }
-    return;
-  }
-
-  std::vector<int> sizes(num_components, 0);
-  for (int label : labels) ++sizes[label];
-  // Singleton components contribute nothing to any f_Δ; only label ->
-  // kept-component-index survivors get a state.
-  std::vector<int> kept(num_components, -1);
-  for (int label = 0; label < num_components; ++label) {
-    if (sizes[label] < 2) continue;
-    kept[label] = static_cast<int>(components_.size());
-    auto state = std::make_unique<ComponentState>();
-    state->vertices.reserve(static_cast<std::size_t>(sizes[label]));
-    state->f_sf = sizes[label] - 1;  // connected, by construction
-    components_.push_back(std::move(state));
-  }
-  for (int v = 0; v < g.NumVertices(); ++v) {
-    const int index = kept[labels[v]];
-    if (index < 0) continue;
-    ComponentState& state = *components_[static_cast<std::size_t>(index)];
-    state.vertices.push_back(v);
-    // Accumulate the degree sum; finalized to |C| + m_C below. This rides
-    // the existing vertex pass — the weight costs no extra traversal.
-    state.weight += g.Degree(v);
-  }
-  for (const auto& component : components_) {
-    component->weight =
-        static_cast<double>(component->vertices.size()) +
-        component->weight / 2.0;
-  }
-  remaining_inductions_.store(static_cast<int>(components_.size()),
-                              std::memory_order_relaxed);
-  if (!components_.empty() && retain_host) {
-    host_graph_ = g;
-    host_released_ = false;
-  }
-}
-
-void ExtensionFamily::AssignComponentWeights(const Graph& host) {
-  // |C| + m_C per component, m_C from the degree sum over the component's
-  // vertex list. O(sum |C|) = O(n): the same order as assembling the
-  // partition itself.
-  for (const auto& component : components_) {
-    double degree_sum = 0.0;
-    for (int v : component->vertices) degree_sum += host.Degree(v);
-    component->weight =
-        static_cast<double>(component->vertices.size()) + degree_sum / 2.0;
-  }
-}
-
-std::vector<std::int64_t> ExtensionFamily::CostOrder(
-    const std::vector<double>& costs) const {
-  std::vector<std::int64_t> order(costs.size());
-  std::iota(order.begin(), order.end(), std::int64_t{0});
-  if (options_.dispatch_order ==
-      ExtensionOptions::DispatchOrder::kIndexOrdered) {
-    return order;  // legacy claim order, for A/B measurement
-  }
-  // Longest-processing-time-first; ties resolve to the lower index so the
-  // claim order is a pure function of the costs.
-  std::sort(order.begin(), order.end(),
-            [&costs](std::int64_t a, std::int64_t b) {
-              const double ca = costs[static_cast<std::size_t>(a)];
-              const double cb = costs[static_cast<std::size_t>(b)];
-              if (ca != cb) return ca > cb;
-              return a < b;
-            });
-  return order;
-}
-
-void ExtensionFamily::EnsureInduced(ComponentState& component,
-                                    const Graph& host) {
+void ExtensionFamily::EnsureInduced(ComponentState& component) {
   if (component.induced.load(std::memory_order_acquire)) return;
-  std::call_once(component.induce_once, [this, &component, &host] {
+  std::call_once(component.induce_once, [this, &component] {
     const auto started = std::chrono::steady_clock::now();
-    component.graph = InduceSortedGraph(host, component.vertices);
+    component.graph = InduceSortedGraph(host_graph_, component.vertices);
     // The invariant that replaced the per-component spanning-forest pass:
     // a connected component's spanning forest has exactly |C| - 1 edges.
     NODEDP_DCHECK(SpanningForestSize(component.graph) ==
@@ -482,30 +323,6 @@ Status ExtensionFamily::Warm(const std::vector<double>& grid) {
   return Values(grid).status();
 }
 
-void ExtensionFamily::WarmAsync(std::vector<double> grid) {
-  {
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    NODEDP_CHECK_MSG(warm_done_, "WarmAsync: a warm is already in flight");
-    warm_done_ = false;
-  }
-  if (warm_thread_.joinable()) warm_thread_.join();  // previous, finished
-  warm_thread_ = std::thread([this, grid = std::move(grid)] {
-    const Status status = Warm(grid);
-    {
-      std::lock_guard<std::mutex> lock(warm_mu_);
-      warm_status_ = status;
-      warm_done_ = true;
-    }
-    warm_cv_.notify_all();
-  });
-}
-
-Status ExtensionFamily::WaitWarm() {
-  std::unique_lock<std::mutex> lock(warm_mu_);
-  warm_cv_.wait(lock, [this] { return warm_done_; });
-  return warm_status_;
-}
-
 Result<double> ExtensionFamily::Value(double delta) {
   // A one-Δ batch: same planning, claiming, and merge as any grid sweep,
   // so a Value() racing a warm or another batch shares cells instead of
@@ -535,7 +352,6 @@ Result<std::vector<double>> ExtensionFamily::Values(
     // in which case we wait for that cell instead of re-solving it.
     std::vector<CellTask> cells;
     std::vector<std::pair<int, double>> awaited;
-    std::shared_ptr<BatchQueue> queue;
     {
       std::lock_guard<std::mutex> lock(mu_);
       std::vector<std::set<double>> queued(components_.size());
@@ -553,20 +369,6 @@ Result<std::vector<double>> ExtensionFamily::Values(
           }
           if (SortedContains(component.inflight_deltas, delta)) {
             awaited.emplace_back(static_cast<int>(c), delta);
-            // Demand-first warming: bump the cell to the front of its
-            // owner's claim queue, so we unblock as soon as the owner's
-            // pool can reach it instead of at the owner's schedule luck.
-            // Live batches are few (one per concurrent Values() caller),
-            // so the scan is short.
-            for (const std::shared_ptr<BatchQueue>& batch :
-                 inflight_batches_) {
-              const std::int64_t cell = batch->Find(static_cast<int>(c),
-                                                    delta);
-              if (cell >= 0) {
-                batch->Demand(cell);
-                break;
-              }
-            }
             continue;
           }
           SortedInsert(component.inflight_deltas, delta);
@@ -575,48 +377,20 @@ Result<std::vector<double>> ExtensionFamily::Values(
                                    component.cut_pool});
         }
       }
-      if (!cells.empty()) {
-        // Estimated LP cost per cell: component weight (|C| + m_C) times
-        // the component's unsolved cells in this batch — a component with
-        // several cold grid cells is the batch's long pole even when each
-        // single solve is moderate. Claims go out in LPT order of that
-        // estimate (or planning order under kIndexOrdered).
-        std::vector<double> unsolved(components_.size(), 0.0);
-        for (const CellTask& cell : cells) {
-          unsolved[static_cast<std::size_t>(cell.component)] += 1.0;
-        }
-        std::vector<double> costs;
-        costs.reserve(cells.size());
-        for (const CellTask& cell : cells) {
-          costs.push_back(
-              components_[static_cast<std::size_t>(cell.component)]->weight *
-              unsolved[static_cast<std::size_t>(cell.component)]);
-        }
-        queue = std::make_shared<BatchQueue>(CostOrder(costs));
-        queue->cells_by_id.reserve(cells.size());
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          queue->cells_by_id.emplace_back(
-              std::make_pair(cells[i].component, cells[i].delta),
-              static_cast<std::int64_t>(i));
-        }
-        std::sort(queue->cells_by_id.begin(), queue->cells_by_id.end());
-        inflight_batches_.push_back(queue);
-      }
     }
     count_settled_stats = false;
 
-    // Evaluate our claimed cells concurrently, outside the lock. Each loop
-    // item claims one cell from the batch queue — demand lane first, then
-    // cost order — and a cell's first act is inducing its component (no-op
-    // once done), which is what pipelines induction with fast-path probes
-    // and LP solves during a warm. Each cell otherwise reads only its own
-    // snapshots plus component fields immutable after induction, and
-    // writes its own outcome slot, so the outcomes are independent of the
-    // claim schedule — and of any merges other Values() callers complete
-    // meanwhile. As each cell settles it is published and its claim
-    // released immediately, so callers racing this batch unblock per cell,
-    // not at the end of the batch; the publication also records when each
-    // component finishes its last cell, feeding the straggler histogram.
+    // Evaluate our claimed cells concurrently, outside the lock. A cell's
+    // first act is inducing its component (no-op once done), which is what
+    // pipelines induction with fast-path probes and LP solves during a
+    // warm. Each cell otherwise reads only its own snapshots plus component
+    // fields immutable after induction, and writes its own outcome slot, so
+    // the outcomes are independent of the claim schedule — and of any
+    // merges other Values() callers complete meanwhile. As each cell
+    // settles it is published and its claim released immediately, so
+    // callers racing this batch unblock per cell, not at the end of the
+    // batch; the publication also records when each component finishes its
+    // last cell, feeding the straggler histogram.
     std::vector<CellOutcome> outcomes(cells.size());
     std::vector<int> cells_left(components_.size(), 0);
     for (const CellTask& cell : cells) {
@@ -625,12 +399,11 @@ Result<std::vector<double>> ExtensionFamily::Values(
     int components_finished = 0;
     std::chrono::steady_clock::time_point prev_finish;
     std::chrono::steady_clock::time_point last_finish;
-    ParallelFor(static_cast<std::int64_t>(cells.size()), [&](std::int64_t) {
-      const std::int64_t i = queue->Next();
+    ParallelFor(static_cast<std::int64_t>(cells.size()), [&](std::int64_t i) {
       CellTask& cell = cells[static_cast<std::size_t>(i)];
       ComponentState& component =
           *components_[static_cast<std::size_t>(cell.component)];
-      EnsureInduced(component, host_graph_);
+      EnsureInduced(component);
       outcomes[static_cast<std::size_t>(i)] = EvaluateCell(component, cell);
       std::lock_guard<std::mutex> publish_lock(mu_);
       PublishCellLocked(cell, outcomes[static_cast<std::size_t>(i)]);
@@ -661,17 +434,10 @@ Result<std::vector<double>> ExtensionFamily::Values(
     // watermarks, and claim releases already happened per cell in
     // PublishCellLocked; nothing a waiter blocks on is left here, but the
     // cut pool must still grow in planning order so the post-call family
-    // state is bit-identical at any width and dispatch order. The dedup
+    // state is bit-identical at any width. The dedup
     // set over a component's cut pool is built at most once per component,
     // on first use.
     std::unique_lock<std::mutex> lock(mu_);
-    if (queue != nullptr) {
-      // Every cell is settled and its claim released; the batch no longer
-      // owns anything a waiter could demand.
-      inflight_batches_.erase(std::remove(inflight_batches_.begin(),
-                                          inflight_batches_.end(), queue),
-                              inflight_batches_.end());
-    }
     std::vector<std::optional<std::set<std::vector<int>>>> pooled_by_component(
         components_.size());
     Status first_error = Status::OK();

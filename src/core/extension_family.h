@@ -16,44 +16,33 @@
 //     style local search (core/degree_improve.h), skipping the LP wherever
 //     a spanning Δ-forest is found.
 //
-// Construction is sharded: one O(n + m) ComponentLabels pass partitions the
-// vertices, each component's spanning-forest size is |C| − 1 by the
-// connectivity invariant (no per-component union-find pass), and the
-// per-component subgraph inductions run concurrently on the current thread
-// pool. Induction is also *lazy*: the deferred constructor records only the
-// partition, and each component is induced at most once — by the first cell
-// evaluation that needs it (std::call_once) — so a Warm() over the Δ grid
-// pipelines induction, fast-path probes, and LP solves instead of running
-// them as serial phases. The host-graph copy kept for lazy induction is
-// released as soon as every component has been induced.
+// Construction is one O(n + m) ComponentLabels pass: it partitions the
+// vertices, and each component's spanning-forest size is |C| − 1 by the
+// connectivity invariant (no per-component union-find pass). Induction is
+// lazy: each component's subgraph is induced at most once — by the first
+// cell evaluation that needs it (std::call_once) — so a Warm() over the Δ
+// grid pipelines induction, fast-path probes, and LP solves on the thread
+// pool instead of running them as serial phases. The host-graph copy kept
+// for lazy induction is released as soon as every component has been
+// induced.
 //
-// Scheduling is cost-aware (docs/ARCHITECTURE.md "Scheduling"). Every
-// component carries the weight |C| + m_C (free: both terms fall out of the
-// partition pass). Eager inductions dispatch largest-first, and a batch's
-// unsettled cells dispatch by estimated LP cost — component weight times
-// the component's unsolved cells in the batch — so on power-law-skewed
-// inputs the giant component starts immediately instead of serializing the
-// tail behind a pool-width's worth of luck. On top of that, warming is
-// *demand-first*: a Values() caller that finds its cell claimed by a
-// concurrent batch bumps that cell to the front of the owner's claim
-// queue, and each cell's value is published (and its in-flight claim
-// released) the moment the cell settles — so queries racing a warm
-// unblock as early as possible rather than at the end of the owner's
-// whole batch. None of this changes any result: cells still write
-// index-addressed slots, values/watermarks are order-independent, and the
-// order-sensitive cut-pool merge still happens in fixed cell order.
+// A batch's unsettled (component, Δ) cells are claimed in planning order.
+// Each cell's value is published (and its in-flight claim released) the
+// moment the cell settles, so a query racing a warm blocks only until the
+// cells it needs are done, not until the whole batch is. None of this
+// changes any result: cells write index-addressed slots, values and
+// watermarks are order-independent, and the order-sensitive cut-pool merge
+// happens in fixed cell order.
 
 #ifndef NODEDP_CORE_EXTENSION_FAMILY_H_
 #define NODEDP_CORE_EXTENSION_FAMILY_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,29 +61,21 @@ namespace nodedp {
 // immutable snapshots. Unsettled (component, Δ) cells are claimed through
 // an in-flight registry, so concurrent callers never duplicate an LP solve:
 // a caller that needs a cell another caller is already evaluating blocks on
-// exactly that cell — not on the whole batch. Returned values are identical
-// regardless of interleaving (the LP optimum does not depend on which valid
-// cuts seed it). stats() returns a snapshot copy taken under the same
-// mutex, so it is safe to call while queries are in flight (the serving
-// layer does).
+// exactly that cell — not on the whole batch. To warm in the background,
+// run Warm() on a std::thread; queries issued meanwhile are safe. Returned
+// values are identical regardless of interleaving (the LP optimum does not
+// depend on which valid cuts seed it). stats() returns a snapshot copy
+// taken under the same mutex, so it is safe to call while queries are in
+// flight (the serving layer does).
 class ExtensionFamily {
  public:
-  // Tag selecting the deferred constructor: record the component partition
-  // (one O(n + m) labels pass) but induce nothing. Induction then happens
-  // lazily, per component, on first use — Warm()/WarmAsync() exploit this
-  // to overlap induction with grid-cell evaluation.
-  struct DeferInduction {};
-
-  // Copies the components of interest out of `g`, so the family owns its
-  // inputs and cannot dangle. Inductions run concurrently on the current
-  // thread pool; the resulting family is identical at any width.
+  // Partitions `g` (one O(n + m) labels pass) but induces nothing: each
+  // component is induced on first use. Keeps a copy of `g` until every
+  // component has been induced (MemoryBytes() reports it), so the family
+  // owns its inputs and cannot dangle. Requires
+  // options.decompose_components (CHECKed).
   explicit ExtensionFamily(const Graph& g,
                            const ExtensionOptions& options = {});
-
-  // Deferred variant: partitions but does not induce. Keeps a copy of `g`
-  // until every component has been induced (MemoryBytes() reports it).
-  ExtensionFamily(const Graph& g, const ExtensionOptions& options,
-                  DeferInduction);
 
   // Incremental (streaming-update) constructor: builds the family for
   // `graph`, which MUST be `base`'s graph with exactly `inserts` applied —
@@ -114,9 +95,6 @@ class ExtensionFamily {
   // bit-identical to a cold rebuild on `graph`.
   ExtensionFamily(const Graph& graph, const ExtensionFamily& base,
                   const std::vector<Edge>& inserts);
-
-  // Joins an in-flight WarmAsync() thread, if any.
-  ~ExtensionFamily();
 
   ExtensionFamily(const ExtensionFamily&) = delete;
   ExtensionFamily& operator=(const ExtensionFamily&) = delete;
@@ -145,23 +123,12 @@ class ExtensionFamily {
   // depend on which valid cuts seed it.
   Result<std::vector<double>> Values(const std::vector<double>& deltas);
 
-  // Evaluates every Δ in `grid` (the load-time warm). On a deferred family
-  // this pipelines the stages: a cell's evaluation induces its component on
-  // first touch, so early components' fast-path probes and LP solves run
-  // while later components are still being induced. Equivalent to Values()
-  // in every observable way (same cells, same merge order, same resulting
-  // state); only the Status is returned.
+  // Evaluates every Δ in `grid` (the load-time warm). A cell's evaluation
+  // induces its component on first touch, so early components' fast-path
+  // probes and LP solves run while later components are still being
+  // induced. Equivalent to Values() in every observable way (same cells,
+  // same merge order, same resulting state); only the Status is returned.
   Status Warm(const std::vector<double>& grid);
-
-  // Starts Warm(grid) on a background thread and returns immediately.
-  // Queries issued meanwhile are safe and block only on the cells they
-  // need (see Values). At most one async warm may be in flight; the
-  // destructor joins it. Collect the outcome with WaitWarm().
-  void WarmAsync(std::vector<double> grid);
-
-  // Blocks until the WarmAsync() warm finishes and returns its Status.
-  // OK if WarmAsync was never called.
-  Status WaitWarm();
 
   // f_sf(G) (the non-private true value; used to build GEM scores).
   double SpanningForestSizeValue() const { return f_sf_total_; }
@@ -205,16 +172,10 @@ class ExtensionFamily {
   struct ComponentState {
     // Host-graph ids of this component, sorted ascending. The lazy
     // induction input; retained afterwards so MemoryBytes() never races an
-    // in-flight induction. Empty for the whole-graph pseudo-component of
-    // decompose_components = false.
+    // in-flight induction.
     std::vector<int> vertices;
     // |C| - 1, by the connectivity invariant — no spanning-forest pass.
     double f_sf = 0.0;
-    // |C| + m_C — the LPT cost estimate driving induction and cell
-    // dispatch order. Both terms fall out of the partition pass (m_C from
-    // the degree sum), so it costs no extra traversal. Fixed after
-    // construction.
-    double weight = 0.0;
     // The induced subgraph. Written once, inside `induce_once`; readable
     // once `induced` is true (acquire/release pairing).
     Graph graph;
@@ -235,32 +196,10 @@ class ExtensionFamily {
     std::vector<double> inflight_deltas;
   };
 
-  // The shared front half of both constructors: one ComponentLabels pass
-  // partitions the vertices, sets every component's f_sf to |C| - 1 and
-  // weight to |C| + m_C, and derives f_sf_total_ = n - #components — the
-  // constructor's only whole-graph traversal. `retain_host` copies g into
-  // host_graph_ for lazy induction (the deferred constructor); the eager
-  // constructor induces straight from its argument instead.
-  void InitComponents(const Graph& g, bool retain_host);
-
-  // Sets every component's weight to |C| + m_C from `host`'s degrees —
-  // the incremental constructor's weight pass (InitComponents computes
-  // weights inline; the incremental path assembles components_ itself).
-  void AssignComponentWeights(const Graph& host);
-
-  // Claim order for the eager constructor's induction loop and for batch
-  // cells: indices sorted by descending cost, ties broken ascending so the
-  // order is deterministic. Identity when options_.dispatch_order is
-  // kIndexOrdered.
-  std::vector<std::int64_t> CostOrder(
-      const std::vector<double>& costs) const;
-
-  // Induces `component` from `host`, exactly once across all threads
+  // Induces `component` from host_graph_, exactly once across all threads
   // (later callers return immediately, or wait for the one in-flight
-  // induction). Debug builds CHECK the |C| - 1 invariant. The eager
-  // constructor passes its argument directly (no host copy is ever made);
-  // lazy callers pass the retained host_graph_.
-  void EnsureInduced(ComponentState& component, const Graph& host);
+  // induction). Debug builds CHECK the |C| - 1 invariant.
+  void EnsureInduced(ComponentState& component);
 
   // Drops the host-graph copy once every component has been induced.
   // Requires mu_; safe against concurrent inductions because the atomic
@@ -296,11 +235,6 @@ class ExtensionFamily {
   CellOutcome EvaluateCell(const ComponentState& component,
                            CellTask& task) const;
 
-  // Per-batch dynamic claim queue (defined in the .cc): LPT order with a
-  // demand-first fast lane that concurrent callers awaiting a cell push
-  // into. Shared between the owning batch's workers and the registry below.
-  struct BatchQueue;
-
   // Publishes one settled cell under mu_ — value cache, watermark,
   // fast-path floor — and releases its in-flight claim so awaiting callers
   // unblock per cell, not per batch. Order-independent by construction:
@@ -331,22 +265,7 @@ class ExtensionFamily {
   // publication only broadcasts when this is non-zero, so the uncontended
   // warm never pays a notify per cell.
   int cell_waiters_ = 0;
-  // Live batch queues, guarded by mu_ — one entry per Values() batch with
-  // unclaimed cells, registered at planning, deregistered at that batch's
-  // merge. An awaiting caller asks each live batch for its cell (an
-  // immutable per-batch sorted index, so registration is one bulk build
-  // instead of a map node per cell) and bumps it to the front of the
-  // owner's queue (demand-first warming). Lock order: mu_ then the queue's
-  // own mutex, never the reverse.
-  std::vector<std::shared_ptr<BatchQueue>> inflight_batches_;
   Stats stats_;
-
-  // WarmAsync state.
-  std::mutex warm_mu_;
-  std::condition_variable warm_cv_;
-  bool warm_done_ = true;      // guarded by warm_mu_
-  Status warm_status_;         // guarded by warm_mu_
-  std::thread warm_thread_;
 };
 
 }  // namespace nodedp

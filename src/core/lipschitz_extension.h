@@ -27,17 +27,10 @@ namespace nodedp {
 struct ExtensionOptions {
   // Try the Algorithm 3 certificate before the LP. Always sound.
   bool use_repair_fast_path = true;
-  // Evaluate per connected component. Always sound.
+  // Evaluate per connected component. Always sound. EvalLipschitzExtension
+  // honors false (one LP over the whole graph, for ablations);
+  // ExtensionFamily always decomposes and CHECK-fails on false.
   bool decompose_components = true;
-  // Order in which ExtensionFamily dispatches component inductions and
-  // grid-cell solves across the thread pool. kCostOrdered (the default) is
-  // longest-processing-time-first by estimated cost, which shrinks the
-  // straggler tail on skewed component distributions; kIndexOrdered is the
-  // legacy claim order, kept for A/B measurement (bench_serve's warm_skew
-  // record). Returned values and post-call family state are bit-identical
-  // either way — dispatch order changes wall-clock, never outcomes.
-  enum class DispatchOrder { kCostOrdered, kIndexOrdered };
-  DispatchOrder dispatch_order = DispatchOrder::kCostOrdered;
   ForestPolytopeOptions polytope;
 };
 

@@ -29,7 +29,7 @@ InducedSubgraph Induce(const Graph& g, std::vector<int> vertices);
 // Fast path for callers that already hold `vertices` sorted ascending and
 // duplicate-free (DCHECKed) and do not need the mapping back: skips the
 // sort, the duplicate scan, and the vertex-list copy. This is what the
-// sharded ExtensionFamily construction uses to induce each component
+// ExtensionFamily uses to induce each component lazily
 // straight off its ComponentLabels bucket.
 Graph InduceSortedGraph(const Graph& g, const std::vector<int>& vertices);
 

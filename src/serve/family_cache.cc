@@ -70,16 +70,12 @@ Result<std::shared_ptr<ExtensionFamily>> FamilyCache::GetOrCreate(
     }
   }
 
-  // We own the build. Construct deferred (cheap: one O(n+m) pass), publish
-  // as warming so concurrent callers share it mid-warm, then run the
-  // pipelined warm outside every cache lock. The warm dispatches its cells
-  // cost-ordered (LPT by |C| + m_C) with a demand-first fast lane: a cold
-  // query racing this warm needs exactly these grid cells, and the cells
-  // it blocks on jump the warm's claim queue and publish individually —
-  // so the cells cold queries hit first are solved first, by construction
-  // rather than by a precomputed grid order.
-  auto family = std::make_shared<ExtensionFamily>(
-      g, options, ExtensionFamily::DeferInduction{});
+  // We own the build. Construct (cheap: one O(n+m) partition pass, no
+  // induction), publish as warming so concurrent callers share it mid-warm,
+  // then run the pipelined warm outside every cache lock. A cold query
+  // racing this warm blocks only on the grid cells it needs, each of which
+  // publishes the moment it settles.
+  auto family = std::make_shared<ExtensionFamily>(g, options);
   {
     std::lock_guard<std::mutex> lock(mu_);
     slot->family = family;

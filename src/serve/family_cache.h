@@ -8,7 +8,7 @@
 // queries, whole ε sweeps) is a pure cache hit that pays only for GEM
 // scoring and noise sampling.
 //
-// The build is pipelined, not phased: the family is constructed deferred
+// The build is pipelined, not phased: the family is constructed lazily
 // (one O(n+m) partition pass), published to the cache immediately, and then
 // warmed — grid cells of already-induced components evaluate while later
 // components are still being induced (see ExtensionFamily::Warm). Because

@@ -396,12 +396,10 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::FamilyFor(
   // map lookup away): the entry never pins the family, so a byte-cap
   // eviction frees real memory and the next query rebuilds and re-warms.
   // The build+warm runs outside every server lock; FamilyCache serializes
-  // same-key builders and hands mid-warm callers the warming family —
-  // whose cells their queries demand to the front of the warm's claim
-  // queue (demand-first warming), so a query racing the prewarm blocks on
-  // each needed cell only until that cell publishes, not until the warm
-  // ends. The snapshot pins the graph across the build in case an update
-  // swaps it.
+  // same-key builders and hands mid-warm callers the warming family, so a
+  // query racing the prewarm blocks on each needed cell only until that
+  // cell publishes, not until the warm ends. The snapshot pins the graph
+  // across the build in case an update swaps it.
   const std::shared_ptr<const Graph> graph = GraphSnapshot(entry);
   return families_.GetOrCreate(entry.cache_key, *graph,
                                WarmGrid(*graph, entry.config),

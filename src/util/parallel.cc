@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "obs/metrics.h"
-#include "util/check.h"
 
 namespace nodedp {
 
@@ -40,9 +39,6 @@ Histogram* QueueWaitNsHistogram() {
 struct ThreadPool::Job {
   std::int64_t n = 0;
   const std::function<void(std::int64_t)>* fn = nullptr;
-  // Optional claim permutation: position k in the claim sequence runs item
-  // (*order)[k]. Null means identity (claim order == item order).
-  const std::vector<std::int64_t>* order = nullptr;
   // When the loop was posted; each thread's first claim observes the gap
   // into nodedp_pool_queue_wait_ns.
   std::chrono::steady_clock::time_point posted;
@@ -142,9 +138,8 @@ void ThreadPool::RunItems(Job& job) {
   tls_running_items = true;
   bool observed_wait = false;
   for (;;) {
-    const std::int64_t claim =
-        job.next.fetch_add(1, std::memory_order_relaxed);
-    if (claim >= job.n) break;
+    const std::int64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) break;
     if (!observed_wait) {
       // First claim on this thread: how long the posted loop waited for us.
       observed_wait = true;
@@ -155,9 +150,6 @@ void ThreadPool::RunItems(Job& job) {
                 .count()));
       }
     }
-    const std::int64_t i =
-        job.order != nullptr ? (*job.order)[static_cast<std::size_t>(claim)]
-                             : claim;
     try {
       (*job.fn)(i);
     } catch (...) {
@@ -181,26 +173,17 @@ namespace {
 
 // Sequential execution with the nested-call guard set, so fn's own parallel
 // loops also stay inline. Matches the pool path's exception contract: every
-// item runs even after one throws, and the lowest-*index* exception is
-// rethrown at the end (not the first one encountered — under a claim
-// permutation those differ) — so side effects are identical at any width
-// and any dispatch order.
-void RunInline(std::int64_t n, const std::function<void(std::int64_t)>& fn,
-               const std::vector<std::int64_t>* order) {
+// item runs even after one throws, and the lowest-index exception is
+// rethrown at the end — so side effects are identical at any width.
+void RunInline(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
   const bool was_running = tls_running_items;
   tls_running_items = true;
   std::exception_ptr error;
-  std::int64_t error_index = std::numeric_limits<std::int64_t>::max();
-  for (std::int64_t claim = 0; claim < n; ++claim) {
-    const std::int64_t i =
-        order != nullptr ? (*order)[static_cast<std::size_t>(claim)] : claim;
+  for (std::int64_t i = 0; i < n; ++i) {
     try {
       fn(i);
     } catch (...) {
-      if (i < error_index) {
-        error_index = i;
-        error = std::current_exception();
-      }
+      if (!error) error = std::current_exception();
     }
   }
   tls_running_items = was_running;
@@ -211,38 +194,16 @@ void RunInline(std::int64_t n, const std::function<void(std::int64_t)>& fn,
 
 void ThreadPool::For(std::int64_t n,
                      const std::function<void(std::int64_t)>& fn) {
-  ForImpl(n, fn, nullptr);
-}
-
-void ThreadPool::For(std::int64_t n,
-                     const std::function<void(std::int64_t)>& fn,
-                     const std::vector<std::int64_t>& order) {
-  NODEDP_CHECK_EQ(static_cast<std::int64_t>(order.size()), n);
-#ifndef NDEBUG
-  // The permutation contract: every index exactly once. O(n), debug only.
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  for (std::int64_t i : order) {
-    NODEDP_CHECK(i >= 0 && i < n && !seen[static_cast<std::size_t>(i)]);
-    seen[static_cast<std::size_t>(i)] = 1;
-  }
-#endif
-  ForImpl(n, fn, &order);
-}
-
-void ThreadPool::ForImpl(std::int64_t n,
-                         const std::function<void(std::int64_t)>& fn,
-                         const std::vector<std::int64_t>* order) {
   if (n <= 0) return;
   if (num_threads_ == 1 || n == 1 || tls_running_items) {
     // Width-1 pool, trivial loop, or nested call from inside an item.
-    RunInline(n, fn, order);
+    RunInline(n, fn);
     return;
   }
 
   Job job;
   job.n = n;
   job.fn = &fn;
-  job.order = order;
   job.posted = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -251,7 +212,7 @@ void ThreadPool::ForImpl(std::int64_t n,
       // queueing: every loop in this library is correct at any width, and a
       // second caller is rare enough that simplicity wins over sharing.
       lock.unlock();
-      RunInline(n, fn, order);
+      RunInline(n, fn);
       return;
     }
     job_ = &job;

@@ -22,12 +22,8 @@
 // ScopedThreadPool.
 //
 // Scheduling. Dispatch is dynamic — an atomic claim counter, not static
-// partitioning — so item-cost imbalance is absorbed at any width. Callers
-// whose item costs are known (even roughly) can pass a claim permutation
-// (longest-processing-time-first) to For/ParallelFor: items are *claimed*
-// in permutation order but still write only their own index-addressed
-// slots, so the determinism contract above is untouched — only wall-clock
-// changes. See docs/ARCHITECTURE.md "Scheduling".
+// partitioning — so item-cost imbalance is absorbed at any width. Items are
+// claimed in index order.
 //
 // Nesting. A ParallelFor issued from inside a pool worker runs inline on
 // that worker (no new tasks are enqueued), so nested parallel code cannot
@@ -79,24 +75,12 @@ class ThreadPool {
   // item threw, rethrows the exception from the lowest-index failing item.
   void For(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
-  // Dispatch-order overload: fn(i) still runs for every i in [0, n) exactly
-  // once, but items are claimed in `order`'s sequence — pass expensive items
-  // first (longest-processing-time-first) to shrink the straggler tail on
-  // skewed workloads. `order` must be a permutation of [0, n) (CHECKed in
-  // debug builds) and outlive the call. Results, side effects, and the
-  // lowest-index exception choice are identical to the unordered overload
-  // at any width: the permutation changes wall-clock, never outcomes.
-  void For(std::int64_t n, const std::function<void(std::int64_t)>& fn,
-           const std::vector<std::int64_t>& order);
-
   // The process-wide pool, started lazily with ThreadCountFromEnv() workers.
   static ThreadPool& Global();
 
  private:
   struct Job;
 
-  void ForImpl(std::int64_t n, const std::function<void(std::int64_t)>& fn,
-               const std::vector<std::int64_t>* order);
   void WorkerLoop();
   // Claims and runs items of `job` until the claim counter is exhausted.
   void RunItems(Job& job);
@@ -147,14 +131,6 @@ int ParallelThreadCount();
 inline void ParallelFor(std::int64_t n,
                         const std::function<void(std::int64_t)>& fn) {
   CurrentThreadPool().For(n, fn);
-}
-
-// Dispatch-order variant (see ThreadPool::For): items claimed in `order`'s
-// sequence, outcomes identical to the unordered form at any width.
-inline void ParallelFor(std::int64_t n,
-                        const std::function<void(std::int64_t)>& fn,
-                        const std::vector<std::int64_t>& order) {
-  CurrentThreadPool().For(n, fn, order);
 }
 
 // Maps fn over [0, n), returning the results in index order. T needs only a

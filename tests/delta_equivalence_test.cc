@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/extension_family.h"
+#include "core/lipschitz_extension.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "util/parallel.h"
@@ -157,8 +158,8 @@ TEST(DeltaEquivalenceTest, MidWarmBaseAdoptionIsExact) {
     const Result<Graph::EdgeDelta> delta = g.ApplyEdgeDelta(batch);
     ASSERT_TRUE(delta.ok());
 
-    // Deferred, un-warmed base: nothing induced, nothing solved.
-    ExtensionFamily base(g, {}, ExtensionFamily::DeferInduction{});
+    // Un-warmed base: nothing induced, nothing solved.
+    ExtensionFamily base(g);
     ExtensionFamily incremental(delta->graph, base, delta->added);
     ASSERT_TRUE(incremental.Warm(grid).ok()) << "trial " << trial;
 
@@ -213,7 +214,9 @@ TEST(DeltaEquivalenceTest, QueriesDuringIncrementalRewarmAreExact) {
   ExtensionFamily base(g);
   ASSERT_TRUE(base.Warm(grid).ok());
   ExtensionFamily incremental(delta->graph, base, delta->added);
-  incremental.WarmAsync(grid);
+  Status warmed;
+  std::thread warm(
+      [&incremental, &grid, &warmed] { warmed = incremental.Warm(grid); });
 
   constexpr int kCallers = 4;
   std::vector<std::vector<double>> got(kCallers);
@@ -232,7 +235,8 @@ TEST(DeltaEquivalenceTest, QueriesDuringIncrementalRewarmAreExact) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_TRUE(incremental.WaitWarm().ok());
+  warm.join();
+  EXPECT_TRUE(warmed.ok());
 
   for (int i = 0; i < kCallers; ++i) {
     ASSERT_EQ(got[i].size(), expected.size()) << "caller " << i;
@@ -243,24 +247,27 @@ TEST(DeltaEquivalenceTest, QueriesDuringIncrementalRewarmAreExact) {
   }
 }
 
-TEST(DeltaEquivalenceTest, WholeGraphModeRebuildsCold) {
-  // decompose_components = false has no per-component state to adopt: the
-  // incremental constructor must fall back to a cold build and still match.
+TEST(DeltaEquivalenceTest, WholeGraphEvaluationMatchesIncrementalFamily) {
+  // The whole-graph evaluation (decompose_components = false, one LP over
+  // the patched graph) agrees with the incremental family built from a
+  // warmed base.
   Rng rng(8600);
   const Graph g = gen::ErdosRenyi(30, 0.1, rng);
   const Result<Graph::EdgeDelta> delta = g.ApplyEdgeDelta({{0, 1}, {2, 9}});
   ASSERT_TRUE(delta.ok());
-  ExtensionOptions options;
-  options.decompose_components = false;
+  ExtensionOptions whole;
+  whole.decompose_components = false;
   const std::vector<double> grid = {1.0, 2.0, 4.0};
 
-  ExtensionFamily base(g, options);
+  ExtensionFamily base(g);
   ASSERT_TRUE(base.Warm(grid).ok());
   ExtensionFamily incremental(delta->graph, base, delta->added);
-  EXPECT_EQ(incremental.components_adopted(), 0);
-
-  ExtensionFamily cold(delta->graph, options);
-  EXPECT_EQ(incremental.Values(grid).value(), cold.Values(grid).value());
+  const std::vector<double> values = incremental.Values(grid).value();
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_NEAR(values[i],
+                LipschitzExtensionValue(delta->graph, grid[i], whole), kTol)
+        << "delta " << grid[i];
+  }
 }
 
 }  // namespace

@@ -158,18 +158,26 @@ TEST(ExtensionFamilyTest, ConcurrentValuesCallsAgreeWithSequential) {
   }
 }
 
-TEST(ExtensionFamilyTest, NoDecompositionOptionStillCorrect) {
+TEST(ExtensionFamilyTest, NoDecompositionEvaluationMatchesFamily) {
+  // decompose_components = false is an EvalLipschitzExtension ablation (one
+  // LP over the whole graph); the family always decomposes.
   Rng rng(1202);
   const Graph g = gen::DisjointUnion(
       {gen::ErdosRenyi(8, 0.4, rng), gen::Complete(5)});
   ExtensionOptions whole;
   whole.decompose_components = false;
-  ExtensionFamily one_piece(g, whole);
   ExtensionFamily decomposed(g);
   for (double delta : {1.0, 2.0, 4.0}) {
-    EXPECT_NEAR(one_piece.Value(delta).value(),
+    EXPECT_NEAR(LipschitzExtensionValue(g, delta, whole),
                 decomposed.Value(delta).value(), kTol);
   }
+}
+
+TEST(ExtensionFamilyDeathTest, RejectsWholeGraphMode) {
+  ExtensionOptions whole;
+  whole.decompose_components = false;
+  EXPECT_DEATH(ExtensionFamily(gen::Complete(4), whole),
+               "decompose_components");
 }
 
 }  // namespace

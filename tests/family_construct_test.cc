@@ -1,13 +1,13 @@
-// Tests for the sharded / pipelined ExtensionFamily construction path:
-// the one-pass partition must reproduce the old sequential
-// decompose-induce-measure loop exactly, the deferred (lazy-induction)
-// constructor plus Warm must be indistinguishable from the eager
-// constructor plus Values, and an async warm must serve concurrent
-// queries safely (this file runs under TSan in CI).
+// Tests for the pipelined ExtensionFamily construction path: the one-pass
+// partition must reproduce the old sequential decompose-induce-measure loop
+// exactly, the lazy host copy must be released once every component is
+// induced, a background warm must serve concurrent queries safely (this
+// file runs under TSan in CI), and the warm's straggler telemetry must
+// fire once per multi-component batch.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +15,8 @@
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/parallel.h"
 #include "util/random.h"
 
@@ -49,16 +51,29 @@ Graph RandomMultiComponentGraph(Rng& rng) {
   return gen::DisjointUnion(parts);
 }
 
-TEST(FamilyConstructTest, ShardedConstructionMatchesSequentialOn200Graphs) {
-  // The sharded constructor (parallel per-component induction, f_sf from
-  // the |C| - 1 invariant) against a width-1 pool — i.e. the sequential
-  // construction schedule — and against the pre-shard recipe
-  // (ComponentVertexSets + Induce + SpanningForestSize) recomputed here.
-  // Components, f_sf, and the Values() tables must be identical.
+// Observations recorded so far in nodedp_family_warm_straggler_ns (0
+// before the family first registers it).
+long long StragglerSamples() {
+  for (const MetricsRegistry::Sample& sample :
+       MetricsRegistry::Default().Samples()) {
+    if (sample.name == "nodedp_family_warm_straggler_ns_count") {
+      return static_cast<long long>(sample.value);
+    }
+  }
+  return 0;
+}
+
+TEST(FamilyConstructTest, ConstructionMatchesSequentialOn200Graphs) {
+  // The family (per-component induction inside parallel cell evaluation,
+  // f_sf from the |C| - 1 invariant) on a width-1 pool — i.e. the
+  // sequential schedule — against a width-4 pool, and against the
+  // sequential recipe (ComponentVertexSets + Induce + SpanningForestSize)
+  // recomputed here. Components, f_sf, and the Values() tables must be
+  // identical.
   Rng rng(4100);
   const std::vector<double> grid = {1.0, 2.0, 4.0, 8.0};
   ThreadPool sequential_pool(1);
-  ThreadPool sharded_pool(4);
+  ThreadPool wide_pool(4);
   for (int trial = 0; trial < 200; ++trial) {
     const Graph g = RandomMultiComponentGraph(rng);
 
@@ -86,7 +101,7 @@ TEST(FamilyConstructTest, ShardedConstructionMatchesSequentialOn200Graphs) {
       sequential_values = *values;
     }
     {
-      ScopedThreadPool scoped(&sharded_pool);
+      ScopedThreadPool scoped(&wide_pool);
       ExtensionFamily family(g);
       EXPECT_EQ(family.SpanningForestSizeValue(), reference_f_sf)
           << "trial " << trial;
@@ -98,56 +113,33 @@ TEST(FamilyConstructTest, ShardedConstructionMatchesSequentialOn200Graphs) {
   }
 }
 
-TEST(FamilyConstructTest, DeferredWarmMatchesEagerValues) {
-  Rng rng(4200);
-  const std::vector<double> grid = {1.0, 2.0, 4.0, 8.0, 16.0};
-  for (int trial = 0; trial < 10; ++trial) {
-    const Graph g = RandomMultiComponentGraph(rng);
-
-    ExtensionFamily eager(g);
-    const auto eager_values = eager.Values(grid);
-    ASSERT_TRUE(eager_values.ok());
-
-    ExtensionFamily deferred(g, {}, ExtensionFamily::DeferInduction{});
-    ASSERT_TRUE(deferred.Warm(grid).ok());
-    const auto warmed_values = deferred.Values(grid);
-    ASSERT_TRUE(warmed_values.ok());
-
-    EXPECT_EQ(*warmed_values, *eager_values) << "trial " << trial;
-
-    // Same cells, same merge order, same caches: the post-warm state is
-    // indistinguishable, down to the work stats and the byte accounting.
-    const auto eager_stats = eager.stats();
-    const auto deferred_stats = deferred.stats();
-    EXPECT_EQ(deferred_stats.lp_evaluations, eager_stats.lp_evaluations);
-    EXPECT_EQ(deferred_stats.fast_certificates,
-              eager_stats.fast_certificates);
-    EXPECT_EQ(deferred_stats.cuts_added, eager_stats.cuts_added);
-    EXPECT_EQ(deferred.MemoryBytes(), eager.MemoryBytes())
-        << "trial " << trial;
-  }
-}
-
-TEST(FamilyConstructTest, DeferredFamilyReleasesHostGraphAfterFullWarm) {
-  // Until every component is induced, the deferred family retains a host
-  // copy of the graph; a full-grid warm induces everything and drops it.
+TEST(FamilyConstructTest, FamilyReleasesHostGraphAfterFullWarm) {
+  // Until every component is induced, the family retains a host copy of
+  // the graph; a full-grid warm induces everything and drops it.
   Rng rng(4300);
   const Graph g = gen::DisjointUnion(
       {gen::ErdosRenyi(60, 0.05, rng), gen::Complete(8), gen::Path(40)});
-  ExtensionFamily deferred(g, {}, ExtensionFamily::DeferInduction{});
-  const std::size_t before = deferred.MemoryBytes();
-  EXPECT_GE(before, g.MemoryBytes());  // host copy is accounted
+  ExtensionFamily family(g);
+  EXPECT_GE(family.MemoryBytes(), g.MemoryBytes());  // host copy is accounted
 
-  ASSERT_TRUE(deferred.Warm({1.0, 2.0, 4.0}).ok());
-  ExtensionFamily eager(g);
-  ASSERT_TRUE(eager.Values({1.0, 2.0, 4.0}).ok());
-  EXPECT_EQ(deferred.MemoryBytes(), eager.MemoryBytes());
+  // The same graph padded with isolated vertices at the top of the id
+  // range: identical components, identical induced subgraphs and warm
+  // state, but a larger host copy. Before the warm the padding shows; after
+  // it, both host copies are gone and the footprints match exactly.
+  const Graph padded_graph = gen::DisjointUnion({g, gen::Empty(500)});
+  ExtensionFamily padded(padded_graph);
+  EXPECT_GT(padded.MemoryBytes(), family.MemoryBytes());
+
+  const std::vector<double> grid = {1.0, 2.0, 4.0};
+  ASSERT_TRUE(family.Warm(grid).ok());
+  ASSERT_TRUE(padded.Warm(grid).ok());
+  EXPECT_EQ(padded.MemoryBytes(), family.MemoryBytes());
 }
 
-TEST(FamilyConstructTest, WarmAsyncServesConcurrentQueries) {
-  // Queries racing an async warm must return correct values and block only
-  // on the cells they need — never on the whole warm. Run under TSan in
-  // CI, this is the load-while-querying proof at the family level.
+TEST(FamilyConstructTest, BackgroundWarmServesConcurrentQueries) {
+  // Queries racing a warm on another thread must return correct values and
+  // block only on the cells they need — never on the whole warm. Run under
+  // TSan in CI, this is the load-while-querying proof at the family level.
   Rng rng(4400);
   const Graph g = gen::DisjointUnion(
       {gen::ErdosRenyi(24, 0.15, rng), gen::Caterpillar(8, 2),
@@ -157,8 +149,9 @@ TEST(FamilyConstructTest, WarmAsyncServesConcurrentQueries) {
   ExtensionFamily reference(g);
   const std::vector<double> expected = reference.Values(grid).value();
 
-  ExtensionFamily shared(g, {}, ExtensionFamily::DeferInduction{});
-  shared.WarmAsync(grid);
+  ExtensionFamily shared(g);
+  Status warmed;
+  std::thread warm([&shared, &grid, &warmed] { warmed = shared.Warm(grid); });
 
   constexpr int kCallers = 4;
   std::vector<std::vector<double>> got(kCallers);
@@ -177,7 +170,8 @@ TEST(FamilyConstructTest, WarmAsyncServesConcurrentQueries) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_TRUE(shared.WaitWarm().ok());
+  warm.join();
+  EXPECT_TRUE(warmed.ok());
 
   for (int i = 0; i < kCallers; ++i) {
     ASSERT_EQ(got[i].size(), expected.size()) << "caller " << i;
@@ -211,6 +205,41 @@ TEST(FamilyConstructTest, MemoryBytesGrowsWithWarmState) {
   ASSERT_TRUE(family.Values({1.0, 2.0, 4.0}).ok());
   // Warm state (value cache, cut pools) is accounted.
   EXPECT_GE(family.MemoryBytes(), cold);
+}
+
+TEST(FamilyConstructTest, MultiComponentWarmRecordsOneStragglerPerBatch) {
+  // Stars need degree = #leaves for a spanning tree, so no watermark
+  // settles either component below Δ = 16: both batches below have cells
+  // in both components.
+  ExtensionFamily family(gen::DisjointUnion({gen::Star(20), gen::Star(16)}));
+  ASSERT_EQ(family.num_components(), 2);
+
+  const long long before = StragglerSamples();
+  ASSERT_TRUE(family.Warm({1.0, 2.0}).ok());
+  EXPECT_EQ(StragglerSamples(), before + 1);
+  // A second batch with fresh cells adds its own sample...
+  ASSERT_TRUE(family.Warm({4.0, 8.0}).ok());
+  EXPECT_EQ(StragglerSamples(), before + 2);
+  // ...and a batch that solves nothing adds none.
+  ASSERT_TRUE(family.Warm({1.0, 2.0, 4.0, 8.0}).ok());
+  EXPECT_EQ(StragglerSamples(), before + 2);
+}
+
+TEST(FamilyConstructTest, OneComponentWarmRecordsNoStraggler) {
+  ExtensionFamily family(gen::Complete(8));
+  ASSERT_EQ(family.num_components(), 1);
+  const long long before = StragglerSamples();
+  ASSERT_TRUE(family.Warm({1.0, 2.0, 4.0, 8.0}).ok());
+  EXPECT_EQ(StragglerSamples(), before);
+}
+
+TEST(FamilyConstructTest, WarmUnderQueryTraceAttachesStragglerSpan) {
+  ExtensionFamily family(
+      gen::DisjointUnion({gen::Complete(5), gen::Path(9)}));
+  QueryTrace trace("test_warm");
+  ASSERT_TRUE(family.Warm({1.0, 2.0, 4.0}).ok());
+  EXPECT_NE(trace.Describe().find("warm_straggler:"), std::string::npos)
+      << trace.Describe();
 }
 
 }  // namespace

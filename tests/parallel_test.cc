@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,56 +66,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesFromInlinePath) {
     if (i == 3) throw std::logic_error("inline");
   }),
                std::logic_error);
-}
-
-TEST(ThreadPoolTest, DispatchOrderRunsEveryIndexExactlyOnce) {
-  // The claim permutation reorders dispatch, never coverage: every index
-  // still runs exactly once, at any width (including the inline path).
-  std::vector<std::int64_t> reversed(512);
-  for (std::int64_t i = 0; i < 512; ++i) reversed[i] = 511 - i;
-  for (int width : {1, 4}) {
-    ThreadPool pool(width);
-    std::vector<std::atomic<int>> counts(512);
-    pool.For(512, [&](std::int64_t i) { ++counts[i]; }, reversed);
-    for (const auto& count : counts) EXPECT_EQ(count.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, DispatchOrderWritesIndexAddressedSlots) {
-  // Results land by item index regardless of the claim permutation — the
-  // determinism contract's slot rule, under an adversarial order.
-  std::vector<std::int64_t> order(100);
-  for (std::int64_t i = 0; i < 100; ++i) order[i] = (i * 37) % 100;  // coprime
-  ThreadPool pool(4);
-  ScopedThreadPool scope(&pool);
-  std::vector<std::int64_t> slots(100, -1);
-  ParallelFor(100, [&](std::int64_t i) { slots[i] = i * i; }, order);
-  for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(slots[i], i * i);
-}
-
-TEST(ThreadPoolTest, DispatchOrderExceptionStillLowestIndex) {
-  // A permutation that claims item 50 before item 7 must still rethrow
-  // item 7's exception — the deterministic choice is by item index, not
-  // claim order, on both the pooled and the inline path.
-  std::vector<std::int64_t> reversed(64);
-  for (std::int64_t i = 0; i < 64; ++i) reversed[i] = 63 - i;
-  for (int width : {1, 4}) {
-    ThreadPool pool(width);
-    for (int trial = 0; trial < 10; ++trial) {
-      try {
-        pool.For(64,
-                 [](std::int64_t i) {
-                   if (i == 7 || i == 50) {
-                     throw std::runtime_error("boom " + std::to_string(i));
-                   }
-                 },
-                 reversed);
-        FAIL() << "expected an exception";
-      } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "boom 7") << "width=" << width;
-      }
-    }
-  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {

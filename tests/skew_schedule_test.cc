@@ -1,15 +1,12 @@
-// Skew-determinism battery for cost-aware scheduling: on adversarially
-// skewed graphs (one giant component plus many tiny ones), Values() tables
-// and post-call family state must be bit-identical between index-order and
-// cost-order dispatch, at every pool width — LPT claiming and demand-first
-// warming change wall-clock, never outcomes. The racing-caller tests run
-// queries against a family mid-warm, exercising per-cell publication and
-// the demand-first queue jump; they are the TSan targets for the early
+// Skew-determinism battery: on an adversarially skewed graph (one giant
+// component plus many tiny ones), Values() tables and post-call family
+// state must be bit-identical at every pool width. The racing-caller tests
+// run queries against a family mid-warm, exercising per-cell publication
+// and the in-flight cell registry; they are the TSan targets for the early
 // release path.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -21,12 +18,9 @@
 namespace nodedp {
 namespace {
 
-using DispatchOrder = ExtensionOptions::DispatchOrder;
-
 // One giant component occupying the TOP of the vertex range — component
-// order follows the smallest vertex, so index-order dispatch reaches the
-// giant last: the exact schedule LPT exists to fix — plus many tiny
-// blocks.
+// order follows the smallest vertex, so the giant's cells are claimed last —
+// plus many tiny blocks.
 Graph SkewedGraph() {
   Rng rng(1234);
   std::vector<Graph> blocks;
@@ -39,93 +33,73 @@ Graph SkewedGraph() {
 
 const std::vector<double> kGrid = {1.0, 2.0, 4.0, 8.0, 16.0};
 
-ExtensionOptions OptionsWith(DispatchOrder order) {
-  ExtensionOptions options;
-  options.dispatch_order = order;
-  return options;
-}
-
 struct SweepResult {
   std::vector<double> values;
   std::vector<double> revalues;  // second call: must come from cache
   ExtensionFamily::Stats stats;
 };
 
-SweepResult Sweep(const Graph& g, DispatchOrder order, int width,
-                  bool deferred) {
+SweepResult Sweep(const Graph& g, int width) {
   ThreadPool pool(width);
   ScopedThreadPool scope(&pool);
   SweepResult result;
-  if (deferred) {
-    ExtensionFamily family(g, OptionsWith(order),
-                           ExtensionFamily::DeferInduction{});
-    result.values = family.Values(kGrid).value();
-    result.revalues = family.Values(kGrid).value();
-    result.stats = family.stats();
-  } else {
-    ExtensionFamily family(g, OptionsWith(order));
-    result.values = family.Values(kGrid).value();
-    result.revalues = family.Values(kGrid).value();
-    result.stats = family.stats();
-  }
+  ExtensionFamily family(g);
+  result.values = family.Values(kGrid).value();
+  result.revalues = family.Values(kGrid).value();
+  result.stats = family.stats();
   return result;
 }
 
-TEST(SkewScheduleTest, ValuesBitIdenticalAcrossOrdersAndWidths) {
+TEST(SkewScheduleTest, ValuesBitIdenticalAcrossWidths) {
   const Graph g = SkewedGraph();
-  const SweepResult reference =
-      Sweep(g, DispatchOrder::kIndexOrdered, /*width=*/1, /*deferred=*/false);
+  const SweepResult reference = Sweep(g, /*width=*/1);
   ASSERT_EQ(reference.values.size(), kGrid.size());
-  for (const bool deferred : {false, true}) {
-    for (const int width : {1, 3, 8}) {
-      for (const DispatchOrder order :
-           {DispatchOrder::kIndexOrdered, DispatchOrder::kCostOrdered}) {
-        const SweepResult run = Sweep(g, order, width, deferred);
-        for (std::size_t i = 0; i < kGrid.size(); ++i) {
-          // Bitwise equality, not tolerance: neither the claim permutation
-          // nor the pool width may leak into a result.
-          EXPECT_EQ(run.values[i], reference.values[i])
-              << "delta=" << kGrid[i] << " width=" << width
-              << " deferred=" << deferred;
-          EXPECT_EQ(run.revalues[i], reference.values[i]);
-        }
-        // Identical work, not merely identical answers: the same cells
-        // settle the same way regardless of dispatch order.
-        EXPECT_EQ(run.stats.lp_evaluations, reference.stats.lp_evaluations);
-        EXPECT_EQ(run.stats.fast_certificates,
-                  reference.stats.fast_certificates);
-        EXPECT_EQ(run.stats.cuts_added, reference.stats.cuts_added);
-        EXPECT_EQ(run.stats.cache_hits, reference.stats.cache_hits);
-      }
+  for (const int width : {1, 3, 8}) {
+    const SweepResult run = Sweep(g, width);
+    for (std::size_t i = 0; i < kGrid.size(); ++i) {
+      // Bitwise equality, not tolerance: the pool width may not leak into
+      // a result.
+      EXPECT_EQ(run.values[i], reference.values[i])
+          << "delta=" << kGrid[i] << " width=" << width;
+      EXPECT_EQ(run.revalues[i], reference.values[i]);
     }
+    // Identical work, not merely identical answers: the same cells settle
+    // the same way at every width.
+    EXPECT_EQ(run.stats.lp_evaluations, reference.stats.lp_evaluations);
+    EXPECT_EQ(run.stats.fast_certificates, reference.stats.fast_certificates);
+    EXPECT_EQ(run.stats.cuts_added, reference.stats.cuts_added);
+    EXPECT_EQ(run.stats.cache_hits, reference.stats.cache_hits);
   }
 }
 
 TEST(SkewScheduleTest, RacingCallersMidWarmSeeIdenticalValues) {
-  // Queries racing an async warm must return the same values the warm
-  // itself settles — through demand-first queue jumps and per-cell early
-  // publication. Repeat a few times: the interesting interleavings (racer
-  // plans while the warm's cells are mid-flight) depend on timing.
+  // Queries racing a background warm must return the same values the warm
+  // itself settles, through per-cell early publication. Repeat a few times:
+  // the interesting interleavings (racer plans while the warm's cells are
+  // mid-flight) depend on timing.
   const Graph g = SkewedGraph();
-  const SweepResult reference =
-      Sweep(g, DispatchOrder::kIndexOrdered, /*width=*/1, /*deferred=*/false);
+  const SweepResult reference = Sweep(g, /*width=*/1);
   for (int round = 0; round < 3; ++round) {
     ThreadPool pool(4);
-    ScopedThreadPool scope(&pool);
-    ExtensionFamily family(g, OptionsWith(DispatchOrder::kCostOrdered),
-                           ExtensionFamily::DeferInduction{});
-    family.WarmAsync(kGrid);
+    ExtensionFamily family(g);
+    Status warmed;
+    std::thread warm([&pool, &family, &warmed] {
+      ScopedThreadPool scope(&pool);
+      warmed = family.Warm(kGrid);
+    });
     std::vector<std::thread> racers;
     std::vector<double> got(kGrid.size(), -1.0);
     for (std::size_t i = 0; i < kGrid.size(); ++i) {
-      racers.emplace_back([&family, &got, i] {
+      racers.emplace_back([&pool, &family, &got, i] {
+        ScopedThreadPool scope(&pool);
         const Result<double> value = family.Value(kGrid[i]);
         ASSERT_TRUE(value.ok());
         got[i] = *value;
       });
     }
     for (std::thread& racer : racers) racer.join();
-    ASSERT_TRUE(family.WaitWarm().ok());
+    warm.join();
+    ASSERT_TRUE(warmed.ok());
     for (std::size_t i = 0; i < kGrid.size(); ++i) {
       EXPECT_EQ(got[i], reference.values[i]) << "delta=" << kGrid[i];
     }
@@ -135,19 +109,17 @@ TEST(SkewScheduleTest, RacingCallersMidWarmSeeIdenticalValues) {
 TEST(SkewScheduleTest, RacingBatchCallersShareCellsWithoutDuplicateWork) {
   // Several whole-grid batches racing one another: every caller gets the
   // reference table, and the family solves each cell at most once (the
-  // in-flight registry's contract, now with per-cell release).
+  // in-flight registry's contract, with per-cell release).
   const Graph g = SkewedGraph();
-  const SweepResult reference =
-      Sweep(g, DispatchOrder::kIndexOrdered, /*width=*/1, /*deferred=*/false);
+  const SweepResult reference = Sweep(g, /*width=*/1);
   ThreadPool pool(8);
-  ScopedThreadPool scope(&pool);
-  ExtensionFamily family(g, OptionsWith(DispatchOrder::kCostOrdered),
-                         ExtensionFamily::DeferInduction{});
+  ExtensionFamily family(g);
   constexpr int kCallers = 4;
   std::vector<std::vector<double>> tables(kCallers);
   std::vector<std::thread> callers;
   for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&family, &tables, c] {
+    callers.emplace_back([&pool, &family, &tables, c] {
+      ScopedThreadPool scope(&pool);
       const Result<std::vector<double>> values = family.Values(kGrid);
       ASSERT_TRUE(values.ok());
       tables[c] = *values;
