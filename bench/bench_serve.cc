@@ -3,7 +3,8 @@
 // Measures, on an entity-resolution workload (record cliques of size <= 4,
 // public cap delta_max = 4):
 //
-//   cold_load_binary   streaming NDPG ingestion straight into CSR
+//   cold_load_binary   NDPG v2 heap load: read the CSR sections, verify
+//                      checksums, validate (ValidateCsr)
 //   cold_load_text     the text edge-list reader on the same graph
 //   family_warm        ExtensionFamily construction + full-grid warm-up
 //                      (the expensive, ε-independent part of a `load`)
@@ -92,7 +93,7 @@ int main() {
   const std::string binary_path = "/tmp/nodedp_bench_serve.ndpg";
   const std::string text_path = "/tmp/nodedp_bench_serve.txt";
   {
-    const Status wb = WriteGraphBinaryFile(graph, binary_path);
+    const Status wb = WriteGraphV2File(graph, binary_path);
     const Status wt = WriteEdgeListFile(graph, text_path);
     if (!wb.ok() || !wt.ok()) {
       std::fprintf(stderr, "failed to stage graph files\n");
@@ -112,11 +113,11 @@ int main() {
     report.Add(std::move(record));
   };
 
-  // --- cold load: binary streaming vs text parsing -------------------------
+  // --- cold load: NDPG v2 heap load vs text parsing ------------------------
   double binary_ns = 0.0;
   {
     const auto start = Clock::now();
-    const Result<Graph> loaded = ReadGraphBinaryFile(binary_path);
+    const Result<Graph> loaded = ReadGraphV2File(binary_path);
     binary_ns = ElapsedNs(start);
     if (!loaded.ok() || loaded->NumEdges() != graph.NumEdges()) {
       std::fprintf(stderr, "binary load failed\n");
@@ -124,7 +125,7 @@ int main() {
     }
     table.Cell("cold_load_binary")
         .Cell(binary_ns * 1e-6, 1)
-        .Cell("NDPG -> CSR");
+        .Cell("NDPG v2 read + validate");
     table.EndRow();
     add_record("cold_load_binary", binary_ns,
                {{"vertices", graph.NumVertices()},

@@ -28,7 +28,7 @@
 //   load <name> <path> [budget] [delta_max]     register a graph file
 //   load_mmap <name> <path> [budget] [delta_max] zero-copy NDPG v2 mmap
 //   gen <name> gnp <n> <avg_deg> <seed> [budget] [delta_max]
-//   save <name> <path> [text|binary|v2]
+//   save <name> <path> [text|v2]
 //   release_cc <name> <epsilon> [tier=approx|tier=exact]
 //   release_sf <name> <epsilon>
 //   sweep <name> <eps1> <eps2> ...              Σ εᵢ charged all-or-nothing

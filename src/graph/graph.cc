@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -14,11 +15,27 @@ namespace nodedp {
 
 namespace {
 
-// The mmap backing serves file bytes as the in-memory arrays directly,
-// which is only the identity transform on little-endian hosts.
-bool HostIsLittleEndian() {
+// Both v2 opens use the file's little-endian sections as the in-memory
+// arrays directly (mapped or read()), which is only the identity
+// transform on little-endian hosts.
+Status RequireLittleEndian() {
   const std::uint32_t probe = 1;
-  return *reinterpret_cast<const unsigned char*>(&probe) == 1;
+  if (*reinterpret_cast<const unsigned char*>(&probe) == 1) {
+    return Status::OK();
+  }
+  return Status::Internal(
+      "NDPG v2 files open only on little-endian hosts (their sections are "
+      "used as the in-memory arrays)");
+}
+
+// Reads one section's payload bytes from `in` into `out`.
+Status ReadSection(std::ifstream& in, const ndpgv2::SectionDesc& section,
+                   void* out) {
+  in.seekg(static_cast<std::streamoff>(section.offset));
+  in.read(static_cast<char*>(out),
+          static_cast<std::streamsize>(section.length));
+  if (!in) return Status::IoError("ndpg v2: short read");
+  return Status::OK();
 }
 
 // Builds the CSR arrays from `edges` (sorted, unique, normalized).
@@ -52,8 +69,8 @@ void BuildCsr(int num_vertices, const std::vector<Edge>& edges,
 
 }  // namespace
 
-// Heap backing: the owned arrays every constructor builds into. Shared
-// (via shared_ptr) between copies of a Graph.
+// Heap backing: the owned arrays every constructor builds (and the v2 heap
+// load reads) into. Shared (via shared_ptr) between copies of a Graph.
 struct Graph::HeapStorage {
   std::vector<Edge> edges;
   std::vector<int> offsets = {0};
@@ -121,83 +138,88 @@ Graph Graph::FromSortedEdges(int num_vertices, std::vector<Edge> edges) {
   return Graph(num_vertices, std::move(edges), SortedUniqueTag{});
 }
 
-Result<Graph> Graph::TryFromSortedEdges(std::int64_t num_vertices,
-                                        std::vector<Edge> edges) {
-  if (num_vertices < 0 || num_vertices > kMaxVertices) {
-    return Status::InvalidArgument(
-        "vertex count out of int range: " + std::to_string(num_vertices));
-  }
-  if (static_cast<std::int64_t>(edges.size()) > kMaxEdges) {
-    return Status::InvalidArgument(
-        "edge count out of int range: " + std::to_string(edges.size()));
-  }
-  return FromSortedEdges(static_cast<int>(num_vertices), std::move(edges));
-}
-
 Result<Graph> Graph::FromMmap(const std::string& path, bool verify_checksums) {
-  if (!HostIsLittleEndian()) {
-    return Status::Internal(
-        "mmap-backed graphs require a little-endian host (use the heap "
-        "reader in graph_io instead)");
-  }
+  const Status endian = RequireLittleEndian();
+  if (!endian.ok()) return endian;
   Result<MmapRegion> opened = MmapRegion::OpenReadOnly(path);
   if (!opened.ok()) return opened.status();
   auto region = std::make_shared<MmapRegion>(std::move(*opened));
   const unsigned char* base = region->data();
-  const std::size_t file_size = region->size();
   const Result<ndpgv2::Header> header =
-      ndpgv2::ParseHeader(base, file_size, file_size);
+      ndpgv2::ParseHeader(base, region->size());
   if (!header.ok()) return header.status();
+  // Both passes below are sequential; read-ahead works for them.
+  region->AdviseSequential();
+  const unsigned char* const sections[ndpgv2::kNumSections] = {
+      base + header->sections[ndpgv2::kEdges].offset,
+      base + header->sections[ndpgv2::kOffsets].offset,
+      base + header->sections[ndpgv2::kNeighbors].offset,
+      base + header->sections[ndpgv2::kIncident].offset};
   if (verify_checksums) {
-    // One sequential pass; tell the kernel so read-ahead works for it.
-    region->AdviseSequential();
-    for (int s = 0; s < ndpgv2::kNumSections; ++s) {
-      const ndpgv2::SectionDesc& section = header->sections[s];
-      const std::uint64_t computed = ndpgv2::HashBytes(
-          base + section.offset, static_cast<std::size_t>(section.length));
-      if (computed != section.checksum) {
-        return Status::IoError(std::string("ndpg v2: section '") +
-                               ndpgv2::SectionName(s) +
-                               "' checksum mismatch");
-      }
-    }
+    const Status intact = ndpgv2::VerifyChecksums(*header, sections);
+    if (!intact.ok()) return intact;
   }
-
-  const int n = static_cast<int>(header->num_vertices);
   const std::size_t m = static_cast<std::size_t>(header->num_edges);
   Graph g;
-  g.num_vertices_ = n;
+  g.num_vertices_ = static_cast<int>(header->num_vertices);
   g.edges_ = Span<const Edge>(
-      reinterpret_cast<const Edge*>(base +
-                                    header->sections[ndpgv2::kEdges].offset),
-      m);
+      reinterpret_cast<const Edge*>(sections[ndpgv2::kEdges]), m);
   g.offsets_ = Span<const int>(
-      reinterpret_cast<const int*>(base +
-                                   header->sections[ndpgv2::kOffsets].offset),
-      static_cast<std::size_t>(n) + 1);
+      reinterpret_cast<const int*>(sections[ndpgv2::kOffsets]),
+      static_cast<std::size_t>(g.num_vertices_) + 1);
   g.csr_neighbors_ = Span<const int>(
-      reinterpret_cast<const int*>(
-          base + header->sections[ndpgv2::kNeighbors].offset),
-      2 * m);
+      reinterpret_cast<const int*>(sections[ndpgv2::kNeighbors]), 2 * m);
   g.csr_incident_ = Span<const int>(
-      reinterpret_cast<const int*>(
-          base + header->sections[ndpgv2::kIncident].offset),
-      2 * m);
-  // O(1) CSR boundary invariants — the cheap fail-closed slice of the full
-  // validation the heap reader performs (which also cross-checks every CSR
-  // entry against the edge list).
-  if (g.offsets_[0] != 0 ||
-      g.offsets_[static_cast<std::size_t>(n)] != static_cast<int>(2 * m)) {
-    return Status::IoError(
-        "ndpg v2: CSR offsets boundary invariant violated (offsets[0] = " +
-        std::to_string(g.offsets_[0]) + ", offsets[n] = " +
-        std::to_string(g.offsets_[static_cast<std::size_t>(n)]) +
-        ", expected 0 and " + std::to_string(2 * m) + ")");
-  }
+      reinterpret_cast<const int*>(sections[ndpgv2::kIncident]), 2 * m);
+  const Status valid = ndpgv2::ValidateCsr(g, region.get());
+  if (!valid.ok()) return valid;
   region->AdviseRandom();
   g.heap_bytes_ = 0;
-  g.mapped_bytes_ = file_size;
+  g.mapped_bytes_ = region->size();
   g.storage_ = std::move(region);
+  return g;
+}
+
+Result<Graph> Graph::ReadV2File(const std::string& path) {
+  const Status endian = RequireLittleEndian();
+  if (!endian.ok()) return endian;
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return Status::IoError("cannot open for reading: " + path);
+  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
+  unsigned char header_bytes[ndpgv2::kHeaderBytes] = {};
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(header_bytes),
+          static_cast<std::streamsize>(
+              std::min<std::uint64_t>(file_size, sizeof(header_bytes))));
+  const Result<ndpgv2::Header> header =
+      ndpgv2::ParseHeader(header_bytes, file_size);
+  if (!header.ok()) return header.status();
+
+  // ParseHeader bounded every section by the file size, so these
+  // allocations are no larger than the file.
+  const std::size_t n = static_cast<std::size_t>(header->num_vertices);
+  const std::size_t m = static_cast<std::size_t>(header->num_edges);
+  auto storage = std::make_shared<HeapStorage>();
+  storage->edges.resize(m);
+  storage->offsets.resize(n + 1);
+  storage->neighbors.resize(2 * m);
+  storage->incident.resize(2 * m);
+  unsigned char* const sections[ndpgv2::kNumSections] = {
+      reinterpret_cast<unsigned char*>(storage->edges.data()),
+      reinterpret_cast<unsigned char*>(storage->offsets.data()),
+      reinterpret_cast<unsigned char*>(storage->neighbors.data()),
+      reinterpret_cast<unsigned char*>(storage->incident.data())};
+  for (int s = 0; s < ndpgv2::kNumSections; ++s) {
+    const Status read = ReadSection(in, header->sections[s], sections[s]);
+    if (!read.ok()) return read;
+  }
+  const Status intact = ndpgv2::VerifyChecksums(*header, sections);
+  if (!intact.ok()) return intact;
+  Graph g;
+  g.AdoptHeapStorage(std::move(storage));
+  g.num_vertices_ = static_cast<int>(n);
+  const Status valid = ndpgv2::ValidateCsr(g, nullptr);
+  if (!valid.ok()) return valid;
   return g;
 }
 
@@ -287,9 +309,8 @@ bool GraphBuilder::AddEdge(int u, int v) {
   NODEDP_CHECK_LT(v, num_vertices_);
   if (u == v) return false;
   // Loud backstop against int overflow of edge ids; the Status-returning
-  // guards live in the ingestion paths (graph_io header checks,
-  // Graph::TryFromSortedEdges), which reject oversized inputs before any
-  // AddEdge loop could get here.
+  // guards live in the graph_io readers, which reject oversized inputs
+  // before any AddEdge loop could get here.
   NODEDP_CHECK_LT(static_cast<std::int64_t>(edges_.size()), Graph::kMaxEdges);
   if (!reserved_) ReserveEdges(num_vertices_);
   if (!seen_.insert(Key(u, v)).second) return false;

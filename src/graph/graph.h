@@ -22,12 +22,13 @@
 // sorted neighbor slice of the lower-degree endpoint.
 //
 // Storage backing: the flat arrays live in a shared, immutable backing —
-// either heap vectors (every constructor) or a read-only mmap of an NDPG v2
-// file (Graph::FromMmap), whose sections are laid out as exactly these
-// arrays. Accessors are identical on both backings; copies of a Graph share
-// the backing (O(1), safe because a Graph never mutates). MemoryBytes()
-// reports resident heap bytes, MappedBytes() the mapped file bytes — a
-// mapped graph costs no heap and only the pages queries touch.
+// either heap vectors (every constructor and the v2 heap load) or a
+// read-only mmap of an NDPG v2 file (Graph::FromMmap), whose sections are
+// laid out as exactly these arrays. Accessors are identical on both
+// backings; copies of a Graph share the backing (O(1), safe because a
+// Graph never mutates). MemoryBytes() reports resident heap bytes,
+// MappedBytes() the mapped file bytes — a mapped graph costs no heap and
+// only the pages queries touch.
 
 #ifndef NODEDP_GRAPH_GRAPH_H_
 #define NODEDP_GRAPH_GRAPH_H_
@@ -65,9 +66,8 @@ static_assert(sizeof(Edge) == 8, "Edge must match the 8-byte NDPG record");
 class Graph {
  public:
   // Vertex and edge counts are int-indexed throughout the library (CSR
-  // offsets, LP variable ids). These are the hard caps the ingestion paths
-  // (graph_io readers, TryFromSortedEdges) enforce with a non-OK Status
-  // instead of overflowing.
+  // offsets, LP variable ids). These are the hard caps the graph_io
+  // readers enforce with a non-OK Status instead of overflowing.
   static constexpr std::int64_t kMaxVertices = 2147483647;  // INT32_MAX
   static constexpr std::int64_t kMaxEdges = 2147483647;     // INT32_MAX
 
@@ -86,22 +86,16 @@ class Graph {
   // pass plus one fill pass over `edges`.
   static Graph FromSortedEdges(int num_vertices, std::vector<Edge> edges);
 
-  // Checked variant for ingestion paths that carry counts wider than int
-  // (file headers, streaming readers): rejects vertex or edge counts beyond
-  // kMaxVertices/kMaxEdges with InvalidArgument instead of truncating,
-  // then delegates to FromSortedEdges.
-  static Result<Graph> TryFromSortedEdges(std::int64_t num_vertices,
-                                          std::vector<Edge> edges);
-
   // Zero-copy open of an NDPG v2 file: maps the file read-only and serves
-  // the edge list and CSR arrays straight out of the mapping — O(1) in the
-  // graph size; the kernel pages in only what queries touch (madvise
-  // MADV_RANDOM, the serving access pattern). Validation is fail-closed on
-  // everything O(1): magic, version, counts, section alignment/layout,
-  // file bounds, the header checksum, and the CSR boundary invariants.
-  // With `verify_checksums` the full per-section checksums are verified
-  // too — one sequential pass over the file, for ingestion-time audits
-  // (the heap reader in graph_io always verifies them).
+  // the edge list and CSR arrays straight out of the mapping; after the
+  // open, the kernel pages in only what queries touch (madvise
+  // MADV_RANDOM, the serving access pattern). Validation is fail-closed
+  // and the same as the heap load's (ReadGraphV2File): ndpgv2::ParseHeader,
+  // then ndpgv2::ValidateCsr — one sequential O(n + m) pass proving the
+  // sections are exactly the CSR of the edge list, with each validated
+  // window dropped behind the pass so the open does not leave the file
+  // resident. With `verify_checksums` the per-section checksums are
+  // verified too (bit-rot audits; the heap load always verifies them).
   //
   // The mapping lives inside the returned Graph (shared by copies) and is
   // unmapped when the last copy is destroyed. The file must stay intact
@@ -191,6 +185,12 @@ class Graph {
  private:
   struct SortedUniqueTag {};
   struct HeapStorage;
+
+  // The heap load behind graph_io's ReadGraphV2File: read()s each v2
+  // section straight into a HeapStorage vector, then runs the checksums
+  // and the same ValidateCsr as FromMmap.
+  static Result<Graph> ReadV2File(const std::string& path);
+  friend Result<Graph> ReadGraphV2File(const std::string& path);
 
   Graph(int num_vertices, std::vector<Edge> edges, SortedUniqueTag);
 

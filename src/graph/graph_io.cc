@@ -7,8 +7,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/ndpg_v2.h"
@@ -22,6 +22,10 @@ void WriteEdgeList(const Graph& g, std::ostream& out) {
 }
 
 namespace {
+
+// Largest up-front reserve the text reader trusts a header for (8 MiB of
+// pairs); bigger files grow the vector geometrically from there.
+constexpr long long kMaxEdgeReserve = 1 << 20;
 
 bool ParseInt(std::string_view token, long long* value) {
   if (token.empty()) return false;
@@ -49,8 +53,7 @@ Result<Graph> ReadEdgeList(std::istream& in) {
   bool have_header = false;
   long long num_vertices = -1;
   long long num_edges = -1;
-  long long edge_lines = 0;
-  GraphBuilder builder(0);
+  std::vector<std::pair<int, int>> pairs;
   int line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
@@ -78,10 +81,10 @@ Result<Graph> ReadEdgeList(std::istream& in) {
       have_header = true;
       num_vertices = a;
       num_edges = b;
-      // The header announces the sizes, so million-edge files build without
-      // a single rehash or regrow.
-      builder = GraphBuilder(static_cast<int>(num_vertices));
-      builder.ReserveEdges(static_cast<int>(num_edges));
+      // The header announces the size, so million-edge files fill without
+      // regrowing; the cap keeps a lying header from reserving gigabytes.
+      pairs.reserve(static_cast<std::size_t>(
+          std::min<long long>(num_edges, kMaxEdgeReserve)));
       continue;
     }
     if (a < 0 || b < 0 || a >= num_vertices || b >= num_vertices) {
@@ -92,16 +95,17 @@ Result<Graph> ReadEdgeList(std::istream& in) {
       return Status::IoError("line " + std::to_string(line_number) +
                              ": self-loop");
     }
-    ++edge_lines;
-    builder.AddEdge(static_cast<int>(a), static_cast<int>(b));
+    pairs.emplace_back(static_cast<int>(a), static_cast<int>(b));
   }
   if (!have_header) return Status::IoError("missing header line");
-  if (edge_lines != num_edges) {
+  if (static_cast<long long>(pairs.size()) != num_edges) {
     return Status::IoError("edge count mismatch: header says " +
                            std::to_string(num_edges) + ", found " +
-                           std::to_string(edge_lines));
+                           std::to_string(pairs.size()));
   }
-  return std::move(builder).Build();
+  // Endpoints are range- and loop-checked above; the constructor sorts
+  // and collapses duplicates.
+  return Graph(static_cast<int>(num_vertices), std::move(pairs));
 }
 
 Status WriteEdgeListFile(const Graph& g, const std::string& path) {
@@ -120,195 +124,24 @@ Result<Graph> ReadEdgeListFile(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary format
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr char kGraphBinaryMagic[4] = {'N', 'D', 'P', 'G'};
-constexpr std::size_t kBinaryHeaderBytes = 24;
-// 8 bytes per edge record; 64K edges per chunk keeps the streaming buffer
-// at 512 KiB regardless of graph size.
-constexpr std::size_t kEdgesPerChunk = 65536;
-
-// Little-endian encode/decode lives with the v2 layout now; both binary
-// versions share it.
-using ndpgv2::GetU32;
-using ndpgv2::GetU64;
-using ndpgv2::PutU32;
-using ndpgv2::PutU64;
-
-}  // namespace
-
-Status WriteGraphBinary(const Graph& g, std::ostream& out) {
-  unsigned char header[kBinaryHeaderBytes];
-  std::memcpy(header, kGraphBinaryMagic, 4);
-  PutU32(header + 4, kGraphBinaryVersion);
-  PutU64(header + 8, static_cast<std::uint64_t>(g.NumVertices()));
-  PutU64(header + 16, static_cast<std::uint64_t>(g.NumEdges()));
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-
-  // Edges() is already sorted with u < v, so the records go out in exactly
-  // the order the reader requires.
-  std::vector<unsigned char> buffer;
-  buffer.reserve(kEdgesPerChunk * 8);
-  for (const Edge& e : g.Edges()) {
-    unsigned char record[8];
-    PutU32(record, static_cast<std::uint32_t>(e.u));
-    PutU32(record + 4, static_cast<std::uint32_t>(e.v));
-    buffer.insert(buffer.end(), record, record + 8);
-    if (buffer.size() >= kEdgesPerChunk * 8) {
-      out.write(reinterpret_cast<const char*>(buffer.data()),
-                static_cast<std::streamsize>(buffer.size()));
-      buffer.clear();
-    }
-  }
-  if (!buffer.empty()) {
-    out.write(reinterpret_cast<const char*>(buffer.data()),
-              static_cast<std::streamsize>(buffer.size()));
-  }
-  out.flush();
-  if (!out) return Status::IoError("binary write failed");
-  return Status::OK();
-}
-
-Result<Graph> ReadGraphBinary(std::istream& in) {
-  unsigned char header[kBinaryHeaderBytes];
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    return Status::IoError("binary graph: truncated header");
-  }
-  if (std::memcmp(header, kGraphBinaryMagic, 4) != 0) {
-    return Status::IoError("binary graph: bad magic (not an NDPG file)");
-  }
-  const std::uint32_t version = GetU32(header + 4);
-  if (version != kGraphBinaryVersion) {
-    return Status::IoError("binary graph: unsupported format version " +
-                           std::to_string(version) + " (this build reads " +
-                           std::to_string(kGraphBinaryVersion) + ")");
-  }
-  const std::int64_t num_vertices =
-      static_cast<std::int64_t>(GetU64(header + 8));
-  const std::int64_t num_edges = static_cast<std::int64_t>(GetU64(header + 16));
-  if (num_vertices < 0 || num_vertices > Graph::kMaxVertices) {
-    return Status::IoError("binary graph: vertex count out of int range: " +
-                           std::to_string(num_vertices));
-  }
-  if (num_edges < 0 || num_edges > Graph::kMaxEdges) {
-    return Status::IoError("binary graph: edge count out of int range: " +
-                           std::to_string(num_edges));
-  }
-
-  // A crafted header must not be able to force a huge allocation before the
-  // payload proves it is real: when the stream is seekable, verify the edge
-  // section is actually present before reserving for it; otherwise (pipes)
-  // cap the up-front reserve and let the vector grow against validated data.
-  std::int64_t reserve_edges = num_edges;
-  const std::istream::pos_type here = in.tellg();
-  if (here != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in.tellg();
-    in.seekg(here);
-    if (end != std::istream::pos_type(-1)) {
-      const std::int64_t payload_bytes = static_cast<std::int64_t>(end - here);
-      if (payload_bytes < num_edges * 8) {
-        return Status::IoError(
-            "binary graph: truncated edge section (header says " +
-            std::to_string(num_edges) + " edges, payload holds " +
-            std::to_string(payload_bytes / 8) + ")");
-      }
-    }
-  } else {
-    in.clear();  // tellg on a failed/unseekable stream sets failbit
-    reserve_edges =
-        std::min<std::int64_t>(num_edges,
-                               static_cast<std::int64_t>(kEdgesPerChunk) * 16);
-  }
-
-  // Stream the records in chunks, validating and appending directly into the
-  // final sorted edge array — this vector is moved into the Graph, so the
-  // whole load is one pass with no intermediate representation.
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(reserve_edges));
-  std::vector<unsigned char> buffer(kEdgesPerChunk * 8);
-  std::int64_t remaining = num_edges;
-  Edge previous{-1, -1};
-  while (remaining > 0) {
-    const std::size_t batch =
-        remaining < static_cast<std::int64_t>(kEdgesPerChunk)
-            ? static_cast<std::size_t>(remaining)
-            : kEdgesPerChunk;
-    in.read(reinterpret_cast<char*>(buffer.data()),
-            static_cast<std::streamsize>(batch * 8));
-    if (in.gcount() != static_cast<std::streamsize>(batch * 8)) {
-      const std::size_t received =
-          edges.size() + static_cast<std::size_t>(in.gcount()) / 8;
-      return Status::IoError(
-          "binary graph: truncated edge section (header says " +
-          std::to_string(num_edges) + " edges, got " +
-          std::to_string(received) + ")");
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::uint32_t raw_u = GetU32(buffer.data() + i * 8);
-      const std::uint32_t raw_v = GetU32(buffer.data() + i * 8 + 4);
-      const std::int64_t u = raw_u;
-      const std::int64_t v = raw_v;
-      if (u >= num_vertices || v >= num_vertices) {
-        return Status::IoError(
-            "binary graph: edge " + std::to_string(edges.size()) +
-            ": endpoint out of range (" + std::to_string(u) + ", " +
-            std::to_string(v) + ") with " + std::to_string(num_vertices) +
-            " vertices");
-      }
-      if (u >= v) {
-        return Status::IoError("binary graph: edge " +
-                               std::to_string(edges.size()) +
-                               ": endpoints not in u < v order (" +
-                               std::to_string(u) + ", " + std::to_string(v) +
-                               ")");
-      }
-      const Edge e{static_cast<int>(u), static_cast<int>(v)};
-      if (!(previous < e)) {
-        return Status::IoError("binary graph: edge " +
-                               std::to_string(edges.size()) +
-                               ": records not strictly ascending");
-      }
-      previous = e;
-      edges.push_back(e);
-    }
-    remaining -= static_cast<std::int64_t>(batch);
-  }
-  return Graph::TryFromSortedEdges(num_vertices, std::move(edges));
-}
-
-Status WriteGraphBinaryFile(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return WriteGraphBinary(g, out);
-}
-
-Result<Graph> ReadGraphBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return ReadGraphBinary(in);
-}
-
-// ---------------------------------------------------------------------------
 // Binary format v2 (mmap-servable CSR layout; see graph/ndpg_v2.h)
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// 512 KiB of encoded ints per write, regardless of graph size.
+constexpr std::size_t kWriteChunkBytes = std::size_t{1} << 19;
 
 // Streams one v2 section: little-endian encodes ints in chunks, hashing
 // exactly the bytes written so the checksum matches any later chunking.
 class SectionStream {
  public:
   explicit SectionStream(std::ostream& out) : out_(out) {
-    buffer_.resize(kEdgesPerChunk * 8);
+    buffer_.resize(kWriteChunkBytes);
   }
 
   void PutInt(int value) {
-    PutU32(buffer_.data() + used_, static_cast<std::uint32_t>(value));
+    ndpgv2::PutU32(buffer_.data() + used_, static_cast<std::uint32_t>(value));
     used_ += 4;
     if (used_ == buffer_.size()) Flush();
   }
@@ -333,7 +166,7 @@ class SectionStream {
   ndpgv2::StreamingHash hash_;
 };
 
-Status WriteZeroPadding(std::ostream& out, std::uint64_t bytes) {
+void WriteZeroPadding(std::ostream& out, std::uint64_t bytes) {
   static const char zeros[ndpgv2::kSectionAlign] = {};
   while (bytes > 0) {
     const std::size_t chunk = static_cast<std::size_t>(
@@ -341,35 +174,13 @@ Status WriteZeroPadding(std::ostream& out, std::uint64_t bytes) {
     out.write(zeros, static_cast<std::streamsize>(chunk));
     bytes -= chunk;
   }
-  if (!out) return Status::IoError("binary graph v2: write failed");
-  return Status::OK();
-}
-
-// Reads exactly `bytes` into `buffer` (sized for it), failing closed on a
-// short read with a per-section truncation message.
-Status ReadSectionBytes(std::istream& in, unsigned char* buffer,
-                        std::size_t bytes, int section) {
-  in.read(reinterpret_cast<char*>(buffer),
-          static_cast<std::streamsize>(bytes));
-  if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-    return Status::IoError(std::string("binary graph v2: section '") +
-                           ndpgv2::SectionName(section) +
-                           "' truncated (wanted " + std::to_string(bytes) +
-                           " bytes, got " + std::to_string(in.gcount()) +
-                           ")");
-  }
-  return Status::OK();
 }
 
 }  // namespace
 
-Status WriteGraphV2(const Graph& g, std::ostream& out) {
-  const std::ostream::pos_type start = out.tellp();
-  if (start == std::ostream::pos_type(-1)) {
-    return Status::InvalidArgument(
-        "binary graph v2: writer requires a seekable stream (checksums are "
-        "patched into the header after the sections stream out)");
-  }
+Status WriteGraphV2File(const Graph& g, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IoError("cannot open for writing: " + path);
   ndpgv2::Header header =
       ndpgv2::CanonicalHeader(g.NumVertices(), g.NumEdges());
   unsigned char encoded[ndpgv2::kHeaderBytes];
@@ -378,8 +189,7 @@ Status WriteGraphV2(const Graph& g, std::ostream& out) {
 
   std::uint64_t pos = ndpgv2::kHeaderBytes;
   for (int s = 0; s < ndpgv2::kNumSections; ++s) {
-    Status padded = WriteZeroPadding(out, header.sections[s].offset - pos);
-    if (!padded.ok()) return padded;
+    WriteZeroPadding(out, header.sections[s].offset - pos);
     SectionStream stream(out);
     switch (s) {
       case ndpgv2::kEdges:
@@ -401,176 +211,32 @@ Status WriteGraphV2(const Graph& g, std::ostream& out) {
     header.sections[s].checksum = stream.Close();
     pos = header.sections[s].offset + header.sections[s].length;
   }
-  if (!out) return Status::IoError("binary graph v2: write failed");
 
   // Patch the header now that the section checksums are known.
   ndpgv2::EncodeHeader(header, encoded);
-  out.seekp(start);
+  out.seekp(0);
   out.write(reinterpret_cast<const char*>(encoded), sizeof(encoded));
-  out.seekp(0, std::ios::end);
   out.flush();
-  if (!out) return Status::IoError("binary graph v2: write failed");
+  if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
 }
 
-Status WriteGraphV2File(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return WriteGraphV2(g, out);
-}
-
-Result<Graph> ReadGraphV2(std::istream& in) {
-  const std::istream::pos_type start = in.tellg();
-  if (start == std::istream::pos_type(-1)) in.clear();
-
-  unsigned char header_bytes[ndpgv2::kHeaderBytes];
-  in.read(reinterpret_cast<char*>(header_bytes), sizeof(header_bytes));
-  const std::size_t header_got = static_cast<std::size_t>(in.gcount());
-
-  // When the stream is seekable the total size feeds the header's bounds
-  // checks; otherwise truncation surfaces as a short section read below.
-  std::uint64_t file_size = 0;
-  if (start != std::istream::pos_type(-1) &&
-      header_got == sizeof(header_bytes)) {
-    const std::istream::pos_type here = in.tellg();
-    in.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in.tellg();
-    in.seekg(here);
-    if (end != std::istream::pos_type(-1)) {
-      file_size = static_cast<std::uint64_t>(end - start);
-    }
-  }
-  if (header_got < sizeof(header_bytes)) in.clear();
-
-  const Result<ndpgv2::Header> header =
-      ndpgv2::ParseHeader(header_bytes, header_got, file_size);
-  if (!header.ok()) return header.status();
-  const std::int64_t num_vertices = header->num_vertices;
-  const std::int64_t num_edges = header->num_edges;
-
-  std::vector<unsigned char> buffer(kEdgesPerChunk * 8);
-  std::uint64_t pos = ndpgv2::kHeaderBytes;
-
-  // --- edges section: checksum over the raw bytes first, then the same
-  // content validation as the v1 reader. Buffered whole (it becomes the
-  // edge vector anyway), so corruption deterministically reports as a
-  // checksum mismatch rather than whichever invariant it happens to break.
-  std::vector<Edge> edges;
-  {
-    const ndpgv2::SectionDesc& section = header->sections[ndpgv2::kEdges];
-    Status skipped = ReadSectionBytes(
-        in, buffer.data(), static_cast<std::size_t>(section.offset - pos),
-        ndpgv2::kEdges);
-    if (!skipped.ok()) return skipped;
-    std::vector<unsigned char> raw(static_cast<std::size_t>(section.length));
-    Status read = ReadSectionBytes(in, raw.data(), raw.size(), ndpgv2::kEdges);
-    if (!read.ok()) return read;
-    if (ndpgv2::HashBytes(raw.data(), raw.size()) != section.checksum) {
-      return Status::IoError("binary graph v2: section 'edges' checksum "
-                             "mismatch");
-    }
-    edges.reserve(static_cast<std::size_t>(num_edges));
-    Edge previous{-1, -1};
-    for (std::int64_t i = 0; i < num_edges; ++i) {
-      const std::int64_t u = GetU32(raw.data() + i * 8);
-      const std::int64_t v = GetU32(raw.data() + i * 8 + 4);
-      if (u >= num_vertices || v >= num_vertices) {
-        return Status::IoError(
-            "binary graph v2: edge " + std::to_string(i) +
-            ": endpoint out of range (" + std::to_string(u) + ", " +
-            std::to_string(v) + ") with " + std::to_string(num_vertices) +
-            " vertices");
-      }
-      if (u >= v) {
-        return Status::IoError(
-            "binary graph v2: edge " + std::to_string(i) +
-            ": endpoints not in u < v order (" + std::to_string(u) + ", " +
-            std::to_string(v) + ")");
-      }
-      const Edge e{static_cast<int>(u), static_cast<int>(v)};
-      if (!(previous < e)) {
-        return Status::IoError("binary graph v2: edge " + std::to_string(i) +
-                               ": records not strictly ascending");
-      }
-      previous = e;
-      edges.push_back(e);
-    }
-    pos = section.offset + section.length;
-  }
-  Result<Graph> built = Graph::TryFromSortedEdges(num_vertices,
-                                                  std::move(edges));
-  if (!built.ok()) return built.status();
-  const Graph& g = *built;
-
-  // --- CSR sections: must be exactly the CSR of the edge list just built.
-  // A file whose stored CSR disagrees with its edge list would serve
-  // different answers via mmap than via heap load; refuse it here.
-  const Span<const int> expected[ndpgv2::kNumSections] = {
-      Span<const int>(), g.CsrOffsets(), g.CsrNeighbors(),
-      g.CsrIncidentEdgeIds()};
-  for (int s = ndpgv2::kOffsets; s < ndpgv2::kNumSections; ++s) {
-    const ndpgv2::SectionDesc& section = header->sections[s];
-    Status skipped = ReadSectionBytes(
-        in, buffer.data(), static_cast<std::size_t>(section.offset - pos),
-        s);
-    if (!skipped.ok()) return skipped;
-    ndpgv2::StreamingHash hash;
-    std::uint64_t remaining = section.length;
-    std::size_t index = 0;
-    while (remaining > 0) {
-      const std::size_t batch = static_cast<std::size_t>(
-          std::min<std::uint64_t>(remaining, buffer.size()));
-      Status read = ReadSectionBytes(in, buffer.data(), batch, s);
-      if (!read.ok()) return read;
-      hash.Update(buffer.data(), batch);
-      for (std::size_t b = 0; b < batch; b += 4, ++index) {
-        const int value = static_cast<int>(GetU32(buffer.data() + b));
-        if (value != expected[s][index]) {
-          return Status::IoError(
-              std::string("binary graph v2: section '") +
-              ndpgv2::SectionName(s) + "' entry " + std::to_string(index) +
-              " inconsistent with the edge list (stored " +
-              std::to_string(value) + ", rebuilt " +
-              std::to_string(expected[s][index]) + ")");
-        }
-      }
-      remaining -= batch;
-    }
-    if (hash.Finish() != section.checksum) {
-      return Status::IoError(std::string("binary graph v2: section '") +
-                             ndpgv2::SectionName(s) + "' checksum mismatch");
-    }
-    pos = section.offset + section.length;
-  }
-  return built;
-}
-
 Result<Graph> ReadGraphV2File(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return ReadGraphV2(in);
-}
-
-Status ConvertGraphFileToV2(const std::string& in_path,
-                            const std::string& out_path) {
-  Result<Graph> g = ReadGraphAnyFile(in_path);
-  if (!g.ok()) return g.status();
-  return WriteGraphV2File(*g, out_path);
+  return Graph::ReadV2File(path);
 }
 
 Result<Graph> ReadGraphAnyFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
-  unsigned char prefix[8] = {};
-  in.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
-  const bool binary = in.gcount() >= 4 &&
-                      std::memcmp(prefix, kGraphBinaryMagic, 4) == 0;
-  const std::uint32_t version =
-      in.gcount() == sizeof(prefix) ? GetU32(prefix + 4) : 0;
+  char magic[4] = {};
+  in.read(magic, sizeof(magic));
+  // Any NDPG file goes to the v2 reader, which names the version it
+  // refuses; only files without the magic are parsed as text.
+  if (in.gcount() == sizeof(magic) && std::memcmp(magic, "NDPG", 4) == 0) {
+    return ReadGraphV2File(path);
+  }
   in.clear();
   in.seekg(0);
-  if (binary && version == kGraphBinaryVersionV2) return ReadGraphV2(in);
-  if (binary) return ReadGraphBinary(in);
   return ReadEdgeList(in);
 }
 

@@ -1,5 +1,5 @@
-// Graph serialization: a plain-text edge list (human-editable) and a binary
-// format with a streaming reader (the server ingestion path).
+// Graph serialization: a plain-text edge list (human-editable) and the
+// NDPG v2 binary format (the server ingestion path).
 //
 // Text format:
 //   # comment lines start with '#'
@@ -9,36 +9,17 @@
 // Reading tolerates duplicate edges (collapsed) but rejects self-loops and
 // out-of-range endpoints with a non-OK Status.
 //
-// Binary format v1 ("NDPG", version 1, little-endian; full spec in
-// docs/SERVING.md):
-//   bytes 0..3    magic "NDPG"
-//   bytes 4..7    format version (u32) — 1
-//   bytes 8..15   num_vertices (i64)
-//   bytes 16..23  num_edges (i64)
-//   then          num_edges records of (u, v) as two u32, with u < v,
-//                 strictly ascending in (u, v) order, duplicate-free
-//
-// The v1 reader streams edge records in fixed-size chunks directly into the
-// final sorted edge array (no intermediate pair list, no sort, no dedup
-// set) and finishes with Graph::FromSortedEdges — one validation pass and
-// one CSR build, so million-vertex graphs load in a single pass. Sortedness,
-// endpoint ranges, self-loops, duplicates, truncation, magic/version
-// mismatches, and counts that would overflow int32 are all rejected with a
-// non-OK Status.
-//
-// Binary format v2 (same magic, version 2; layout in graph/ndpg_v2.h and
-// docs/SERVING.md) lays the file out as the CSR arrays themselves —
-// header, then 64-byte-aligned edges/offsets/neighbors/incident_edge_ids
-// sections, each with a checksum — so a v2 file can also be served
-// zero-copy via Graph::FromMmap. The heap reader here verifies every
-// section checksum and cross-validates the CSR sections against the edge
-// list; all structural errors (bad magic, wrong version, misaligned or
-// non-canonical sections, truncation, checksum mismatch) fail closed.
+// NDPG v2 (layout in graph/ndpg_v2.h and docs/SERVING.md) lays the file
+// out as the CSR arrays themselves — header, then 64-byte-aligned
+// edges/offsets/neighbors/incident_edge_ids sections, each with a
+// checksum — so a v2 file can be heap-loaded here or served zero-copy via
+// Graph::FromMmap. Both opens run the same fail-closed validation
+// (ndpgv2::ParseHeader, then ndpgv2::ValidateCsr); the heap load also
+// always verifies every section checksum.
 
 #ifndef NODEDP_GRAPH_GRAPH_IO_H_
 #define NODEDP_GRAPH_GRAPH_IO_H_
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -58,50 +39,20 @@ Status WriteEdgeListFile(const Graph& g, const std::string& path);
 Result<Graph> ReadEdgeListFile(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Binary format
+// Binary format v2
 // ---------------------------------------------------------------------------
 
-// The edge-stream format version (WriteGraphBinary / ReadGraphBinary).
-inline constexpr std::uint32_t kGraphBinaryVersion = 1;
-// The CSR-layout format version (WriteGraphV2 / ReadGraphV2 /
-// Graph::FromMmap).
-inline constexpr std::uint32_t kGraphBinaryVersionV2 = 2;
-
-// Writes g in binary v1 format. Streams are expected to be opened in
-// binary mode (std::ios::binary) when backed by files.
-Status WriteGraphBinary(const Graph& g, std::ostream& out);
-
-// Streaming binary v1 reader: validates the header, then ingests edges in
-// chunks straight into CSR construction.
-Result<Graph> ReadGraphBinary(std::istream& in);
-
-// File convenience wrappers (open in binary mode).
-Status WriteGraphBinaryFile(const Graph& g, const std::string& path);
-Result<Graph> ReadGraphBinaryFile(const std::string& path);
-
-// Writes g in binary v2 (mmap-servable CSR) format. The stream must be
-// seekable (the header's section checksums are patched in after the
-// sections stream out); the file wrapper always is.
-Status WriteGraphV2(const Graph& g, std::ostream& out);
+// Writes g in NDPG v2 (mmap-servable CSR) format.
 Status WriteGraphV2File(const Graph& g, const std::string& path);
 
-// Heap reader for v2 files: full fail-closed validation — header and
-// per-section checksums, canonical section layout, truncation, edge-list
-// invariants — plus a cross-check that the stored CSR sections are exactly
-// the CSR of the stored edge list (so a file that would serve differently
-// via mmap than via heap load is rejected here, not discovered later).
-Result<Graph> ReadGraphV2(std::istream& in);
+// Heap load of a v2 file: reads each section into owned arrays, verifies
+// the header and section checksums, and runs ValidateCsr — the same
+// structural check Graph::FromMmap runs. Little-endian hosts only.
 Result<Graph> ReadGraphV2File(const std::string& path);
 
-// Reads any supported graph file (text, v1, v2) and writes it back out in
-// v2 — the ops path for preparing mmap-servable files. Reading `in_path`
-// re-validates it in full.
-Status ConvertGraphFileToV2(const std::string& in_path,
-                            const std::string& out_path);
-
-// Sniffs the magic bytes and format version and dispatches to the right
-// reader (binary v1, binary v2, or text) — the loader behind
-// `serve_cli load`, so one command accepts any format.
+// Sniffs the magic bytes: any NDPG file goes to ReadGraphV2File (which
+// refuses other versions by number), anything else to the text reader —
+// the loader behind `serve_cli load`, so one command accepts both formats.
 Result<Graph> ReadGraphAnyFile(const std::string& path);
 
 }  // namespace nodedp

@@ -1,9 +1,12 @@
 #include "graph/ndpg_v2.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 
-#include "graph/graph.h"
+#include "util/mmap_file.h"
 
 namespace nodedp {
 namespace ndpgv2 {
@@ -134,13 +137,45 @@ void EncodeHeader(const Header& header, unsigned char* out) {
   PutU64(out + kHeaderBytes - 8, HashBytes(out, kHeaderBytes - 8));
 }
 
-Result<Header> ParseHeader(const unsigned char* data, std::size_t available,
-                           std::uint64_t file_size) {
-  if (available < kHeaderBytes) {
-    return Status::IoError("ndpg v2: truncated header (" +
-                           std::to_string(available) + " of " +
-                           std::to_string(kHeaderBytes) + " bytes)");
+Status VerifyChecksums(const Header& header,
+                       const unsigned char* const sections[kNumSections]) {
+  // Whole words go through the four mixing chains in lockstep; each
+  // section's tail (and its length) then finishes through Update.
+  StreamingHash hashes[kNumSections];
+  std::uint64_t words[kNumSections];
+  std::uint64_t most_words = 0;
+  for (int s = 0; s < kNumSections; ++s) {
+    words[s] = header.sections[s].length / 8;
+    most_words = std::max(most_words, words[s]);
   }
+  for (std::uint64_t w = 0; w < most_words; ++w) {
+    for (int s = 0; s < kNumSections; ++s) {
+      if (w < words[s]) {
+        hashes[s].state_ =
+            Mix(hashes[s].state_ ^ GetU64(sections[s] + 8 * w));
+      }
+    }
+  }
+  for (int s = 0; s < kNumSections; ++s) {
+    hashes[s].total_ = 8 * words[s];
+    hashes[s].Update(sections[s] + 8 * words[s],
+                     static_cast<std::size_t>(header.sections[s].length % 8));
+    if (hashes[s].Finish() != header.sections[s].checksum) {
+      return Status::IoError(std::string("ndpg v2: section '") +
+                             SectionName(s) + "' checksum mismatch");
+    }
+  }
+  return Status::OK();
+}
+
+Result<Header> ParseHeader(const unsigned char* data,
+                           std::uint64_t file_size) {
+  const auto truncated = [file_size] {
+    return Status::IoError("ndpg v2: truncated header (" +
+                           std::to_string(file_size) + " of " +
+                           std::to_string(kHeaderBytes) + " bytes)");
+  };
+  if (file_size < 8) return truncated();
   if (std::memcmp(data, kMagic, 4) != 0) {
     return Status::IoError("ndpg v2: bad magic (not an NDPG file)");
   }
@@ -150,6 +185,7 @@ Result<Header> ParseHeader(const unsigned char* data, std::size_t available,
                            std::to_string(version) + " (this reader expects " +
                            std::to_string(kVersion) + ")");
   }
+  if (file_size < kHeaderBytes) return truncated();
   // The header checksum comes before any interpretation of the counts or
   // the section table: a corrupted header must not steer the bounds checks
   // that are supposed to contain it.
@@ -192,7 +228,7 @@ Result<Header> ParseHeader(const unsigned char* data, std::size_t available,
           std::to_string(want.offset) + " length " +
           std::to_string(want.length) + ")");
     }
-    if (file_size != 0 && got.offset + got.length > file_size) {
+    if (got.offset + got.length > file_size) {
       return Status::IoError(std::string("ndpg v2: section '") +
                              SectionName(s) + "' overruns the file (needs " +
                              std::to_string(got.offset + got.length) +
@@ -201,6 +237,216 @@ Result<Header> ParseHeader(const unsigned char* data, std::size_t available,
     }
   }
   return header;
+}
+
+// Why the checks below prove the stored CSR equals the CSR that
+// BuildCsr(edges) would produce — the guarantee a full rebuild and
+// compare would give, without the rebuild's memory:
+//
+//  1. 2m fits the int32 offsets, so every edge id is below 2^30. The edge
+//     pass proves `edges` is a normalized (0 <= u < v < n), strictly
+//     ascending, hence duplicate-free, edge list E.
+//  2. The slice pass proves offsets[0] = 0, offsets monotone,
+//     offsets[n] = 2m, every neighbor id in [0, n), every incident id in
+//     [0, m), and every slice strictly increasing in neighbor id. Position
+//     k therefore has a well-defined owner v (offsets[v] <= k <
+//     offsets[v+1]), so the CSR defines the multiset
+//     S = {(v, neighbors[k], incident[k])} of 2m triples.
+//  3. The fingerprint proves S = T, where T = {(u, v, e), (v, u, e) :
+//     edges[e] = (u, v)}. Triple (a, b, id) is the linear polynomial
+//     x - a - y * (b * 2^30 + id) over the prime field p = 2^61 - 1; the
+//     packing b * 2^30 + id < p is injective, so distinct triples are
+//     distinct polynomials. Each side evaluates the product of its
+//     triples' polynomials at (x, y) = (r, k), drawn uniformly from
+//     std::random_device on every open. If S != T the two products differ
+//     as polynomials (unique factorization), their difference has total
+//     degree <= 2m, and by Schwartz–Zippel the evaluations agree with
+//     probability at most 2m / p < 2^-30. Fresh draws per open mean a
+//     crafted file cannot aim at a fixed key.
+//
+// Given S = T: vertex v owns exactly deg(v) positions, so the monotone
+// offsets are the degree prefix sums; each slice holds exactly v's
+// neighbors, and strict sortedness fixes their order to ascending — what
+// BuildCsr emits; and each (v, w) appears once in T (E has no
+// duplicates), so incident[k] is the unique id of edge {v, w}. Every
+// entry of all three CSR arrays is thereby pinned to BuildCsr's value.
+
+namespace {
+
+constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
+
+// Arithmetic mod p = 2^61 - 1 on lazily reduced residues: the hot loops
+// keep values below 2^62 (congruent mod p, no data-dependent branch) and
+// reduce fully once, at the end.
+
+// x mod p up to a small multiple: the result is below 2^61 + 8.
+std::uint64_t Fold(std::uint64_t x) { return (x & kPrime) + (x >> 61); }
+
+std::uint64_t Fold(unsigned __int128 x) {
+  return Fold((static_cast<std::uint64_t>(x) & kPrime) +
+              static_cast<std::uint64_t>(x >> 61));
+}
+
+// a * b for a, b < 2^62; the result is below 2^61 + 8.
+std::uint64_t MulLazy(std::uint64_t a, std::uint64_t b) {
+  return Fold(static_cast<unsigned __int128>(a) * b);
+}
+
+std::uint64_t Canonical(std::uint64_t x) {
+  x = Fold(x);
+  return x >= kPrime ? x - kPrime : x;
+}
+
+std::uint64_t UniformModPrime(std::random_device& device) {
+  for (;;) {
+    const std::uint64_t x =
+        (static_cast<std::uint64_t>(device()) << 32 | device()) & kPrime;
+    if (x != kPrime) return x;
+  }
+}
+
+// Multiset fingerprint of id triples (a, b, c) with b < 2^31 and c < 2^30:
+// the product of (r - a - k * (b * 2^30 + c)) mod p under a key (r, k)
+// drawn fresh per instance. b * 2^30 + c < p packs (b, c) injectively, so
+// one multiply keys both.
+class Fingerprint {
+ public:
+  explicit Fingerprint(std::random_device& device)
+      : r_(UniformModPrime(device)), k_(UniformModPrime(device)) {}
+
+  // The factor for one triple, below 2^61 + 8.
+  std::uint64_t Factor(std::uint32_t a, std::uint32_t b,
+                       std::uint32_t c) const {
+    const std::uint64_t packed = (static_cast<std::uint64_t>(b) << 30) | c;
+    const std::uint64_t root =
+        a + Fold(static_cast<unsigned __int128>(k_) * packed);
+    return Fold(r_ + 2 * kPrime - root);
+  }
+
+ private:
+  std::uint64_t r_;
+  std::uint64_t k_;
+};
+
+// Entries between drop-behind calls: 1 MiB of 4-byte ids.
+constexpr std::size_t kWindow = std::size_t{1} << 18;
+
+template <typename T>
+void DropBehind(const MmapRegion* mapping, const T* begin, const T* end) {
+  if (mapping != nullptr) mapping->DropPages(begin, end);
+}
+
+Status CsrError(const std::string& what) {
+  return Status::IoError("ndpg v2: " + what);
+}
+
+}  // namespace
+
+Status ValidateCsr(const Graph& g, const MmapRegion* mapping) {
+  const std::int64_t n = g.NumVertices();
+  const Span<const Edge> edges = g.Edges();
+  const Span<const int> offsets = g.CsrOffsets();
+  const Span<const int> neighbors = g.CsrNeighbors();
+  const Span<const int> incident = g.CsrIncidentEdgeIds();
+  const std::int64_t m = static_cast<std::int64_t>(edges.size());
+
+  // The int32 offsets cap 2m; this also bounds ids for the fingerprint.
+  if (2 * m > std::numeric_limits<int>::max()) {
+    return CsrError(std::to_string(m) +
+                    " edges overflow the int32 CSR offsets");
+  }
+  std::random_device device;
+  const Fingerprint key(device);
+
+  // Edge pass: range, orientation, strict ascent; fingerprint of T. Two
+  // accumulators (one per orientation) halve the multiply chain.
+  std::uint64_t lower_side = 1;
+  std::uint64_t upper_side = 1;
+  Edge previous{-1, -1};
+  for (std::int64_t e = 0; e < m; ++e) {
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    if (edge.u < 0 || edge.u >= edge.v || edge.v >= n) {
+      return CsrError("edge " + std::to_string(e) + " (" +
+                      std::to_string(edge.u) + ", " + std::to_string(edge.v) +
+                      ") is not a normalized edge over " + std::to_string(n) +
+                      " vertices");
+    }
+    if (!(previous < edge)) {
+      return CsrError("edge " + std::to_string(e) +
+                      ": records not strictly ascending");
+    }
+    previous = edge;
+    const auto id = static_cast<std::uint32_t>(e);
+    const auto u = static_cast<std::uint32_t>(edge.u);
+    const auto v = static_cast<std::uint32_t>(edge.v);
+    lower_side = MulLazy(lower_side, key.Factor(u, v, id));
+    upper_side = MulLazy(upper_side, key.Factor(v, u, id));
+    if ((e + 1) % kWindow == 0) {
+      DropBehind(mapping, edges.data() + (e + 1 - kWindow),
+                 edges.data() + e + 1);
+    }
+  }
+  DropBehind(mapping, edges.data(), edges.data() + m);
+
+  // Slice pass: offsets, ids, sortedness; fingerprint of S.
+  if (offsets[0] != 0) {
+    return CsrError("CSR offsets[0] = " + std::to_string(offsets[0]) +
+                    ", expected 0");
+  }
+  std::uint64_t even_slots = 1;
+  std::uint64_t odd_slots = 1;
+  std::int64_t k = 0;
+  std::int64_t dropped = 0;
+  for (std::int64_t v = 0; v < n; ++v) {
+    const std::int64_t end = offsets[static_cast<std::size_t>(v) + 1];
+    if (end < k || end > 2 * m) {
+      return CsrError("CSR offsets[" + std::to_string(v + 1) + "] = " +
+                      std::to_string(end) + " is not monotone within [0, " +
+                      std::to_string(2 * m) + "]");
+    }
+    std::int64_t last = -1;
+    for (; k < end; ++k) {
+      const std::int64_t w = neighbors[static_cast<std::size_t>(k)];
+      const std::int64_t id = incident[static_cast<std::size_t>(k)];
+      if (w <= last || w >= n) {
+        return CsrError("neighbor entry " + std::to_string(k) + " (" +
+                        std::to_string(w) + ") of vertex " +
+                        std::to_string(v) +
+                        (w < 0 || w >= n ? " is out of range"
+                                         : " breaks the slice's strict order"));
+      }
+      if (id < 0 || id >= m) {
+        return CsrError("incident entry " + std::to_string(k) + " (" +
+                        std::to_string(id) + ") is not an edge id below " +
+                        std::to_string(m));
+      }
+      last = w;
+      std::uint64_t& slot = (k & 1) != 0 ? odd_slots : even_slots;
+      slot = MulLazy(slot, key.Factor(static_cast<std::uint32_t>(v),
+                                      static_cast<std::uint32_t>(w),
+                                      static_cast<std::uint32_t>(id)));
+    }
+    if (k - dropped >= static_cast<std::int64_t>(kWindow)) {
+      DropBehind(mapping, neighbors.data() + dropped, neighbors.data() + k);
+      DropBehind(mapping, incident.data() + dropped, incident.data() + k);
+      DropBehind(mapping, offsets.data(), offsets.data() + v);
+      dropped = k;
+    }
+  }
+  if (k != 2 * m) {
+    return CsrError("CSR offsets[n] = " + std::to_string(k) + ", expected " +
+                    std::to_string(2 * m));
+  }
+  DropBehind(mapping, neighbors.data(), neighbors.data() + k);
+  DropBehind(mapping, incident.data(), incident.data() + k);
+  DropBehind(mapping, offsets.data(), offsets.data() + offsets.size());
+  if (Canonical(MulLazy(lower_side, upper_side)) !=
+      Canonical(MulLazy(even_slots, odd_slots))) {
+    return CsrError(
+        "CSR slices are not the adjacency of the edge list (neighbor/"
+        "incident entries disagree with the edges section)");
+  }
+  return Status::OK();
 }
 
 }  // namespace ndpgv2

@@ -1,7 +1,8 @@
-// NDPG v2 on-disk layout, shared by the graph_io writer/reader and
-// Graph::FromMmap. Full spec in docs/SERVING.md; the short version:
+// NDPG v2 on-disk layout and its one validator, shared by the graph_io
+// writer, the heap load and Graph::FromMmap. Full spec in
+// docs/SERVING.md; the short version:
 //
-//   bytes 0..3     magic "NDPG"           (same as v1)
+//   bytes 0..3     magic "NDPG"
 //   bytes 4..7     format version (u32)   — 2
 //   bytes 8..15    num_vertices (i64)
 //   bytes 16..23   num_edges (i64)
@@ -15,16 +16,18 @@
 //
 // Section payloads are little-endian:
 //   edges      num_edges records of (u, v) as two u32, u < v, strictly
-//              ascending — byte-identical to the v1 edge section
+//              ascending
 //   offsets    (num_vertices + 1) u32 CSR prefix sums
 //   neighbors  2 * num_edges u32 neighbor ids
 //   incident   2 * num_edges u32 incident edge ids
 //
 // The point of the layout: on a little-endian host the sections *are* the
 // in-memory CSR arrays, so an mmap of the file serves queries zero-copy.
-// Everything here is fail-closed — ParseHeader rejects bad magic, wrong
+// Everything here is fail-closed. ParseHeader rejects bad magic, wrong
 // version, out-of-range counts, non-canonical or misaligned section
-// offsets, sections that overrun the file, and header-checksum mismatches.
+// offsets, sections that overrun the file, and header-checksum mismatches;
+// ValidateCsr then proves the four sections are exactly the CSR of the
+// edge list, on every open.
 
 #ifndef NODEDP_GRAPH_NDPG_V2_H_
 #define NODEDP_GRAPH_NDPG_V2_H_
@@ -32,9 +35,13 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "graph/graph.h"
 #include "util/status.h"
 
 namespace nodedp {
+
+class MmapRegion;
+
 namespace ndpgv2 {
 
 inline constexpr std::uint32_t kVersion = 2;
@@ -107,6 +114,10 @@ class StreamingHash {
   std::uint64_t Finish() const;
 
  private:
+  // Interleaves several hashes' word chains (see VerifyChecksums).
+  friend Status VerifyChecksums(
+      const Header& header, const unsigned char* const sections[kNumSections]);
+
   std::uint64_t state_ = 0x2545f4914f6cdd1dULL;
   std::uint64_t total_ = 0;
   unsigned char pending_[8] = {};
@@ -139,13 +150,30 @@ std::uint64_t FileSizeBytes(const Header& header);
 // exactly kHeaderBytes bytes.
 void EncodeHeader(const Header& header, unsigned char* out);
 
-// Parses and validates kHeaderBytes of header. `available` is how many
-// bytes the caller actually has (short reads fail closed as truncation);
-// `file_size` is the total file size when known, or 0 for non-seekable
-// streams (the bounds checks against it are skipped — truncation then
-// surfaces as a short section read).
-Result<Header> ParseHeader(const unsigned char* data, std::size_t available,
-                           std::uint64_t file_size);
+// Checks each section's payload, sections[s] (the bytes at
+// header.sections[s].offset), against its stored checksum. The four
+// hashes run interleaved word by word — one mixing chain is latency-bound
+// — so this costs about one pass over the largest section.
+Status VerifyChecksums(const Header& header,
+                       const unsigned char* const sections[kNumSections]);
+
+// Parses and validates the header of a `file_size`-byte file; `data` holds
+// its first min(file_size, kHeaderBytes) bytes. Magic and version are
+// checked before length, so a short file of another NDPG version is
+// refused by its version number rather than as truncated.
+Result<Header> ParseHeader(const unsigned char* data, std::uint64_t file_size);
+
+// The structural check every v2 open runs after ParseHeader (and the
+// checksums): `g`'s spans view the four sections, not yet trusted.
+// Returns OK only if they are exactly the CSR that
+// Graph::FromSortedEdges would build from the edge list (a wrong CSR
+// slips through with probability below 2^-30, fresh per call); every
+// failure is IoError. One sequential pass per section, never a random
+// access, so when `mapping` is the region the spans point into, each
+// validated window is dropped behind the pass (MmapRegion::DropPages)
+// and the open's resident set stays a window, not the file. Pass nullptr
+// for heap-backed spans.
+Status ValidateCsr(const Graph& g, const MmapRegion* mapping);
 
 }  // namespace ndpgv2
 }  // namespace nodedp

@@ -171,10 +171,10 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
             args[1].c_str(), stats->num_vertices, stats->num_edges,
             stats->budget.total, stats->family_warmed ? 1 : 0);
   } else if (command == "load_mmap") {
-    // Zero-copy registration of an NDPG v2 file: O(1) in the graph size.
-    // No prewarm — the point is that the graph is servable immediately
-    // (approx tier touches only the pages it walks); the first exact-tier
-    // query pays the family build instead.
+    // Zero-copy registration of an NDPG v2 file: one validation pass, no
+    // heap copy. No prewarm — the point is that the graph is servable
+    // right after the open (approx tier touches only the pages it walks);
+    // the first exact-tier query pays the family build instead.
     if (args.size() < 3 || args.size() > 5) {
       out = "err usage: load_mmap <name> <path> [budget] [delta_max]";
       return reply;
@@ -234,19 +234,16 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
             num_vertices, num_edges,
             budget.ok() ? budget->total : config.total_epsilon);
   } else if (command == "save") {
-    if (args.size() < 3 || args.size() > 4) {
-      out = "err usage: save <name> <path> [text|binary|v2]";
-      return reply;
-    }
-    const std::string format = args.size() == 4 ? args[3] : "binary";
-    if (format != "text" && format != "binary" && format != "v2") {
-      out = "err save: format must be text, binary, or v2";
+    const std::string format = args.size() == 4 ? args[3] : "v2";
+    if (args.size() < 3 || args.size() > 4 ||
+        (format != "text" && format != "v2")) {
+      out = "err usage: save <name> <path> [text|v2]";
       return reply;
     }
     const Status saved =
-        format == "v2" ? server.SaveV2(args[1], args[2])
-                       : server.Save(args[1], args[2],
-                                     /*binary=*/format == "binary");
+        server.Save(args[1], args[2],
+                    format == "text" ? GraphFileFormat::kText
+                                     : GraphFileFormat::kV2);
     if (!saved.ok()) {
       out = "err " + saved.ToString();
       return reply;

@@ -220,22 +220,16 @@ Status ReleaseServer::LoadMmap(const std::string& name,
 }
 
 Status ReleaseServer::Save(const std::string& name, const std::string& path,
-                           bool binary) const {
+                           GraphFileFormat format) const {
   Result<std::shared_ptr<Entry>> found = Find(name);
   if (!found.ok()) return found.status();
   // The snapshot keeps the graph alive even if it is evicted or updated
   // mid-write (a save races an update to one or the other full graph,
   // never a torn mix).
   const std::shared_ptr<const Graph> graph = GraphSnapshot(**found);
-  if (binary) return WriteGraphBinaryFile(*graph, path);
-  return WriteEdgeListFile(*graph, path);
-}
-
-Status ReleaseServer::SaveV2(const std::string& name,
-                             const std::string& path) const {
-  Result<std::shared_ptr<Entry>> found = Find(name);
-  if (!found.ok()) return found.status();
-  const std::shared_ptr<const Graph> graph = GraphSnapshot(**found);
+  if (format == GraphFileFormat::kText) {
+    return WriteEdgeListFile(*graph, path);
+  }
   return WriteGraphV2File(*graph, path);
 }
 

@@ -58,6 +58,10 @@
 
 namespace nodedp {
 
+// On-disk formats Save writes: NDPG v2 (loadable by both `load` and
+// `load_mmap`) or the text edge list.
+enum class GraphFileFormat { kV2, kText };
+
 struct ServeGraphConfig {
   // Total privacy budget for the lifetime of this graph in the registry.
   // Every admitted query spends from it; once exhausted the graph can only
@@ -151,32 +155,30 @@ class ReleaseServer {
   Status Load(const std::string& name, Graph g,
               const ServeGraphConfig& config = {});
 
-  // Load() from a graph file — binary (NDPG v1/v2) or text edge list,
-  // sniffed by magic bytes (graph_io.h). Always heap-loads (full
-  // validation, one pass over the file); see LoadMmap for zero-copy.
+  // Load() from a graph file — NDPG v2 or text edge list, sniffed by
+  // magic bytes (graph_io.h). Always heap-loads (every section checksum
+  // plus ValidateCsr); see LoadMmap for zero-copy.
   Status LoadFromFile(const std::string& name, const std::string& path,
                       const ServeGraphConfig& config = {});
 
-  // Zero-copy registration of an NDPG v2 file via Graph::FromMmap: O(1) in
-  // the graph size, so a 10M-vertex graph is servable milliseconds after
-  // the call. The approx tier (ReleaseCcApprox) touches only the pages its
-  // truncated BFS walks; exact-tier queries work too but page in whatever
-  // the family build reads (pass config.prewarm = false to keep the load
-  // itself O(1)). The file must stay intact while the graph is registered
-  // (see Graph::FromMmap).
+  // Zero-copy registration of an NDPG v2 file via Graph::FromMmap. The
+  // open costs one sequential validation pass (ValidateCsr, tens of
+  // milliseconds per million edges) but leaves no heap copy and drops the
+  // validated pages behind it; afterwards the approx tier
+  // (ReleaseCcApprox) touches only the pages its truncated BFS walks.
+  // Exact-tier queries work too but page in whatever the family build
+  // reads (pass config.prewarm = false to skip the build at load). The
+  // file must stay intact while the graph is registered (see
+  // Graph::FromMmap).
   Status LoadMmap(const std::string& name, const std::string& path,
                   const ServeGraphConfig& config = {});
 
-  // Writes a registered graph back out — binary NDPG v1 when `binary`,
-  // text edge list otherwise. The ops path for converting text corpora to
-  // the binary ingestion format. (The graph structure is the private
-  // database; saving it is an operator action, not a release.)
+  // Writes a registered graph back out, in NDPG v2 (the default, ready
+  // for `load` or `load_mmap`) or as a text edge list. (The graph
+  // structure is the private database; saving it is an operator action,
+  // not a release.)
   Status Save(const std::string& name, const std::string& path,
-              bool binary = true) const;
-
-  // Writes a registered graph in NDPG v2 (the mmap-servable CSR layout) —
-  // the ops path for preparing LoadMmap inputs.
-  Status SaveV2(const std::string& name, const std::string& path) const;
+              GraphFileFormat format = GraphFileFormat::kV2) const;
 
   // Unregisters the graph and drops its cached family. In-flight queries
   // against it finish normally.

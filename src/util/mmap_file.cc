@@ -5,7 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -83,6 +85,18 @@ void MmapRegion::AdviseSequential() const {
 
 void MmapRegion::AdviseWillNeed() const {
   if (data_ != nullptr) ::madvise(data_, size_, MADV_WILLNEED);
+}
+
+void MmapRegion::DropPages(const void* begin, const void* end) const {
+  static const std::uintptr_t page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(data_);
+  const std::uintptr_t first =
+      std::max(base, reinterpret_cast<std::uintptr_t>(begin) & ~(page - 1));
+  const std::uintptr_t last = std::min(
+      base + size_, reinterpret_cast<std::uintptr_t>(end) & ~(page - 1));
+  if (data_ == nullptr || last <= first) return;
+  ::madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
 }
 
 }  // namespace nodedp

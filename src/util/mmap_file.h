@@ -47,6 +47,16 @@ class MmapRegion {
   void AdviseSequential() const;
   void AdviseWillNeed() const;
 
+  // Drop-behind for one-pass scans: releases this process's pages of
+  // [begin, end), which must lie inside the region, so a sequential pass
+  // over a file larger than RAM keeps only a window resident. Only whole
+  // pages are released (the partial page at `end` stays). The mapping is
+  // read-only and file-backed, so a later read faults the bytes back in
+  // from the page cache unchanged. (madvise(MADV_DONTNEED) on anonymous
+  // memory would zero it instead, which is why this lives here and is
+  // never applied to heap buffers.)
+  void DropPages(const void* begin, const void* end) const;
+
  private:
   MmapRegion(void* data, std::size_t size) : data_(data), size_(size) {}
 

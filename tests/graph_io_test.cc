@@ -1,15 +1,13 @@
-// Tests for graph serialization — the text edge list and the NDPG binary
-// format — including malformed-input and error-path handling.
+// Tests for the text edge-list reader and writer, including
+// malformed-input and error-path handling. The NDPG v2 binary format has
+// its own suite (ndpg_v2_test.cc).
 
 #include "graph/graph_io.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "graph/generators.h"
 #include "util/random.h"
@@ -41,6 +39,17 @@ TEST(GraphIoTest, MissingHeader) {
   const Result<Graph> g = ReadEdgeList(stream);
   EXPECT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+}
+
+TEST(GraphIoTest, DuplicateEdgesCollapsed) {
+  // Repeats in either orientation count toward the header's edge lines but
+  // collapse to one edge.
+  std::stringstream stream("4 4\n0 1\n1 0\n2 3\n0 1\n");
+  const Result<Graph> g = ReadEdgeList(stream);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumEdges(), 2);
+  EXPECT_TRUE(g->HasEdge(0, 1));
+  EXPECT_TRUE(g->HasEdge(2, 3));
 }
 
 TEST(GraphIoTest, MalformedToken) {
@@ -97,167 +106,6 @@ TEST(GraphIoTest, HeaderCountsBeyondIntRejected) {
   const Result<Graph> g = ReadEdgeList(stream);
   ASSERT_FALSE(g.ok());
   EXPECT_NE(g.status().message().find("exceed int range"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Binary format
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void AppendU32(std::string* s, std::uint32_t x) {
-  s->push_back(static_cast<char>(x));
-  s->push_back(static_cast<char>(x >> 8));
-  s->push_back(static_cast<char>(x >> 16));
-  s->push_back(static_cast<char>(x >> 24));
-}
-
-void AppendU64(std::string* s, std::uint64_t x) {
-  AppendU32(s, static_cast<std::uint32_t>(x));
-  AppendU32(s, static_cast<std::uint32_t>(x >> 32));
-}
-
-// Hand-built NDPG document for error-path tests.
-std::string BinaryDocument(const std::string& magic, std::uint32_t version,
-                           std::int64_t num_vertices, std::int64_t num_edges,
-                           const std::vector<std::pair<int, int>>& edges) {
-  std::string doc = magic;
-  AppendU32(&doc, version);
-  AppendU64(&doc, static_cast<std::uint64_t>(num_vertices));
-  AppendU64(&doc, static_cast<std::uint64_t>(num_edges));
-  for (const auto& [u, v] : edges) {
-    AppendU32(&doc, static_cast<std::uint32_t>(u));
-    AppendU32(&doc, static_cast<std::uint32_t>(v));
-  }
-  return doc;
-}
-
-Result<Graph> ReadBinaryString(const std::string& doc) {
-  std::istringstream in(doc, std::ios::binary);
-  return ReadGraphBinary(in);
-}
-
-}  // namespace
-
-TEST(GraphBinaryIoTest, RoundTrip) {
-  Rng rng(909);
-  const Graph g = gen::ErdosRenyi(300, 0.02, rng);
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(g, stream).ok());
-  const Result<Graph> back = ReadGraphBinary(stream);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->NumVertices(), g.NumVertices());
-  EXPECT_EQ(back->Edges(), g.Edges());
-}
-
-TEST(GraphBinaryIoTest, EmptyAndEdgelessGraphsRoundTrip) {
-  for (const Graph& g : {Graph(), Graph(5, {})}) {
-    std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(WriteGraphBinary(g, stream).ok());
-    const Result<Graph> back = ReadGraphBinary(stream);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->NumVertices(), g.NumVertices());
-    EXPECT_EQ(back->NumEdges(), 0);
-  }
-}
-
-TEST(GraphBinaryIoTest, FileRoundTripAndAutoDetect) {
-  Rng rng(910);
-  const Graph g = gen::ErdosRenyi(200, 0.03, rng);
-  const std::string binary_path = testing::TempDir() + "/nodedp_io_test.ndpg";
-  const std::string text_path = testing::TempDir() + "/nodedp_io_test.txt";
-  ASSERT_TRUE(WriteGraphBinaryFile(g, binary_path).ok());
-  ASSERT_TRUE(WriteEdgeListFile(g, text_path).ok());
-
-  const Result<Graph> from_binary = ReadGraphBinaryFile(binary_path);
-  ASSERT_TRUE(from_binary.ok());
-  EXPECT_EQ(from_binary->Edges(), g.Edges());
-
-  // ReadGraphAnyFile dispatches on the magic bytes.
-  const Result<Graph> any_binary = ReadGraphAnyFile(binary_path);
-  const Result<Graph> any_text = ReadGraphAnyFile(text_path);
-  ASSERT_TRUE(any_binary.ok());
-  ASSERT_TRUE(any_text.ok());
-  EXPECT_EQ(any_binary->Edges(), g.Edges());
-  EXPECT_EQ(any_text->Edges(), g.Edges());
-}
-
-TEST(GraphBinaryIoTest, TruncatedHeaderRejected) {
-  const Result<Graph> g = ReadBinaryString("NDPG\x01");
-  ASSERT_FALSE(g.ok());
-  EXPECT_EQ(g.status().code(), StatusCode::kIoError);
-  EXPECT_NE(g.status().message().find("truncated header"), std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, BadMagicRejected) {
-  const Result<Graph> g =
-      ReadBinaryString(BinaryDocument("XXXX", 1, 3, 1, {{0, 1}}));
-  ASSERT_FALSE(g.ok());
-  EXPECT_NE(g.status().message().find("bad magic"), std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, VersionMismatchRejected) {
-  const Result<Graph> g =
-      ReadBinaryString(BinaryDocument("NDPG", 2, 3, 1, {{0, 1}}));
-  ASSERT_FALSE(g.ok());
-  EXPECT_NE(g.status().message().find("unsupported format version 2"),
-            std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, TruncatedEdgeSectionRejected) {
-  // Header promises 3 edges, payload carries 1.
-  const Result<Graph> g =
-      ReadBinaryString(BinaryDocument("NDPG", 1, 4, 3, {{0, 1}}));
-  ASSERT_FALSE(g.ok());
-  EXPECT_NE(g.status().message().find("truncated edge section"),
-            std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, OutOfRangeEndpointRejected) {
-  const Result<Graph> g =
-      ReadBinaryString(BinaryDocument("NDPG", 1, 3, 1, {{0, 7}}));
-  ASSERT_FALSE(g.ok());
-  EXPECT_NE(g.status().message().find("endpoint out of range"),
-            std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, UnnormalizedAndUnsortedRecordsRejected) {
-  // v <= u (self-loop / swapped) is rejected...
-  EXPECT_FALSE(
-      ReadBinaryString(BinaryDocument("NDPG", 1, 3, 1, {{1, 1}})).ok());
-  EXPECT_FALSE(
-      ReadBinaryString(BinaryDocument("NDPG", 1, 3, 1, {{2, 1}})).ok());
-  // ...as are out-of-order and duplicate records.
-  const Result<Graph> unsorted =
-      ReadBinaryString(BinaryDocument("NDPG", 1, 4, 2, {{1, 2}, {0, 1}}));
-  ASSERT_FALSE(unsorted.ok());
-  EXPECT_NE(unsorted.status().message().find("not strictly ascending"),
-            std::string::npos);
-  EXPECT_FALSE(
-      ReadBinaryString(BinaryDocument("NDPG", 1, 4, 2, {{0, 1}, {0, 1}}))
-          .ok());
-}
-
-TEST(GraphBinaryIoTest, CountsBeyondIntRangeRejected) {
-  // The int64 header guard: counts that would overflow int32 are refused
-  // before any allocation, not truncated into UB.
-  const Result<Graph> vertices =
-      ReadBinaryString(BinaryDocument("NDPG", 1, 5000000000LL, 0, {}));
-  ASSERT_FALSE(vertices.ok());
-  EXPECT_NE(vertices.status().message().find("vertex count out of int range"),
-            std::string::npos);
-  const Result<Graph> edges =
-      ReadBinaryString(BinaryDocument("NDPG", 1, 3, 5000000000LL, {}));
-  ASSERT_FALSE(edges.ok());
-  EXPECT_NE(edges.status().message().find("edge count out of int range"),
-            std::string::npos);
-}
-
-TEST(GraphBinaryIoTest, MissingFile) {
-  EXPECT_EQ(ReadGraphBinaryFile("/nonexistent/g.ndpg").status().code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(ReadGraphAnyFile("/nonexistent/g.ndpg").status().code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace

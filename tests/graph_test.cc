@@ -187,35 +187,6 @@ TEST(GraphBuilderDeathTest, AddEdgeRejectsOutOfRangeEndpoint) {
   EXPECT_DEATH(builder.AddEdge(-1, 0), "CHECK failed");
 }
 
-TEST(GraphTest, TryFromSortedEdgesAcceptsValidInput) {
-  const Result<Graph> g =
-      Graph::TryFromSortedEdges(4, {Edge{0, 1}, Edge{1, 2}, Edge{1, 3}});
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NumVertices(), 4);
-  EXPECT_EQ(g->NumEdges(), 3);
-  EXPECT_EQ(g->Degree(1), 3);
-}
-
-TEST(GraphTest, TryFromSortedEdgesGuardsIntOverflow) {
-  // Counts wider than int32 are refused with a Status before any CSR
-  // allocation happens (the ingestion-path overflow guard).
-  const Result<Graph> too_many_vertices =
-      Graph::TryFromSortedEdges(Graph::kMaxVertices + 1, {});
-  ASSERT_FALSE(too_many_vertices.ok());
-  EXPECT_EQ(too_many_vertices.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(too_many_vertices.status().message().find("vertex count"),
-            std::string::npos);
-
-  const Result<Graph> negative = Graph::TryFromSortedEdges(-1, {});
-  ASSERT_FALSE(negative.ok());
-  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
-
-  // At the boundary the count is accepted (an empty edge list keeps the
-  // allocation at offsets-only scale; ~8 GiB, too big for a unit test, so
-  // boundary acceptance is checked at a realistic size instead).
-  EXPECT_TRUE(Graph::TryFromSortedEdges(1000, {}).ok());
-}
-
 TEST(GraphTest, ApplyEdgeDeltaMergesAndNormalizes) {
   const Graph g(5, {{0, 1}, {2, 3}});
   // Reversed endpoints, an in-batch repeat, and a resident duplicate.

@@ -295,7 +295,7 @@ TEST(LedgerWalServerTest, RestartAdoptsRestoredTotalAndSpend) {
     ReleaseServer server(7);
     ASSERT_TRUE(server.EnableDurableLedgers(dir.path()).ok());
     ASSERT_TRUE(server.Load("g", TestGnp(11), SmallConfig(1.0)).ok());
-    ASSERT_TRUE(server.Save("g", graph_path, /*binary=*/true).ok());
+    ASSERT_TRUE(server.Save("g", graph_path).ok());
     ASSERT_TRUE(server.ReleaseCc("g", 0.5).ok());
     ASSERT_TRUE(server.ReleaseCc("g", 0.25).ok());
     const auto budget = server.Budget("g");

@@ -445,25 +445,27 @@ TEST(ReleaseServerTest, FamilyByteCapEvictsAndRebuilds) {
 // ---------------------------------------------------------------------------
 
 TEST(ReleaseServerTest, SaveAndLoadFromFileRoundTrip) {
-  const std::string binary_path =
-      testing::TempDir() + "/nodedp_serve_test.ndpg";
+  const std::string v2_path = testing::TempDir() + "/nodedp_serve_test.ndpg";
   const std::string text_path = testing::TempDir() + "/nodedp_serve_test.txt";
   const Graph g = TestGraph(120);
 
   ReleaseServer server(11);
   ASSERT_TRUE(server.Load("g", g, SmallConfig(5.0)).ok());
-  ASSERT_TRUE(server.Save("g", binary_path, /*binary=*/true).ok());
-  ASSERT_TRUE(server.Save("g", text_path, /*binary=*/false).ok());
+  ASSERT_TRUE(server.Save("g", v2_path).ok());  // v2 is the default
+  ASSERT_TRUE(server.Save("g", text_path, GraphFileFormat::kText).ok());
 
   // Both formats load back through the auto-detecting path.
-  ASSERT_TRUE(server.LoadFromFile("from_binary", binary_path,
-                                  SmallConfig(5.0)).ok());
+  ASSERT_TRUE(server.LoadFromFile("from_v2", v2_path, SmallConfig(5.0)).ok());
   ASSERT_TRUE(server.LoadFromFile("from_text", text_path,
                                   SmallConfig(5.0)).ok());
-  EXPECT_EQ(server.Stats("from_binary")->num_edges, g.NumEdges());
+  EXPECT_EQ(server.Stats("from_v2")->num_edges, g.NumEdges());
   EXPECT_EQ(server.Stats("from_text")->num_edges, g.NumEdges());
 
-  EXPECT_EQ(server.Save("missing", binary_path).code(), StatusCode::kNotFound);
+  // The v2 file is also mmap-servable.
+  ASSERT_TRUE(server.LoadMmap("mapped", v2_path, SmallConfig(5.0)).ok());
+  EXPECT_EQ(server.Stats("mapped")->num_edges, g.NumEdges());
+
+  EXPECT_EQ(server.Save("missing", v2_path).code(), StatusCode::kNotFound);
   EXPECT_EQ(server.LoadFromFile("x", "/nonexistent/g.ndpg",
                                 SmallConfig(5.0)).code(),
             StatusCode::kIoError);

@@ -412,6 +412,27 @@ TEST(ProtocolTest, AddEdgesParsesAppliesAndRefuses) {
             "ok");
 }
 
+TEST(ProtocolTest, SaveWritesTextOrV2AndRefusesOtherFormats) {
+  ReleaseServer server(1);
+  ScratchDir dir;
+  ASSERT_EQ(HandleRequestLine(server, "gen g gnp 60 1.2 5 10 8")
+                .response.substr(0, 2),
+            "ok");
+  const std::string v2 = dir.path() + "/g.ndpg";
+  const std::string text = dir.path() + "/g.txt";
+  EXPECT_EQ(HandleRequestLine(server, "save g " + v2).response,
+            "ok saved g v2");
+  EXPECT_EQ(HandleRequestLine(server, "save g " + text + " text").response,
+            "ok saved g text");
+  EXPECT_EQ(HandleRequestLine(server, "save g " + v2 + " binary").response,
+            "err usage: save <name> <path> [text|v2]");
+  EXPECT_EQ(HandleRequestLine(server, "load_mmap m " + v2)
+                .response.substr(0, 9),
+            "ok mapped");
+  EXPECT_EQ(HandleRequestLine(server, "load t " + text).response.substr(0, 9),
+            "ok loaded");
+}
+
 TEST(ProtocolTest, QuitSetsTheQuitFlag) {
   ReleaseServer server(1);
   const ProtocolReply reply = HandleRequestLine(server, "quit");
