@@ -99,4 +99,14 @@ std::optional<Forest> FindSpanningForestOfDegree(
   return std::nullopt;
 }
 
+bool LeafCountAllowsSpanningTree(const Graph& g, int delta) {
+  NODEDP_CHECK_GE(delta, 1);
+  const long long n = g.NumVertices();
+  long long leaves = 0;
+  for (int v = 0; v < g.NumVertices(); ++v) leaves += g.Degree(v) == 1;
+  // For delta >= 2 the right side falls as L grows, so failing at the
+  // forced leaves fails for every tree; for delta = 1 L cancels to n <= 2.
+  return leaves - 2 <= (static_cast<long long>(delta) - 2) * (n - leaves);
+}
+
 }  // namespace nodedp

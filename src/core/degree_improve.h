@@ -43,6 +43,14 @@ bool ImproveForestDegree(const Graph& g, int delta, Forest& forest,
 std::optional<Forest> FindSpanningForestOfDegree(
     const Graph& g, int delta, const DegreeImproveOptions& options = {});
 
+// Necessary condition for a spanning tree of max degree <= delta in a
+// connected graph g: every degree-1 vertex of g is a leaf of any spanning
+// tree, and a tree on n vertices with max degree delta has L leaves only if
+// L - 2 <= (delta - 2)(n - L). Returns false when g's degree-1 count breaks
+// that bound (for delta = 1: whenever n > 2), so FindSpanningForestOfDegree
+// cannot succeed and the caller may skip it. Requires delta >= 1.
+bool LeafCountAllowsSpanningTree(const Graph& g, int delta);
+
 }  // namespace nodedp
 
 #endif  // NODEDP_CORE_DEGREE_IMPROVE_H_

@@ -449,6 +449,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
       stats_.cut_rounds += outcome.cut_rounds;
       stats_.cuts_added += outcome.cuts_added;
       stats_.simplex_iterations += outcome.simplex_iterations;
+      stats_.cold_restarts += outcome.cold_restarts;
       if (!outcome.ok) {
         if (first_error.ok()) {
           first_error = Status::ResourceExhausted(outcome.error);
@@ -561,7 +562,10 @@ ExtensionFamily::CellOutcome ExtensionFamily::EvaluateCell(
   if (options_.use_repair_fast_path) {
     const int degree_cap = static_cast<int>(std::floor(delta));
     if (degree_cap >= 1 && degree_cap > task.fast_path_failed_at) {
-      if (FindSpanningForestOfDegree(component.graph, degree_cap)
+      // A component is connected, so the leaf bound rules out probes that
+      // cannot succeed; a skipped probe is recorded as a failed one.
+      if (LeafCountAllowsSpanningTree(component.graph, degree_cap) &&
+          FindSpanningForestOfDegree(component.graph, degree_cap)
               .has_value()) {
         outcome.fast_certificate = true;
         outcome.value = component.f_sf;
@@ -583,6 +587,7 @@ ExtensionFamily::CellOutcome ExtensionFamily::EvaluateCell(
   outcome.cut_rounds = lp.cut_rounds;
   outcome.cuts_added = lp.cuts_added;
   outcome.simplex_iterations = lp.simplex_iterations;
+  outcome.cold_restarts = lp.cold_restarts;
   if (lp.status != LpStatus::kOptimal) {
     outcome.ok = false;
     outcome.error = std::string("forest-polytope LP did not converge: ") +

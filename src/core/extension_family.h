@@ -160,6 +160,7 @@ class ExtensionFamily {
     int cut_rounds = 0;
     int cuts_added = 0;
     long long simplex_iterations = 0;
+    int cold_restarts = 0;  // warm LP re-solves redone from scratch
   };
   // Snapshot copy, taken under the internal mutex (all mutations happen
   // under it too), so concurrent callers see a consistent view.
@@ -227,6 +228,7 @@ class ExtensionFamily {
     int cut_rounds = 0;
     int cuts_added = 0;
     long long simplex_iterations = 0;
+    int cold_restarts = 0;
     std::vector<std::vector<int>> new_cuts;
   };
 

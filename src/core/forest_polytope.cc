@@ -32,14 +32,16 @@ double SubsetEdgeWeight(const Graph& g, const std::vector<double>& x,
   return total;
 }
 
-// Builds the LP seeded with constraints (6) and the |S| = 2 instances of
-// (5) (x_e <= 1). Degree rows are emitted only where they can bind
-// (deg(v) > delta), since otherwise x(δ(v)) <= deg(v) <= delta already.
-LpProblem BuildSeedLp(const Graph& g, double delta) {
+// Builds the LP seeded with constraints (6), with the |S| = 2 instances of
+// (5) as the variable bounds x_e <= 1. Degree rows are emitted only where
+// they can bind (deg(v) > delta), since otherwise x(δ(v)) <= deg(v) <= delta
+// already; their vertices are appended to `degree_rows` in row order.
+LpProblem BuildSeedLp(const Graph& g, double delta,
+                      std::vector<int>* degree_rows) {
   LpProblem lp(g.NumEdges());
   for (int e = 0; e < g.NumEdges(); ++e) {
     lp.SetObjective(e, 1.0);
-    lp.AddConstraint({{e, 1.0}}, 1.0);
+    lp.SetUpperBound(e, 1.0);
   }
   for (int v = 0; v < g.NumVertices(); ++v) {
     if (g.Degree(v) <= delta) continue;
@@ -47,6 +49,7 @@ LpProblem BuildSeedLp(const Graph& g, double delta) {
     row.reserve(g.Degree(v));
     for (int edge_id : g.IncidentEdgeIds(v)) row.emplace_back(edge_id, 1.0);
     lp.AddConstraint(std::move(row), delta);
+    degree_rows->push_back(v);
   }
   return lp;
 }
@@ -121,8 +124,36 @@ std::vector<SubtourViolation> FindViolatedSubtourSets(
   std::vector<SubtourViolation> violations;
   if (n == 0 || m == 0) return violations;
 
-  double total_weight = 0.0;
-  for (double w : x) total_weight += w;
+  // x(E[S]) - |S| = Σ_{v∈S} (d_v/2 - 1) - x(δ(S))/2 with d_v = x(δ(v)):
+  // node 0 = source, 1 = sink, 2 + v = vertex v. Every root shares these
+  // arcs; only its own source → root arc differs.
+  const int source = 0;
+  const int sink = 1;
+  std::vector<double> degree(n, 0.0);
+  for (int e = 0; e < m; ++e) {
+    degree[g.EdgeAt(e).u] += x[e];
+    degree[g.EdgeAt(e).v] += x[e];
+  }
+  Dinic shared(n + 2);
+  shared.ReserveArcs(m + n);
+  for (int e = 0; e < m; ++e) {
+    if (x[e] <= 0.0) continue;
+    shared.AddArc(2 + g.EdgeAt(e).u, 2 + g.EdgeAt(e).v, x[e] / 2.0,
+                  x[e] / 2.0);
+  }
+  // A vertex with d_v > 2 lowers Σ_{v∈S} (1 - d_v/2); the network charges
+  // d_v/2 - 1 on source → v when v is left out instead, which shifts every
+  // cut by the constant offset = Σ_{v: d_v > 2} (1 - d_v/2).
+  double offset = 0.0;
+  for (int v = 0; v < n; ++v) {
+    const double surplus = 1.0 - degree[v] / 2.0;
+    if (surplus > 0.0) {
+      shared.AddArc(2 + v, sink, surplus);
+    } else if (surplus < 0.0) {
+      shared.AddArc(source, 2 + v, -surplus);
+      offset += surplus;
+    }
+  }
 
   // One independent max-flow per root — the hottest loop of the cutting
   // plane. Roots are solved concurrently; results land in per-root slots
@@ -133,39 +164,18 @@ std::vector<SubtourViolation> FindViolatedSubtourSets(
         const int root = static_cast<int>(root_index);
         // Only roots carrying weight can participate in a violated set: if
         // x(δ(r)) = 0 then S \ {r} is at least as violated as S.
-        double incident = 0.0;
-        for (int edge_id : g.IncidentEdgeIds(root)) incident += x[edge_id];
-        if (incident <= tolerance) return std::nullopt;
+        if (degree[root] <= tolerance) return std::nullopt;
 
-        // Node layout: 0 = source, 1 = sink, 2..2+m-1 = edge nodes,
-        // 2+m..2+m+n-1 = vertex nodes.
-        Dinic dinic(2 + m + n);
-        dinic.ReserveArcs(3 * m + n + 1);
-        const int source = 0;
-        const int sink = 1;
-        auto edge_node = [&](int e) { return 2 + e; };
-        auto vertex_node = [&](int v) { return 2 + m + v; };
-        for (int e = 0; e < m; ++e) {
-          if (x[e] <= 0.0) continue;
-          dinic.AddArc(source, edge_node(e), x[e]);
-          dinic.AddArc(edge_node(e), vertex_node(g.EdgeAt(e).u),
-                       Dinic::kInfinity);
-          dinic.AddArc(edge_node(e), vertex_node(g.EdgeAt(e).v),
-                       Dinic::kInfinity);
-        }
-        for (int v = 0; v < n; ++v) dinic.AddArc(vertex_node(v), sink, 1.0);
-        dinic.AddArc(source, vertex_node(root), Dinic::kInfinity);
-
+        Dinic dinic(shared, /*spare_arcs=*/1);
+        dinic.AddArc(source, 2 + root, Dinic::kInfinity);
         const double cut = dinic.Solve(source, sink);
-        // max_{S∋root} (x(E[S]) - |S|) = total_weight - cut.
-        const double closure_value = total_weight - cut;
+        // max_{S∋root} (x(E[S]) - |S|) = -(cut + offset).
+        const double closure_value = -(cut + offset);
         if (closure_value <= -1.0 + tolerance) return std::nullopt;
 
         SubtourViolation violation;
         for (int v = 0; v < n; ++v) {
-          if (dinic.OnSourceSide(vertex_node(v))) {
-            violation.vertices.push_back(v);
-          }
+          if (dinic.OnSourceSide(2 + v)) violation.vertices.push_back(v);
         }
         if (violation.vertices.size() < 2) return std::nullopt;
         // Recompute the violation from the set itself (exact, independent
@@ -250,18 +260,102 @@ std::vector<SubtourViolation> FindViolatedSupportComponents(
   return violations;
 }
 
+bool CertifiesForestValue(const Graph& g, double delta,
+                          const ForestPolytopeDual& dual, double value,
+                          double tolerance) {
+  const int n = g.NumVertices();
+  const int m = g.NumEdges();
+  if (static_cast<int>(dual.vertex.size()) != n) return false;
+  if (!dual.edge.empty() && static_cast<int>(dual.edge.size()) != m) {
+    return false;
+  }
+  // covered[e] = y_u + y_v + Σ_{S ∋ u,v} y_S + w_e must reach c_e = 1.
+  std::vector<double> covered(m, 0.0);
+  double objective = 0.0;
+  for (int v = 0; v < n; ++v) {
+    if (dual.vertex[v] < -tolerance) return false;
+    objective += delta * dual.vertex[v];
+  }
+  for (int e = 0; e < m; ++e) {
+    covered[e] = dual.vertex[g.EdgeAt(e).u] + dual.vertex[g.EdgeAt(e).v];
+    if (dual.edge.empty()) continue;
+    if (dual.edge[e] < -tolerance) return false;
+    covered[e] += dual.edge[e];
+    objective += dual.edge[e];
+  }
+  std::vector<char> in_s(n, 0);
+  for (const auto& [set, weight] : dual.subsets) {
+    if (weight < -tolerance || set.size() < 2) return false;
+    for (int v : set) {
+      if (v < 0 || v >= n || in_s[v]) return false;
+      in_s[v] = 1;
+    }
+    for (int e = 0; e < m; ++e) {
+      if (in_s[g.EdgeAt(e).u] && in_s[g.EdgeAt(e).v]) covered[e] += weight;
+    }
+    for (int v : set) in_s[v] = 0;
+    objective += (static_cast<double>(set.size()) - 1.0) * weight;
+  }
+  for (int e = 0; e < m; ++e) {
+    if (covered[e] < 1.0 - tolerance) return false;
+  }
+  return std::fabs(objective - value) <= tolerance;
+}
+
 namespace {
 
-void AddSubtourConstraint(const Graph& g, const std::vector<int>& vertices,
-                          LpProblem* lp) {
+std::vector<std::pair<int, double>> SubtourRow(
+    const Graph& g, const std::vector<int>& vertices) {
   std::vector<bool> in_s(g.NumVertices(), false);
   for (int v : vertices) in_s[v] = true;
   std::vector<std::pair<int, double>> row;
   for (int e = 0; e < g.NumEdges(); ++e) {
     if (in_s[g.EdgeAt(e).u] && in_s[g.EdgeAt(e).v]) row.emplace_back(e, 1.0);
   }
-  lp->AddConstraint(std::move(row),
-                    static_cast<double>(vertices.size()) - 1.0);
+  return row;
+}
+
+// f_Δ for Δ <= 1: Δ times the fractional matching number, as half a max
+// flow on the bipartite double cover (source → L_v and R_v → sink with
+// capacity Δ, L_u → R_v and L_v → R_u uncapacitated). The min cut's sides
+// give the fractional vertex cover y_v = ([L_v cut] + [R_v cut]) / 2 as the
+// dual: every edge has y_u + y_v >= 1, since the middle arcs are never cut.
+ForestPolytopeResult MaximizeFractionalMatching(const Graph& g,
+                                                double delta) {
+  const int n = g.NumVertices();
+  const int m = g.NumEdges();
+  const int source = 0;
+  const int sink = 1;
+  auto left = [](int v) { return 2 + 2 * v; };
+  auto right = [](int v) { return 3 + 2 * v; };
+  Dinic dinic(2 + 2 * n);
+  dinic.ReserveArcs(2 * n + 2 * m);
+  for (int v = 0; v < n; ++v) {
+    dinic.AddArc(source, left(v), delta);
+    dinic.AddArc(right(v), sink, delta);
+  }
+  std::vector<int> middle(2 * m);
+  for (int e = 0; e < m; ++e) {
+    const Edge& edge = g.EdgeAt(e);
+    middle[2 * e] = dinic.AddArc(left(edge.u), right(edge.v),
+                                 Dinic::kInfinity);
+    middle[2 * e + 1] = dinic.AddArc(left(edge.v), right(edge.u),
+                                     Dinic::kInfinity);
+  }
+  ForestPolytopeResult result;
+  result.status = LpStatus::kOptimal;
+  result.value = dinic.Solve(source, sink) / 2.0;
+  result.x.resize(m);
+  for (int e = 0; e < m; ++e) {
+    result.x[e] =
+        (dinic.Flow(middle[2 * e]) + dinic.Flow(middle[2 * e + 1])) / 2.0;
+  }
+  result.dual.vertex.resize(n);
+  for (int v = 0; v < n; ++v) {
+    result.dual.vertex[v] = ((dinic.OnSourceSide(left(v)) ? 0.0 : 0.5) +
+                             (dinic.OnSourceSide(right(v)) ? 0.5 : 0.0));
+  }
+  return result;
 }
 
 }  // namespace
@@ -274,31 +368,76 @@ ForestPolytopeResult MaximizeOverForestPolytope(
     result.status = LpStatus::kOptimal;
     result.value = 0.0;
     result.x.assign(g.NumEdges(), 0.0);
+    result.dual.vertex.assign(g.NumVertices(), 0.0);
+    return result;
+  }
+  if (delta <= 1.0) {
+    result = MaximizeFractionalMatching(g, delta);
+    NODEDP_DCHECK(CertifiesForestValue(g, delta, result.dual, result.value,
+                                       1e-7));
     return result;
   }
 
-  LpProblem lp = BuildSeedLp(g, delta);
+  std::vector<int> degree_rows;
+  LpProblem lp = BuildSeedLp(g, delta, &degree_rows);
   // Rows already in the LP, so neither the pool nor a numerically marginal
-  // re-separation can insert the same set twice.
+  // re-separation can insert the same set twice; `subtour_rows` lists them
+  // in row order, after the degree rows.
   std::set<std::vector<int>> installed;
+  std::vector<const std::vector<int>*> subtour_rows;
+  auto install = [&](const std::vector<int>& vertices) {
+    const auto [it, fresh] = installed.insert(vertices);
+    if (fresh) subtour_rows.push_back(&*it);
+    return fresh;
+  };
   if (options.seed_structural_cuts) {
-    for (std::vector<int>& structural : StructuralSubtourSets(g)) {
-      if (installed.insert(structural).second) {
-        AddSubtourConstraint(g, structural, &lp);
+    for (const std::vector<int>& structural : StructuralSubtourSets(g)) {
+      if (install(structural)) {
+        lp.AddConstraint(SubtourRow(g, structural),
+                         static_cast<double>(structural.size()) - 1.0);
       }
     }
   }
   if (options.cut_pool != nullptr) {
     for (const std::vector<int>& pooled : *options.cut_pool) {
-      if (installed.insert(pooled).second) {
-        AddSubtourConstraint(g, pooled, &lp);
+      if (install(pooled)) {
+        lp.AddConstraint(SubtourRow(g, pooled),
+                         static_cast<double>(pooled.size()) - 1.0);
       }
     }
   }
+  // One solver for the whole cell: each round's cuts are appended to it and
+  // re-optimized from the previous basis. `lp` keeps every row as well, so
+  // a warm re-solve that fails numerically is redone cold from it.
+  Simplex simplex(lp, options.simplex);
+  auto finish = [&](const LpSolution& solution) {
+    result.status = LpStatus::kOptimal;
+    result.value = solution.objective;
+    result.dual.vertex.assign(g.NumVertices(), 0.0);
+    const int num_degree_rows = static_cast<int>(degree_rows.size());
+    for (int k = 0; k < num_degree_rows; ++k) {
+      result.dual.vertex[degree_rows[k]] = solution.duals[k];
+    }
+    for (std::size_t k = 0; k < subtour_rows.size(); ++k) {
+      const double weight = solution.duals[num_degree_rows + k];
+      if (weight != 0.0) {
+        result.dual.subsets.emplace_back(*subtour_rows[k], weight);
+      }
+    }
+    result.dual.edge = solution.bound_duals;
+    NODEDP_DCHECK(CertifiesForestValue(g, delta, result.dual, result.value,
+                                       1e-7));
+  };
   for (int round = 0; round < options.max_cut_rounds; ++round) {
     result.cut_rounds = round + 1;
-    const LpSolution solution = SolveLp(lp, options.simplex);
+    LpSolution solution = simplex.Solve();
     result.simplex_iterations += solution.iterations;
+    if (solution.status != LpStatus::kOptimal && round > 0) {
+      ++result.cold_restarts;
+      simplex = Simplex(lp, options.simplex);
+      solution = simplex.Solve();
+      result.simplex_iterations += solution.iterations;
+    }
     if (solution.status != LpStatus::kOptimal) {
       result.status = solution.status;
       return result;
@@ -306,17 +445,14 @@ ForestPolytopeResult MaximizeOverForestPolytope(
     // Primal early exit: if greedy rounding matches the relaxation bound,
     // the relaxation value is the true optimum and the rounded forest is an
     // optimal (feasible) point.
-    if (delta >= 1.0) {
-      const std::vector<int> forest_edges =
-          GreedyDegreeBoundedForest(g, delta, solution.x);
-      if (static_cast<double>(forest_edges.size()) >=
-          solution.objective - options.tolerance) {
-        result.status = LpStatus::kOptimal;
-        result.value = solution.objective;
-        result.x.assign(g.NumEdges(), 0.0);
-        for (int e : forest_edges) result.x[e] = 1.0;
-        return result;
-      }
+    const std::vector<int> forest_edges =
+        GreedyDegreeBoundedForest(g, delta, solution.x);
+    if (static_cast<double>(forest_edges.size()) >=
+        solution.objective - options.tolerance) {
+      finish(solution);
+      result.x.assign(g.NumEdges(), 0.0);
+      for (int e : forest_edges) result.x[e] = 1.0;
+      return result;
     }
     // Cheap heuristic first; fall back to the exact oracle when the
     // heuristic certifies nothing new (the exact oracle decides
@@ -336,8 +472,11 @@ ForestPolytopeResult MaximizeOverForestPolytope(
     }
     bool added_any = false;
     for (const SubtourViolation& violation : violations) {
-      if (!installed.insert(violation.vertices).second) continue;
-      AddSubtourConstraint(g, violation.vertices, &lp);
+      if (!install(violation.vertices)) continue;
+      lp.AddConstraint(SubtourRow(g, violation.vertices),
+                       static_cast<double>(violation.vertices.size()) - 1.0);
+      const int row = lp.num_constraints() - 1;
+      simplex.AddConstraint(lp.row(row), lp.rhs(row));
       if (options.cut_pool != nullptr) {
         options.cut_pool->push_back(violation.vertices);
       }
@@ -345,8 +484,7 @@ ForestPolytopeResult MaximizeOverForestPolytope(
       added_any = true;
     }
     if (!added_any) {
-      result.status = LpStatus::kOptimal;
-      result.value = solution.objective;
+      finish(solution);
       result.x = solution.x;
       return result;
     }

@@ -9,21 +9,31 @@
 // Constraint family (5) is exponential; following Padberg–Wolsey we separate
 // it in polynomial time. For a candidate x, a violated set exists iff
 //
-//     max_{∅ ≠ S ⊆ V} ( x(E[S]) - |S| ) > -1 ,
+//     max_{∅ ≠ S ⊆ V} ( x(E[S]) - |S| ) > -1 .
 //
-// and for a fixed root r the inner maximum over S ∋ r is a project-selection
-// (maximum-closure) problem solved by one s-t min cut: source → edge-node e
-// with capacity x(e); edge-node → both endpoints with capacity ∞; vertex →
-// sink with capacity 1; plus source → r with capacity ∞ to force r ∈ S. Then
-// max_{S∋r}(x(E[S]) - |S|) = x(E) - mincut, and S is the source side.
+// With d_v = x(δ(v)), x(E[S]) - |S| = Σ_{v∈S} (d_v/2 - 1) - x(δ(S))/2, so
+// for a fixed root r the inner maximum over S ∋ r is one s-t min cut on an
+// (n+2)-node network: v → sink with capacity (1 - d_v/2)⁺, source → v with
+// capacity (d_v/2 - 1)⁺, x(e)/2 in each direction along every edge, and
+// source → r with capacity ∞. Then max_{S∋r}(x(E[S]) - |S|) =
+// -(mincut + Σ_{v: d_v > 2} (1 - d_v/2)), and S is the source side. The
+// network minus the root arc is built once per round; each root copies it
+// with room for its own arc.
 //
-// The driver seeds the LP with the degree constraints (6) plus the pair
-// constraints x(e) <= 1 (the |S| = 2 instances of (5)), solves, separates,
-// adds violated cuts, and repeats until the oracle certifies feasibility.
+// For Δ <= 1 no row of (5) can bind (x(E[S]) <= Δ|S|/2 <= |S| - 1), so f_Δ
+// is Δ times the fractional matching number: half a max flow on the
+// bipartite double cover, with no LP at all. For Δ > 1 the driver seeds the
+// LP with the degree constraints (6), bounds each x(e) by 1 (the |S| = 2
+// instances of (5)) as a variable bound, solves, separates, appends the
+// violated cuts to the same solver, and re-optimizes from the kept basis
+// until the oracle certifies feasibility. A warm re-solve that does not end
+// optimal is redone from scratch on every row so far (a cold restart), so
+// one round may spend up to twice SimplexOptions::max_iterations.
 
 #ifndef NODEDP_CORE_FOREST_POLYTOPE_H_
 #define NODEDP_CORE_FOREST_POLYTOPE_H_
 
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -62,13 +72,28 @@ struct SubtourViolation {
   double violation = 0.0;     // x(E[S]) - (|S| - 1) > 0
 };
 
+// A solution of the dual of the LP a cell ended on: a weight on each degree
+// row (6), on each installed subtour row (5), and on each bound x(e) <= 1.
+// When dual-feasible (every weight >= 0, and for every edge e = uv,
+// y_u + y_v + Σ_{S ∋ u,v} y_S + w_e >= 1) its objective
+// Δ·Σ y_v + Σ (|S| - 1)·y_S + Σ w_e bounds f_Δ(G) from above.
+struct ForestPolytopeDual {
+  std::vector<double> vertex;  // y_v, by vertex id
+  std::vector<std::pair<std::vector<int>, double>> subsets;  // (S, y_S ≠ 0)
+  std::vector<double> edge;    // w_e, by edge id (empty when all zero)
+};
+
 struct ForestPolytopeResult {
   LpStatus status = LpStatus::kIterationLimit;
   double value = 0.0;          // f_Δ(G) when status == kOptimal
   std::vector<double> x;       // optimal edge weights (by edge id)
+  ForestPolytopeDual dual;     // certificate that value >= f_Δ(G)
   int cut_rounds = 0;
   int cuts_added = 0;
   long long simplex_iterations = 0;
+  // Rounds whose warm re-solve did not end optimal and were solved again
+  // from scratch (their pivots are in simplex_iterations too).
+  int cold_restarts = 0;
 };
 
 // Exact separation oracle for constraints (5): returns violated sets, most
@@ -93,9 +118,17 @@ std::vector<SubtourViolation> FindViolatedSupportComponents(
 std::vector<int> GreedyDegreeBoundedForest(const Graph& g, double delta,
                                            const std::vector<double>& weights);
 
-// Computes f_Δ(G) by cutting planes. Requires delta > 0. Operates on the
-// graph as given (no component decomposition; see lipschitz_extension.h for
-// the full evaluator).
+// True iff `dual` is dual-feasible for the forest LP of (g, delta) within
+// `tolerance` and its objective is within `tolerance` of `value`, i.e. it
+// certifies value >= f_Δ(G). Independent of the solver: it reads only the
+// graph and the weights. Debug builds check every solved cell with it.
+bool CertifiesForestValue(const Graph& g, double delta,
+                          const ForestPolytopeDual& dual, double value,
+                          double tolerance);
+
+// Computes f_Δ(G): by one max flow when delta <= 1, else by cutting planes.
+// Requires delta > 0. Operates on the graph as given (no component
+// decomposition; see lipschitz_extension.h for the full evaluator).
 ForestPolytopeResult MaximizeOverForestPolytope(
     const Graph& g, double delta, const ForestPolytopeOptions& options = {});
 

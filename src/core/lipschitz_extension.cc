@@ -35,6 +35,7 @@ Status EvalPiece(const Graph& piece, double delta,
   result->cut_rounds += lp.cut_rounds;
   result->cuts_added += lp.cuts_added;
   result->simplex_iterations += lp.simplex_iterations;
+  result->cold_restarts += lp.cold_restarts;
   if (lp.status != LpStatus::kOptimal) {
     return Status::ResourceExhausted(
         std::string("forest-polytope LP did not converge: ") +

@@ -41,6 +41,7 @@ struct ExtensionValue {
   int cut_rounds = 0;        // total cutting-plane rounds
   int cuts_added = 0;
   long long simplex_iterations = 0;
+  int cold_restarts = 0;     // warm LP re-solves redone from scratch
 };
 
 // Computes f_Δ(G). Requires delta >= 1 (the Algorithm 1 grid is [1, n]).

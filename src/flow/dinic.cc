@@ -1,7 +1,6 @@
 #include "flow/dinic.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/check.h"
 
@@ -12,19 +11,30 @@ Dinic::Dinic(int num_nodes)
   NODEDP_CHECK_GE(num_nodes, 0);
 }
 
+Dinic::Dinic(const Dinic& base, int spare_arcs)
+    : first_arc_(base.first_arc_),
+      level_(base.level_.size()),
+      iter_(base.iter_.size()) {
+  NODEDP_CHECK_MSG(!base.solved_, "copy the network before Solve()");
+  NODEDP_CHECK_GE(spare_arcs, 0);
+  arcs_.reserve(base.arcs_.size() + 2 * static_cast<std::size_t>(spare_arcs));
+  arcs_.assign(base.arcs_.begin(), base.arcs_.end());
+}
+
 void Dinic::ReserveArcs(int expected_arcs) {
   NODEDP_CHECK_GE(expected_arcs, 0);
   arcs_.reserve(2 * static_cast<std::size_t>(expected_arcs));
 }
 
-int Dinic::AddArc(int u, int v, double capacity) {
+int Dinic::AddArc(int u, int v, double capacity, double reverse_capacity) {
   NODEDP_CHECK_GE(capacity, 0.0);
+  NODEDP_CHECK_GE(reverse_capacity, 0.0);
   NODEDP_DCHECK(u >= 0 && u < num_nodes());
   NODEDP_DCHECK(v >= 0 && v < num_nodes());
   const int id = static_cast<int>(arcs_.size());
   arcs_.push_back(Arc{v, first_arc_[u], capacity});
   first_arc_[u] = id;
-  arcs_.push_back(Arc{u, first_arc_[v], 0.0});
+  arcs_.push_back(Arc{u, first_arc_[v], reverse_capacity});
   first_arc_[v] = id + 1;
   return id;
 }
@@ -32,15 +42,15 @@ int Dinic::AddArc(int u, int v, double capacity) {
 bool Dinic::BuildLevels(int source, int sink, double eps) {
   std::fill(level_.begin(), level_.end(), -1);
   level_[source] = 0;
-  std::queue<int> queue;
-  queue.push(source);
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop();
+  queue_.reserve(first_arc_.size());
+  queue_.clear();
+  queue_.push_back(source);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int u = queue_[head];
     for (int a = first_arc_[u]; a >= 0; a = arcs_[a].next) {
       if (arcs_[a].residual > eps && level_[arcs_[a].to] < 0) {
         level_[arcs_[a].to] = level_[u] + 1;
-        queue.push(arcs_[a].to);
+        queue_.push_back(arcs_[a].to);
       }
     }
   }
@@ -86,6 +96,13 @@ double Dinic::Solve(int source, int sink, double eps) {
 bool Dinic::OnSourceSide(int v) const {
   NODEDP_CHECK_MSG(solved_, "call Solve() first");
   return level_[v] >= 0;
+}
+
+double Dinic::Flow(int arc) const {
+  NODEDP_CHECK_MSG(solved_, "call Solve() first");
+  NODEDP_DCHECK(arc >= 0 && (arc & 1) == 0 &&
+                arc < static_cast<int>(arcs_.size()));
+  return arcs_[arc ^ 1].residual;
 }
 
 }  // namespace nodedp

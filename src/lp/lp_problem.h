@@ -1,12 +1,15 @@
-// Linear-program model: maximize c·x subject to Ax <= b, x >= 0.
+// Linear-program model: maximize c·x subject to Ax <= b, 0 <= x <= u.
 //
 // Constraints are stored sparsely (the forest-polytope LP of Definition 3.1
 // touches only |S| or deg(v) variables per row). The solver densifies
-// internally.
+// internally. Upper bounds default to +infinity; a finite u_j is handled by
+// the solver as a bound on the column, not as a row (the forest LP bounds
+// every x_e by 1 this way).
 
 #ifndef NODEDP_LP_LP_PROBLEM_H_
 #define NODEDP_LP_LP_PROBLEM_H_
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -19,7 +22,9 @@ class LpProblem {
   // Creates a problem over `num_vars` nonnegative variables with zero
   // objective; set coefficients via SetObjective.
   explicit LpProblem(int num_vars)
-      : num_vars_(num_vars), objective_(num_vars, 0.0) {
+      : num_vars_(num_vars),
+        objective_(num_vars, 0.0),
+        upper_(num_vars, std::numeric_limits<double>::infinity()) {
     NODEDP_CHECK_GE(num_vars, 0);
   }
 
@@ -32,6 +37,15 @@ class LpProblem {
     objective_[var] = coefficient;
   }
   const std::vector<double>& objective() const { return objective_; }
+
+  // Sets the bound x_var <= upper (upper >= 0; +infinity removes it).
+  void SetUpperBound(int var, double upper) {
+    NODEDP_CHECK_GE(var, 0);
+    NODEDP_CHECK_LT(var, num_vars_);
+    NODEDP_CHECK_GE(upper, 0.0);
+    upper_[var] = upper;
+  }
+  const std::vector<double>& upper_bounds() const { return upper_; }
 
   // Adds the row sum_j coeff_j * x_j <= rhs. Returns the row index.
   // Duplicate variable entries within a row are summed by the solver.
@@ -55,6 +69,7 @@ class LpProblem {
  private:
   int num_vars_;
   std::vector<double> objective_;
+  std::vector<double> upper_;
   std::vector<std::vector<std::pair<int, double>>> rows_;
   std::vector<double> rhs_;
 };

@@ -8,6 +8,29 @@
 
 namespace nodedp {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Smallest |a| a ratio test may pivot on: smaller pivots blow up the
+// tableau's entries within a few hundred pivots.
+constexpr double kPivotTolerance = 1e-7;
+// Tableau entries below this magnitude are rounding noise. Every arithmetic
+// update of the tableau (rows and reduced costs) stores them as exact
+// zeros, a pivot's included, though it touches only the pivot row's
+// nonzeros; so the noise cannot compound over the thousands of pivots a
+// kept basis sees, and the policy does not depend on which update ran.
+constexpr double kDropTolerance = 1e-12;
+// Size of the per-column reduced-cost perturbation of the dual phase, and
+// how often one dual solve may renew it before falling back to Bland.
+constexpr double kCostPerturbation = 1e-7;
+constexpr int kMaxReperturbations = 8;
+
+double DropNoise(double value) {
+  return std::fabs(value) < kDropTolerance ? 0.0 : value;
+}
+
+}  // namespace
+
 const char* LpStatusName(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal:
@@ -22,249 +45,461 @@ const char* LpStatusName(LpStatus status) {
   return "unknown";
 }
 
-namespace {
+Simplex::Simplex(const LpProblem& problem, const SimplexOptions& options)
+    : tol_(options.tolerance),
+      max_iterations_(options.max_iterations),
+      stall_threshold_(options.stall_threshold),
+      num_vars_(problem.num_vars()),
+      cost_(problem.objective()) {
+  const int num_rows = problem.num_constraints();
+  int num_artificials = 0;
+  for (int i = 0; i < num_rows; ++i) {
+    if (problem.rhs(i) < 0.0) ++num_artificials;
+  }
+  artificial_begin_ = num_vars_ + num_rows;
+  artificial_end_ = artificial_begin_ + num_artificials;
+  const int width = artificial_end_;
+  rows_.assign(num_rows, std::vector<double>(width, 0.0));
+  beta_.resize(num_rows);
+  obj_.assign(width, 0.0);
+  upper_.assign(width, kInf);
+  std::copy(problem.upper_bounds().begin(), problem.upper_bounds().end(),
+            upper_.begin());
+  flipped_.assign(width, 0);
+  position_.assign(width, -1);
+  basis_.resize(num_rows);
+  slack_col_.resize(num_rows);
+  active_.assign(num_rows, 1);
+  row_negated_.assign(num_rows, 0);
 
-// Dense tableau with an explicit objective row, supporting both phases.
-class Tableau {
- public:
-  Tableau(const LpProblem& problem, double tolerance)
-      : tol_(tolerance),
-        num_vars_(problem.num_vars()),
-        num_rows_(problem.num_constraints()) {
-    // Column layout: [structural | slack/surplus | artificial | rhs].
-    slack_begin_ = num_vars_;
-    artificial_begin_ = slack_begin_ + num_rows_;
-    // Count artificials: one per negative-rhs row.
-    num_artificials_ = 0;
-    for (int i = 0; i < num_rows_; ++i) {
-      if (problem.rhs(i) < 0.0) ++num_artificials_;
+  int next_artificial = artificial_begin_;
+  for (int i = 0; i < num_rows; ++i) {
+    const bool negate = problem.rhs(i) < 0.0;
+    row_negated_[i] = negate;
+    const double sign = negate ? -1.0 : 1.0;
+    std::vector<double>& row = rows_[i];
+    for (const auto& [var, coeff] : problem.row(i)) {
+      row[var] += sign * coeff;  // duplicates sum
     }
-    num_cols_ = artificial_begin_ + num_artificials_;  // excluding rhs
-    rows_.assign(num_rows_, std::vector<double>(num_cols_ + 1, 0.0));
-    obj_.assign(num_cols_ + 1, 0.0);
-    basis_.resize(num_rows_);
-    active_.assign(num_rows_, true);
-    row_negated_.assign(num_rows_, false);
-
-    int next_artificial = artificial_begin_;
-    for (int i = 0; i < num_rows_; ++i) {
-      const bool negate = problem.rhs(i) < 0.0;
-      row_negated_[i] = negate;
-      const double sign = negate ? -1.0 : 1.0;
-      for (const auto& [var, coeff] : problem.row(i)) {
-        rows_[i][var] += sign * coeff;  // duplicates sum
-      }
-      rows_[i][slack_begin_ + i] = sign;  // slack (+1) or surplus (-1)
-      rows_[i][num_cols_] = sign * problem.rhs(i);
-      if (negate) {
-        rows_[i][next_artificial] = 1.0;
-        basis_[i] = next_artificial;
-        ++next_artificial;
-      } else {
-        basis_[i] = slack_begin_ + i;
-      }
-    }
+    for (double& entry : row) entry = DropNoise(entry);
+    slack_col_[i] = num_vars_ + i;
+    row[num_vars_ + i] = sign;  // slack (+1) or surplus (-1)
+    beta_[i] = sign * problem.rhs(i);
+    basis_[i] = negate ? next_artificial++ : num_vars_ + i;
+    row[basis_[i]] = 1.0;
+    position_[basis_[i]] = i;
   }
+}
 
-  int num_artificials() const { return num_artificials_; }
+long long Simplex::IterationCap() const {
+  if (max_iterations_ > 0) return max_iterations_;
+  return 50LL * (num_constraints() + num_vars_ + 1) + 5000;
+}
 
-  // Phase-I objective: maximize -sum(artificials). Returns priced-out row.
-  void LoadPhaseOneObjective() {
-    std::fill(obj_.begin(), obj_.end(), 0.0);
-    // Row entries are (z_j - c_j); artificial cost is -1 so c_j = -1 there.
-    for (int j = artificial_begin_; j < num_cols_; ++j) obj_[j] = 1.0;
-    PriceOutBasis();
-  }
-
-  void LoadPhaseTwoObjective(const std::vector<double>& c) {
-    std::fill(obj_.begin(), obj_.end(), 0.0);
-    for (int j = 0; j < num_vars_; ++j) obj_[j] = -c[j];
-    PriceOutBasis();
-  }
-
-  // Runs simplex pivots until optimality, unboundedness, or the iteration
-  // budget is exhausted. `allow_artificial_entering` is false in Phase II.
-  LpStatus Pivot(long long max_iterations, int stall_threshold,
-                 bool allow_artificial_entering, long long* iterations) {
-    int stall = 0;
-    double last_objective = Objective();
-    while (*iterations < max_iterations) {
-      const bool bland = stall >= stall_threshold;
-      const int entering = ChooseEntering(allow_artificial_entering, bland);
-      if (entering < 0) return LpStatus::kOptimal;
-      const int leaving_row = ChooseLeavingRow(entering, bland);
-      if (leaving_row < 0) return LpStatus::kUnbounded;
-      DoPivot(leaving_row, entering);
-      ++*iterations;
-      const double objective = Objective();
-      if (objective > last_objective + tol_) {
-        stall = 0;
-        last_objective = objective;
-      } else {
-        ++stall;
-      }
-    }
-    return LpStatus::kIterationLimit;
-  }
-
-  // Current objective value (for the loaded objective row).
-  double Objective() const { return obj_[num_cols_]; }
-
-  // Pivots artificial variables out of the basis where possible; rows where
-  // no structural/slack pivot exists are redundant and get deactivated.
-  void DriveOutArtificials(long long* iterations) {
-    for (int i = 0; i < num_rows_; ++i) {
-      if (!active_[i] || basis_[i] < artificial_begin_) continue;
-      int pivot_col = -1;
-      for (int j = 0; j < artificial_begin_; ++j) {
-        if (std::fabs(rows_[i][j]) > tol_) {
-          pivot_col = j;
-          break;
-        }
-      }
-      if (pivot_col >= 0) {
-        DoPivot(i, pivot_col);
-        ++*iterations;
-      } else {
-        active_[i] = false;  // redundant row (all-zero constraints)
-      }
+int Simplex::AddConstraint(
+    const std::vector<std::pair<int, double>>& coefficients, double rhs) {
+  NODEDP_CHECK_MSG(optimal_, "AddConstraint needs an optimal basis");
+  const int width = Width();
+  // Written in the current (complemented) coordinates, then with every
+  // basic variable eliminated through its tableau row.
+  std::vector<double> row(width + 1, 0.0);
+  double b = rhs;
+  for (const auto& [var, coeff] : coefficients) {
+    NODEDP_CHECK_GE(var, 0);
+    NODEDP_CHECK_LT(var, num_vars_);
+    if (flipped_[var]) {
+      row[var] -= coeff;
+      b -= coeff * upper_[var];
+    } else {
+      row[var] += coeff;
     }
   }
+  for (const auto& [var, coeff] : coefficients) {
+    (void)coeff;
+    const int p = position_[var];
+    const double factor = row[var];
+    if (p < 0 || !active_[p] || factor == 0.0) continue;
+    const double* basic_row = rows_[p].data();
+    for (int k = 0; k < width; ++k) {
+      row[k] = DropNoise(row[k] - factor * basic_row[k]);
+    }
+    row[var] = 0.0;
+    b -= factor * beta_[p];
+  }
+  for (std::vector<double>& existing : rows_) existing.push_back(0.0);
+  const int index = num_constraints();
+  row[width] = 1.0;
+  rows_.push_back(std::move(row));
+  beta_.push_back(b);
+  obj_.push_back(0.0);
+  upper_.push_back(kInf);
+  flipped_.push_back(0);
+  position_.push_back(index);
+  basis_.push_back(width);
+  slack_col_.push_back(width);
+  active_.push_back(1);
+  row_negated_.push_back(0);
+  return index;
+}
 
-  void ExtractSolution(LpSolution* solution) const {
-    solution->x.assign(num_vars_, 0.0);
-    for (int i = 0; i < num_rows_; ++i) {
-      if (active_[i] && basis_[i] < num_vars_) {
-        solution->x[basis_[i]] = rows_[i][num_cols_];
+void Simplex::LoadObjective(bool phase_one) {
+  std::fill(obj_.begin(), obj_.end(), 0.0);
+  obj_value_ = 0.0;
+  if (phase_one) {
+    // Maximize -sum(artificials); an entry holds z_j - c_j.
+    for (int j = artificial_begin_; j < artificial_end_; ++j) obj_[j] = 1.0;
+  } else {
+    for (int j = 0; j < num_vars_; ++j) {
+      obj_[j] = -cost_[j];
+      if (flipped_[j]) {
+        obj_value_ -= obj_[j] * upper_[j];
+        obj_[j] = -obj_[j];
       }
     }
-    solution->duals.assign(num_rows_, 0.0);
-    for (int i = 0; i < num_rows_; ++i) {
-      const double reduced = obj_[slack_begin_ + i];
-      solution->duals[i] = row_negated_[i] ? -reduced : reduced;
-    }
   }
-
- private:
-  void PriceOutBasis() {
-    for (int i = 0; i < num_rows_; ++i) {
-      if (!active_[i]) continue;
-      const double factor = obj_[basis_[i]];
-      if (factor == 0.0) continue;
-      for (int j = 0; j <= num_cols_; ++j) obj_[j] -= factor * rows_[i][j];
+  const int width = Width();
+  for (int i = 0; i < num_constraints(); ++i) {
+    if (!active_[i]) continue;
+    const double factor = obj_[basis_[i]];
+    if (factor == 0.0) continue;
+    for (int j = 0; j < width; ++j) {
+      obj_[j] = DropNoise(obj_[j] - factor * rows_[i][j]);
     }
+    obj_value_ -= factor * beta_[i];
   }
+}
 
-  int ChooseEntering(bool allow_artificial, bool bland) const {
-    const int limit = allow_artificial ? num_cols_ : artificial_begin_;
-    int best = -1;
-    double best_value = -tol_;
-    for (int j = 0; j < limit; ++j) {
-      if (obj_[j] < best_value) {
-        best = j;
-        best_value = obj_[j];
-        if (bland) break;  // first (lowest-index) negative column
+LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
+                               long long* iterations) {
+  const int width = Width();
+  int stall = 0;
+  double last_objective = obj_value_;
+  while (*iterations < max_iterations) {
+    const bool bland = stall >= stall_threshold_;
+    int entering = -1;
+    double best_reduced = -tol_;
+    for (int j = 0; j < width; ++j) {
+      if (obj_[j] < best_reduced && (allow_artificial || !IsArtificial(j))) {
+        entering = j;
+        best_reduced = obj_[j];
+        if (bland) break;  // first (lowest-index) improving column
       }
     }
-    return best;
-  }
+    if (entering < 0) return LpStatus::kOptimal;
 
-  int ChooseLeavingRow(int entering, bool bland) const {
-    int best = -1;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < num_rows_; ++i) {
-      if (!active_[i]) continue;
+    // Ratio test: a basic variable reaching 0 (a > 0) or its upper bound
+    // (a < 0). Harris's two passes: the first bounds the step with every
+    // basic value allowed tol_ of slack, the second takes the largest |a|
+    // among rows blocking within that bound (under Bland, the lowest basic
+    // index among exact ties).
+    auto row_ratio = [&](int i, double slack, bool* at_upper) {
       const double a = rows_[i][entering];
-      if (a <= tol_) continue;
-      const double ratio = rows_[i][num_cols_] / a;
+      if (a > kPivotTolerance) {
+        *at_upper = false;
+        return (std::max(beta_[i], 0.0) + slack) / a;
+      }
+      if (a < -kPivotTolerance && upper_[basis_[i]] < kInf) {
+        *at_upper = true;
+        return (std::max(upper_[basis_[i]] - beta_[i], 0.0) + slack) / -a;
+      }
+      return kInf;
+    };
+    double bound = kInf;
+    for (int i = 0; i < num_constraints(); ++i) {
+      bool upper_side = false;
+      if (active_[i]) bound = std::min(bound, row_ratio(i, tol_, &upper_side));
+    }
+    int leaving_row = -1;
+    bool at_upper = false;
+    double best_ratio = kInf;
+    double best_pivot = 0.0;
+    for (int i = 0; i < num_constraints(); ++i) {
+      if (!active_[i]) continue;
+      bool upper_side = false;
+      const double ratio = row_ratio(i, 0.0, &upper_side);
+      if (ratio == kInf || ratio > bound) continue;
+      const double pivot = std::fabs(rows_[i][entering]);
       const bool better =
-          ratio < best_ratio - tol_ ||
-          (ratio < best_ratio + tol_ && best >= 0 &&
-           (bland ? basis_[i] < basis_[best] : false));
-      if (best < 0 ? ratio < best_ratio : better) {
-        best = i;
+          leaving_row < 0 ||
+          (bland ? ratio < best_ratio ||
+                       (ratio == best_ratio && basis_[i] < basis_[leaving_row])
+                 : pivot > best_pivot);
+      if (better) {
+        leaving_row = i;
+        at_upper = upper_side;
         best_ratio = ratio;
+        best_pivot = pivot;
       }
     }
-    return best;
-  }
-
-  void DoPivot(int pivot_row, int pivot_col) {
-    std::vector<double>& prow = rows_[pivot_row];
-    const double pivot = prow[pivot_col];
-    NODEDP_DCHECK(std::fabs(pivot) > tol_);
-    const double inv = 1.0 / pivot;
-    for (double& value : prow) value *= inv;
-    prow[pivot_col] = 1.0;  // cancel rounding
-    for (int i = 0; i < num_rows_; ++i) {
-      if (i == pivot_row || !active_[i]) continue;
-      const double factor = rows_[i][pivot_col];
-      if (factor == 0.0) continue;
-      for (int j = 0; j <= num_cols_; ++j) rows_[i][j] -= factor * prow[j];
-      rows_[i][pivot_col] = 0.0;
+    if (upper_[entering] < kInf && upper_[entering] <= best_ratio) {
+      FlipColumn(entering);  // the entering variable hits its own bound
+    } else if (leaving_row < 0) {
+      return LpStatus::kUnbounded;
+    } else {
+      const int leaving = basis_[leaving_row];
+      DoPivot(leaving_row, entering);
+      if (at_upper) FlipColumn(leaving);
     }
-    const double ofactor = obj_[pivot_col];
-    if (ofactor != 0.0) {
-      for (int j = 0; j <= num_cols_; ++j) obj_[j] -= ofactor * prow[j];
-      obj_[pivot_col] = 0.0;
+    ++*iterations;
+    if (obj_value_ > last_objective + tol_) {
+      stall = 0;
+      last_objective = obj_value_;
+    } else {
+      ++stall;
     }
-    basis_[pivot_row] = pivot_col;
   }
+  return LpStatus::kIterationLimit;
+}
 
-  double tol_;
-  int num_vars_;
-  int num_rows_;
-  int num_cols_;
-  int slack_begin_;
-  int artificial_begin_;
-  int num_artificials_;
-  std::vector<std::vector<double>> rows_;
-  std::vector<double> obj_;
-  std::vector<int> basis_;
-  std::vector<bool> active_;
-  std::vector<bool> row_negated_;
-};
+LpStatus Simplex::DualPivots(long long max_iterations, long long* iterations) {
+  const int width = Width();
+  // The reduced costs are perturbed on entry (PerturbReducedCosts), so
+  // every dual step strictly lowers the objective; a run of steps that
+  // does not is a stall. Pivots can zero perturbed reduced costs again, so
+  // a stall first re-perturbs, and only a stall that outlasts
+  // kMaxReperturbations of them switches to Bland's rule (slow on the
+  // forest LP's degenerate giants, but sure to terminate).
+  int stall = 0;
+  int reperturbations = 0;
+  double last_objective = obj_value_;
+  while (*iterations < max_iterations) {
+    if (stall >= stall_threshold_ && reperturbations < kMaxReperturbations) {
+      PerturbReducedCosts();
+      ++reperturbations;
+      stall = 0;
+    }
+    const bool bland = stall >= stall_threshold_;
+    // Leaving row: the most infeasible basic value (lowest basic index
+    // under Bland).
+    int leaving_row = -1;
+    bool below = false;
+    double worst = tol_;
+    for (int i = 0; i < num_constraints(); ++i) {
+      if (!active_[i]) continue;
+      const double under = -beta_[i];
+      const double over = beta_[i] - upper_[basis_[i]];
+      const double infeasibility = std::max(under, over);
+      if (infeasibility <= tol_) continue;
+      const bool take =
+          leaving_row < 0 || (bland ? basis_[i] < basis_[leaving_row]
+                                    : infeasibility > worst);
+      if (take) {
+        leaving_row = i;
+        below = under > over;
+        worst = infeasibility;
+      }
+    }
+    if (leaving_row < 0) return LpStatus::kOptimal;  // primal feasible
 
-}  // namespace
+    // Entering column: the dual ratio test with bound flips. Candidates
+    // are taken in breakpoint order d_j / a_j; a boxed candidate whose flip
+    // to its other bound still leaves the row infeasible is flipped instead
+    // of entering (a flip removes a_j * u_j of the infeasibility), so one
+    // pivot does the work of many. Among the candidates tied with the
+    // stopping breakpoint the largest |a| enters. Under Bland: the first
+    // minimum-ratio column, no flips.
+    const std::vector<double>& row = rows_[leaving_row];
+    breakpoints_.clear();
+    for (int j = 0; j < width; ++j) {
+      if (position_[j] >= 0 || IsArtificial(j)) continue;
+      const double a = below ? -row[j] : row[j];
+      if (a <= kPivotTolerance) continue;
+      breakpoints_.push_back({std::max(obj_[j], 0.0) / a, a, j});
+    }
+    if (breakpoints_.empty()) return LpStatus::kInfeasible;
+    std::sort(breakpoints_.begin(), breakpoints_.end(),
+              [](const Breakpoint& x, const Breakpoint& y) {
+                return x.ratio < y.ratio ||
+                       (x.ratio == y.ratio && x.column < y.column);
+              });
+    std::size_t stop = 0;
+    std::size_t pick = 0;
+    if (!bland) {
+      double remaining = worst;
+      for (; stop + 1 < breakpoints_.size(); ++stop) {
+        const Breakpoint& point = breakpoints_[stop];
+        const double removed = point.pivot * upper_[point.column];
+        if (!(remaining - removed > tol_)) break;
+        remaining -= removed;
+      }
+      pick = stop;
+      for (std::size_t k = stop + 1; k < breakpoints_.size() &&
+                                     breakpoints_[k].ratio <=
+                                         breakpoints_[stop].ratio + tol_;
+           ++k) {
+        if (breakpoints_[k].pivot > breakpoints_[pick].pivot) pick = k;
+      }
+    }
+    for (std::size_t k = 0; k < stop; ++k) {
+      FlipColumn(breakpoints_[k].column);
+    }
+    const int entering = breakpoints_[pick].column;
+    const int leaving = basis_[leaving_row];
+    DoPivot(leaving_row, entering);
+    if (!below) FlipColumn(leaving);  // leaves at its upper bound
+    ++*iterations;
+    if (obj_value_ < last_objective) {
+      stall = 0;
+      last_objective = obj_value_;
+    } else {
+      ++stall;
+    }
+  }
+  return LpStatus::kIterationLimit;
+}
+
+void Simplex::PerturbReducedCosts() {
+  // The forest LP's unit costs leave most reduced costs at exactly 0 at an
+  // optimum, so the dual ratio test would tie everywhere and the dual
+  // simplex could walk the optimal face without end. Raising a nonbasic
+  // reduced cost is the same as perturbing that column's cost, so each
+  // gets its own amount, falling linearly from 2 * kCostPerturbation on
+  // column 0 to kCostPerturbation on the last (structural columns most,
+  // the newest cuts' slacks least). On the forest LP's giant components
+  // this order needed fewer cut rounds than a hashed one. Solve() reloads
+  // the true costs after the dual pivots and finishes with primal pivots.
+  const int width = Width();
+  for (int j = 0; j < width; ++j) {
+    if (position_[j] >= 0 || IsArtificial(j)) continue;
+    const double share = 2.0 - static_cast<double>(j) / width;
+    obj_[j] = std::max(obj_[j], 0.0) + kCostPerturbation * share;
+  }
+}
+
+void Simplex::DriveOutArtificials(long long* iterations) {
+  // Pivots artificial variables out of the basis where possible; rows with
+  // no structural/slack pivot are redundant and get deactivated.
+  for (int i = 0; i < num_constraints(); ++i) {
+    if (!active_[i] || !IsArtificial(basis_[i])) continue;
+    int pivot_col = -1;
+    for (int j = 0; j < Width(); ++j) {
+      if (!IsArtificial(j) && std::fabs(rows_[i][j]) > tol_) {
+        pivot_col = j;
+        break;
+      }
+    }
+    if (pivot_col >= 0) {
+      DoPivot(i, pivot_col);
+      ++*iterations;
+    } else {
+      active_[i] = 0;
+    }
+  }
+}
+
+void Simplex::DoPivot(int pivot_row, int pivot_col) {
+  const int width = Width();
+  std::vector<double>& prow = rows_[pivot_row];
+  const double pivot = prow[pivot_col];
+  NODEDP_DCHECK(std::fabs(pivot) > tol_);
+  const double inv = 1.0 / pivot;
+  pivot_nonzeros_.clear();
+  for (int k = 0; k < width; ++k) {
+    if (prow[k] == 0.0) continue;
+    prow[k] = DropNoise(prow[k] * inv);
+    if (prow[k] != 0.0) pivot_nonzeros_.push_back(k);
+  }
+  prow[pivot_col] = 1.0;  // cancel rounding
+  beta_[pivot_row] *= inv;
+  // Forest-LP tableaux stay sparse, so the pivot row is applied through its
+  // nonzero list; entries it cancels to noise become exact zeros.
+  auto eliminate = [&](double* target, double factor) {
+    for (int k : pivot_nonzeros_) {
+      target[k] = DropNoise(target[k] - factor * prow[k]);
+    }
+    target[pivot_col] = 0.0;
+  };
+  for (int i = 0; i < num_constraints(); ++i) {
+    if (i == pivot_row || !active_[i]) continue;
+    const double factor = rows_[i][pivot_col];
+    if (factor == 0.0) continue;
+    eliminate(rows_[i].data(), factor);
+    beta_[i] -= factor * beta_[pivot_row];
+  }
+  const double ofactor = obj_[pivot_col];
+  if (ofactor != 0.0) {
+    eliminate(obj_.data(), ofactor);
+    obj_value_ -= ofactor * beta_[pivot_row];
+  }
+  position_[basis_[pivot_row]] = -1;
+  basis_[pivot_row] = pivot_col;
+  position_[pivot_col] = pivot_row;
+}
+
+void Simplex::FlipColumn(int col) {
+  // Substitutes x_col = u_col - x'_col in every row and the objective.
+  NODEDP_DCHECK(position_[col] < 0);
+  const double upper = upper_[col];
+  NODEDP_DCHECK(upper < kInf);
+  for (int i = 0; i < num_constraints(); ++i) {
+    if (!active_[i]) continue;
+    const double a = rows_[i][col];
+    if (a == 0.0) continue;
+    beta_[i] -= a * upper;
+    rows_[i][col] = -a;
+  }
+  obj_value_ -= obj_[col] * upper;
+  obj_[col] = -obj_[col];
+  flipped_[col] ^= 1;
+}
+
+void Simplex::Extract(LpSolution* solution) const {
+  solution->objective = obj_value_;
+  solution->x.assign(num_vars_, 0.0);
+  solution->bound_duals.assign(num_vars_, 0.0);
+  for (int j = 0; j < num_vars_; ++j) {
+    const int p = position_[j];
+    const double value = (p >= 0 && active_[p]) ? beta_[p] : 0.0;
+    solution->x[j] = flipped_[j] ? upper_[j] - value : value;
+    // At its upper bound the complemented reduced cost is c_j - y·A_j >= 0.
+    if (flipped_[j]) solution->bound_duals[j] = obj_[j];
+  }
+  solution->duals.assign(num_constraints(), 0.0);
+  for (int i = 0; i < num_constraints(); ++i) {
+    const double reduced = obj_[slack_col_[i]];
+    solution->duals[i] = row_negated_[i] ? -reduced : reduced;
+  }
+}
+
+LpSolution Simplex::Solve() {
+  LpSolution solution;
+  const long long max_iterations = IterationCap();
+  optimal_ = false;
+  if (!started_) {
+    started_ = true;
+    if (artificial_end_ > artificial_begin_) {
+      LoadObjective(/*phase_one=*/true);
+      const LpStatus phase1 = PrimalPivots(/*allow_artificial=*/true,
+                                           max_iterations,
+                                           &solution.iterations);
+      if (phase1 == LpStatus::kIterationLimit) {
+        solution.status = phase1;
+        return solution;
+      }
+      // Phase-I optimum is -sum(artificials); feasible iff it reaches ~0.
+      if (obj_value_ < -1e-7) {
+        solution.status = LpStatus::kInfeasible;
+        return solution;
+      }
+      DriveOutArtificials(&solution.iterations);
+    }
+    LoadObjective(/*phase_one=*/false);
+  } else {
+    PerturbReducedCosts();
+    solution.status = DualPivots(max_iterations, &solution.iterations);
+    if (solution.status != LpStatus::kOptimal) return solution;
+    LoadObjective(/*phase_one=*/false);
+  }
+  solution.status = PrimalPivots(/*allow_artificial=*/false, max_iterations,
+                                 &solution.iterations);
+  if (solution.status != LpStatus::kOptimal) return solution;
+  optimal_ = true;
+  Extract(&solution);
+  return solution;
+}
 
 LpSolution SolveLp(const LpProblem& problem, const SimplexOptions& options) {
-  LpSolution solution;
-  Tableau tableau(problem, options.tolerance);
-
-  const long long max_iterations =
-      options.max_iterations > 0
-          ? options.max_iterations
-          : 50LL * (problem.num_constraints() + problem.num_vars() + 1) +
-                5000;
-
-  if (tableau.num_artificials() > 0) {
-    tableau.LoadPhaseOneObjective();
-    const LpStatus phase1 =
-        tableau.Pivot(max_iterations, options.stall_threshold,
-                      /*allow_artificial_entering=*/true,
-                      &solution.iterations);
-    if (phase1 == LpStatus::kIterationLimit) {
-      solution.status = LpStatus::kIterationLimit;
-      return solution;
-    }
-    // Phase-I optimum is -sum(artificials); feasible iff it reaches ~0.
-    if (tableau.Objective() < -1e-7) {
-      solution.status = LpStatus::kInfeasible;
-      return solution;
-    }
-    tableau.DriveOutArtificials(&solution.iterations);
-  }
-
-  tableau.LoadPhaseTwoObjective(problem.objective());
-  const LpStatus phase2 =
-      tableau.Pivot(max_iterations, options.stall_threshold,
-                    /*allow_artificial_entering=*/false,
-                    &solution.iterations);
-  solution.status = phase2;
-  if (phase2 != LpStatus::kOptimal) return solution;
-  solution.objective = tableau.Objective();
-  tableau.ExtractSolution(&solution);
-  return solution;
+  return Simplex(problem, options).Solve();
 }
 
 }  // namespace nodedp

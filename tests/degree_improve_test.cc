@@ -8,6 +8,7 @@
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/star.h"
+#include "graph/subgraph.h"
 #include "util/random.h"
 
 namespace nodedp {
@@ -99,6 +100,48 @@ TEST(DegreeImproveTest, DisconnectedInputs) {
   ASSERT_TRUE(found.has_value());
   EXPECT_LE(found->MaxDegree(), 2);
   EXPECT_TRUE(found->IsSpanningForestOf(g));
+}
+
+TEST(DegreeImproveTest, LeafBoundNeverSkipsAProbeThatWouldSucceed) {
+  // On connected pieces of random small graphs (trees, paths and stars
+  // included, where the bound bites), a skipped probe must be one that
+  // fails anyway: both the probe and the exact decision say "no".
+  Rng rng(1414);
+  int skipped = 0;
+  int allowed = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 3 + static_cast<int>(rng.NextUint64(8));
+    const Graph host = gen::ErdosRenyi(n, trial % 3 == 0 ? 0.25 : 0.4, rng);
+    for (const std::vector<int>& component : ComponentVertexSets(host)) {
+      if (component.size() < 2) continue;
+      const Graph g = InduceSortedGraph(host, component);
+      for (int delta = 1; delta <= 4; ++delta) {
+        if (LeafCountAllowsSpanningTree(g, delta)) {
+          ++allowed;
+          continue;
+        }
+        ++skipped;
+        EXPECT_FALSE(FindSpanningForestOfDegree(g, delta).has_value())
+            << "trial=" << trial << " delta=" << delta;
+        const auto exact = HasSpanningForestOfDegree(g, delta);
+        ASSERT_TRUE(exact.has_value());
+        EXPECT_FALSE(*exact) << "trial=" << trial << " delta=" << delta;
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(allowed, 0);
+}
+
+TEST(DegreeImproveTest, LeafBoundCases) {
+  EXPECT_TRUE(LeafCountAllowsSpanningTree(gen::Path(2), 1));
+  EXPECT_FALSE(LeafCountAllowsSpanningTree(gen::Path(3), 1));
+  EXPECT_FALSE(LeafCountAllowsSpanningTree(gen::Cycle(4), 1));
+  EXPECT_TRUE(LeafCountAllowsSpanningTree(gen::Path(6), 2));
+  // A star with 3 leaves needs its center at degree 3.
+  const Graph claw(4, {{0, 1}, {0, 2}, {0, 3}});
+  EXPECT_FALSE(LeafCountAllowsSpanningTree(claw, 2));
+  EXPECT_TRUE(LeafCountAllowsSpanningTree(claw, 3));
 }
 
 }  // namespace

@@ -120,6 +120,73 @@ TEST(DinicTest, RandomFlowConservationAndCutDuality) {
   }
 }
 
+TEST(DinicTest, FlowPerArcConservesAndRespectsCapacity) {
+  // Per-arc flows from Flow(): within capacity, conserved at every inner
+  // node, and summing to the max flow out of the source.
+  Rng rng(99);
+  for (int trial = 0; trial < 25; ++trial) {
+    const int n = 8;
+    std::vector<std::tuple<int, int, double, int>> arcs;
+    Dinic dinic(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (u == v || !rng.NextBernoulli(0.3)) continue;
+        const double cap = 0.5 + rng.NextDouble() * 4.0;
+        arcs.emplace_back(u, v, cap, dinic.AddArc(u, v, cap));
+      }
+    }
+    const double total = dinic.Solve(0, n - 1);
+    std::vector<double> net(n, 0.0);
+    for (const auto& [u, v, cap, id] : arcs) {
+      const double flow = dinic.Flow(id);
+      EXPECT_GE(flow, 0.0);
+      EXPECT_LE(flow, cap + 1e-12);
+      net[u] -= flow;
+      net[v] += flow;
+    }
+    for (int v = 1; v + 1 < n; ++v) EXPECT_NEAR(net[v], 0.0, 1e-9);
+    EXPECT_NEAR(-net[0], total, 1e-9) << "trial=" << trial;
+  }
+}
+
+TEST(DinicTest, ReverseCapacityMakesAnUndirectedEdge) {
+  // 0 -> 2 -> 1 -> 3 needs the middle edge in the 2 -> 1 direction, which
+  // only its reverse capacity provides; a copied network solves the same.
+  Dinic dinic(4);
+  dinic.AddArc(0, 2, 5.0);
+  dinic.AddArc(1, 2, 0.0, 1.5);
+  dinic.AddArc(1, 3, 5.0);
+  Dinic copy = dinic;
+  EXPECT_DOUBLE_EQ(dinic.Solve(0, 3), 1.5);
+  EXPECT_DOUBLE_EQ(copy.Solve(0, 3), 1.5);
+  EXPECT_TRUE(dinic.OnSourceSide(2));
+  EXPECT_FALSE(dinic.OnSourceSide(1));
+}
+
+TEST(DinicTest, CopyWithSpareArcsExtendsOnlyTheCopy) {
+  // Shared arcs 1 -> 3 and 2 -> 3; each copy adds its own 0 -> root arc,
+  // as the separation oracle does per root.
+  Dinic shared(4);
+  shared.AddArc(1, 3, 2.0);
+  shared.AddArc(2, 3, 0.5, 0.25);
+  for (int root : {1, 2}) {
+    Dinic dinic(shared, /*spare_arcs=*/1);
+    dinic.AddArc(0, root, Dinic::kInfinity);
+    EXPECT_DOUBLE_EQ(dinic.Solve(0, 3), root == 1 ? 2.0 : 0.5);
+    EXPECT_TRUE(dinic.OnSourceSide(root));
+    EXPECT_FALSE(dinic.OnSourceSide(3 - root));
+  }
+  // The shared network is untouched: without a source arc nothing flows.
+  EXPECT_DOUBLE_EQ(shared.Solve(0, 3), 0.0);
+}
+
+TEST(DinicDeathTest, CopyOfSolvedNetworkRejected) {
+  Dinic dinic(2);
+  dinic.AddArc(0, 1, 1.0);
+  dinic.Solve(0, 1);
+  EXPECT_DEATH(Dinic(dinic, 1), "before Solve");
+}
+
 TEST(DinicDeathTest, DoubleSolveRejected) {
   Dinic dinic(2);
   dinic.AddArc(0, 1, 1.0);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "graph/forest.h"
@@ -76,16 +77,30 @@ TEST(SeparationTest, FindsHiddenDenseSubset) {
 }
 
 TEST(SeparationTest, AgreesWithExhaustiveOnRandomWeights) {
+  // A quarter of the weights sit at the bound x_e = 1, and denser graphs
+  // push some vertex loads d_v = x(δ(v)) past 2, so both the sink arcs
+  // (d_v < 2) and the source arcs (d_v > 2) of the network are exercised.
   Rng rng(565);
-  for (int trial = 0; trial < 40; ++trial) {
-    const Graph g = gen::ErdosRenyi(9, 0.35, rng);
+  int overloaded_vertices = 0;
+  int violated_trials = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const Graph g = gen::ErdosRenyi(9, trial % 2 == 0 ? 0.35 : 0.6, rng);
     std::vector<double> x(g.NumEdges());
-    for (double& w : x) w = rng.NextDouble();
+    for (double& w : x) w = rng.NextBernoulli(0.25) ? 1.0 : rng.NextDouble();
+    for (int v = 0; v < g.NumVertices(); ++v) {
+      double load = 0.0;
+      for (int e : g.IncidentEdgeIds(v)) load += x[e];
+      overloaded_vertices += load > 2.0;
+    }
     const bool oracle =
         !FindViolatedSubtourSets(g, x, 1e-7, 0).empty();
     const bool exhaustive = HasViolatedSubsetExhaustive(g, x, 1e-7);
     EXPECT_EQ(oracle, exhaustive) << "trial=" << trial;
+    violated_trials += exhaustive;
   }
+  EXPECT_GT(overloaded_vertices, 0);
+  EXPECT_GT(violated_trials, 0);
+  EXPECT_LT(violated_trials, 80);
 }
 
 TEST(SeparationTest, ReportedViolationsAreReal) {
@@ -165,6 +180,87 @@ TEST(CuttingPlaneTest, RoundLimitReportsResourceExhaustion) {
   const ForestPolytopeResult result =
       MaximizeOverForestPolytope(g, 8.0, options);
   EXPECT_EQ(result.status, LpStatus::kIterationLimit);
+}
+
+TEST(CuttingPlaneTest, MatchesExhaustiveAcrossDeltaRegimes) {
+  // Δ <= 1 is the max-flow path, Δ > 1 the bounded cutting plane; 1.5 sits
+  // just past the closed form's boundary. Both must agree with the 2^n-row
+  // reference LP, which has every subtour row and no variable bounds.
+  Rng rng(1212);
+  for (int trial = 0; trial < 24; ++trial) {
+    const Graph g = gen::ErdosRenyi(5 + trial % 6, 0.5, rng);
+    for (double delta : {0.5, 1.0, 1.5, 2.0, 3.0}) {
+      const ForestPolytopeResult fast = MaximizeOverForestPolytope(g, delta);
+      const ForestPolytopeResult exhaustive =
+          MaximizeOverForestPolytopeExhaustive(g, delta);
+      ASSERT_EQ(fast.status, LpStatus::kOptimal);
+      ASSERT_EQ(exhaustive.status, LpStatus::kOptimal);
+      EXPECT_NEAR(fast.value, exhaustive.value, 1e-9)
+          << "trial=" << trial << " delta=" << delta;
+      // The reported x attains the value and is a point of P_Δ(G).
+      double total = 0.0;
+      for (double w : fast.x) total += w;
+      EXPECT_NEAR(total, fast.value, 1e-9);
+      EXPECT_FALSE(HasViolatedSubsetExhaustive(g, fast.x, 1e-9));
+      for (int v = 0; v < g.NumVertices(); ++v) {
+        double load = 0.0;
+        for (int e : g.IncidentEdgeIds(v)) load += fast.x[e];
+        EXPECT_LE(load, delta + 1e-9);
+      }
+      if (delta <= 1.0) {
+        EXPECT_EQ(fast.simplex_iterations, 0);
+      }
+    }
+  }
+}
+
+TEST(CuttingPlaneTest, ColdRestartRecoversAFailedWarmResolve) {
+  // A warm re-solve that hits the per-Solve pivot cap is redone from
+  // scratch on every row so far. With every violated set added at once and
+  // Bland's rule from the first stalled pivot, the dual pivots after a round
+  // can outnumber a cold solve of the enlarged LP, so some cap between the
+  // two makes the warm solve fail and the restart succeed. Each listed cell
+  // (an Rng seed drawing n, p and G(n, p), and a Δ) has such a cap; every
+  // cap is tried, and whatever ends optimal must be the true value.
+  ForestPolytopeOptions options;
+  options.seed_structural_cuts = false;
+  options.use_support_heuristic = false;
+  options.max_cuts_per_round = 0;
+  options.simplex.stall_threshold = 0;
+  int recovered = 0;
+  for (const auto& [seed, delta] : std::vector<std::pair<int, double>>{
+           {5062, 3.0}, {6565, 3.0}, {2558, 4.0}, {5506, 3.0}, {8017, 4.0}}) {
+    Rng rng(seed);
+    const int n = 6 + static_cast<int>(rng.NextUint64(16));
+    const double p = 0.15 + 0.5 * (rng.NextUint64(1000) / 1000.0);
+    const Graph g = gen::ErdosRenyi(n, p, rng);
+    const ForestPolytopeResult exhaustive =
+        MaximizeOverForestPolytopeExhaustive(g, delta);
+    ASSERT_EQ(exhaustive.status, LpStatus::kOptimal);
+    const ForestPolytopeResult uncapped =
+        MaximizeOverForestPolytope(g, delta, options);
+    ASSERT_EQ(uncapped.status, LpStatus::kOptimal);
+    EXPECT_EQ(uncapped.cold_restarts, 0);
+    int recovered_here = 0;
+    for (long long cap = 1; cap <= uncapped.simplex_iterations; ++cap) {
+      options.simplex.max_iterations = cap;
+      const ForestPolytopeResult capped =
+          MaximizeOverForestPolytope(g, delta, options);
+      if (capped.status != LpStatus::kOptimal) {
+        EXPECT_EQ(capped.status, LpStatus::kIterationLimit);
+        continue;
+      }
+      EXPECT_NEAR(capped.value, exhaustive.value, 1e-9)
+          << "seed=" << seed << " cap=" << cap;
+      EXPECT_TRUE(
+          CertifiesForestValue(g, delta, capped.dual, capped.value, 1e-7));
+      if (capped.cold_restarts > 0) ++recovered_here;
+    }
+    options.simplex.max_iterations = 0;
+    EXPECT_GT(recovered_here, 0) << "seed=" << seed << " delta=" << delta;
+    recovered += recovered_here;
+  }
+  EXPECT_GT(recovered, 0);
 }
 
 TEST(CuttingPlaneTest, EdgelessGraphTrivial) {

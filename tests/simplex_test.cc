@@ -1,4 +1,4 @@
-// Tests for the dense two-phase simplex solver.
+// Tests for the bounded simplex solver (lp/simplex.h).
 
 #include "lp/simplex.h"
 
@@ -155,9 +155,12 @@ TEST(SimplexTest, IterationLimitReported) {
 
 TEST(SimplexTest, RandomLpsAgainstBruteForceVertexEnumeration) {
   // For random 2-variable LPs, compare against brute-force over constraint
-  // intersections (vertices of the feasible polygon).
+  // intersections (vertices of the feasible polygon). On odd trials the two
+  // axis rows x <= b, y <= b are given to the solver as variable bounds
+  // instead, so the bounded path meets the same reference.
   Rng rng(31337);
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 80; ++trial) {
+    const bool bounded = trial % 2 == 1;
     LpProblem lp(2);
     const double c0 = rng.NextDouble() * 4 - 2;
     const double c1 = rng.NextDouble() * 4 - 2;
@@ -170,8 +173,12 @@ TEST(SimplexTest, RandomLpsAgainstBruteForceVertexEnumeration) {
       rows.push_back({rng.NextDouble() * 2, rng.NextDouble() * 2,
                       1.0 + 4.0 * rng.NextDouble()});
     }
-    for (const auto& row : rows) {
-      lp.AddConstraint({{0, row[0]}, {1, row[1]}}, row[2]);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (bounded && r < 2) {
+        lp.SetUpperBound(static_cast<int>(r), rows[r][2]);
+      } else {
+        lp.AddConstraint({{0, rows[r][0]}, {1, rows[r][1]}}, rows[r][2]);
+      }
     }
     const LpSolution solution = SolveLp(lp);
     ASSERT_EQ(solution.status, LpStatus::kOptimal) << trial;
@@ -208,6 +215,105 @@ TEST(SimplexTest, RandomLpsAgainstBruteForceVertexEnumeration) {
       if (feasible) best = std::max(best, c0 * x + c1 * y);
     }
     EXPECT_NEAR(solution.objective, best, 1e-6) << "trial=" << trial;
+  }
+}
+
+TEST(SimplexTest, BoundFlipWithoutPivot) {
+  // max x + y with x <= 1 and y <= 2 as bounds and a slack row x + y <= 5:
+  // both variables go straight to their bounds; the row never binds.
+  LpProblem lp(2);
+  lp.SetObjective(0, 1.0);
+  lp.SetObjective(1, 1.0);
+  lp.SetUpperBound(0, 1.0);
+  lp.SetUpperBound(1, 2.0);
+  lp.AddConstraint({{0, 1.0}, {1, 1.0}}, 5.0);
+  const LpSolution solution = SolveLp(lp);
+  ASSERT_EQ(solution.status, LpStatus::kOptimal);
+  EXPECT_NEAR(solution.objective, 3.0, kTol);
+  EXPECT_NEAR(solution.x[0], 1.0, kTol);
+  EXPECT_NEAR(solution.x[1], 2.0, kTol);
+  EXPECT_EQ(solution.iterations, 2);  // two bound flips
+  // The bounds carry the dual: y = 0 on the row, w = c on each bound.
+  EXPECT_NEAR(solution.duals[0], 0.0, kTol);
+  EXPECT_NEAR(solution.bound_duals[0], 1.0, kTol);
+  EXPECT_NEAR(solution.bound_duals[1], 1.0, kTol);
+}
+
+TEST(SimplexTest, BasicVariableLeavesAtUpperBound) {
+  // max x s.t. x - y <= 0, x <= 0.5, y <= 1. x enters first (degenerate,
+  // through the row); then y enters and drags the basic x up to its bound
+  // 0.5 before y reaches its own, so x leaves at its upper bound.
+  LpProblem lp(2);
+  lp.SetObjective(0, 1.0);
+  lp.SetUpperBound(0, 0.5);
+  lp.SetUpperBound(1, 1.0);
+  lp.AddConstraint({{0, 1.0}, {1, -1.0}}, 0.0);
+  const LpSolution solution = SolveLp(lp);
+  ASSERT_EQ(solution.status, LpStatus::kOptimal);
+  EXPECT_NEAR(solution.objective, 0.5, kTol);
+  EXPECT_NEAR(solution.x[0], 0.5, kTol);
+  EXPECT_LE(solution.x[1], 1.0 + kTol);
+  EXPECT_GE(solution.x[1], 0.5 - kTol);
+  // Dual: min 0·y1 + 0.5 w_x + w_y, y1 + w_x >= 1, -y1 + w_y >= 0.
+  const double dual_objective =
+      0.5 * solution.bound_duals[0] + 1.0 * solution.bound_duals[1];
+  EXPECT_NEAR(dual_objective, 0.5, kTol);
+  EXPECT_GE(solution.duals[0] + solution.bound_duals[0], 1.0 - kTol);
+}
+
+TEST(SimplexTest, AppendedRowsReoptimizeToTheColdOptimum) {
+  // Solve, append violated rows to the same solver, re-optimize from the
+  // kept basis: the result must match a cold solve of the enlarged LP.
+  Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int num_vars = 2 + static_cast<int>(rng.NextUint64(7));
+    LpProblem lp(num_vars);
+    for (int j = 0; j < num_vars; ++j) {
+      lp.SetObjective(j, 0.5 + rng.NextDouble());
+      if (rng.NextBernoulli(0.7)) lp.SetUpperBound(j, 0.5 + rng.NextDouble());
+    }
+    auto random_row = [&](double scale) {
+      std::vector<std::pair<int, double>> row;
+      for (int j = 0; j < num_vars; ++j) {
+        if (rng.NextBernoulli(0.6)) row.emplace_back(j, rng.NextDouble());
+      }
+      if (row.empty()) row.emplace_back(0, 1.0);
+      return std::make_pair(row, scale * (0.5 + rng.NextDouble()));
+    };
+    std::vector<std::pair<int, double>> total;  // keeps the LP bounded
+    for (int j = 0; j < num_vars; ++j) total.emplace_back(j, 1.0);
+    lp.AddConstraint(std::move(total), 2.0 * num_vars);
+    for (int i = 0; i < 2 + static_cast<int>(rng.NextUint64(3)); ++i) {
+      auto [row, rhs] = random_row(4.0);
+      lp.AddConstraint(std::move(row), rhs);
+    }
+    Simplex simplex(lp);
+    ASSERT_EQ(simplex.Solve().status, LpStatus::kOptimal) << trial;
+    for (int round = 0; round < 3; ++round) {
+      for (int k = 0; k < 1 + static_cast<int>(rng.NextUint64(3)); ++k) {
+        auto [row, rhs] = random_row(1.0);  // tight: usually violated
+        simplex.AddConstraint(row, rhs);
+        lp.AddConstraint(std::move(row), rhs);
+      }
+      const LpSolution warm = simplex.Solve();
+      const LpSolution cold = SolveLp(lp);
+      ASSERT_EQ(warm.status, LpStatus::kOptimal) << trial;
+      ASSERT_EQ(cold.status, LpStatus::kOptimal) << trial;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-9)
+          << "trial=" << trial << " round=" << round;
+      // The warm x is feasible for every row and bound.
+      for (int i = 0; i < lp.num_constraints(); ++i) {
+        double lhs = 0.0;
+        for (const auto& [var, coeff] : lp.row(i)) {
+          lhs += coeff * warm.x[var];
+        }
+        EXPECT_LE(lhs, lp.rhs(i) + 1e-9) << "trial=" << trial;
+      }
+      for (int j = 0; j < num_vars; ++j) {
+        EXPECT_GE(warm.x[j], -1e-9);
+        EXPECT_LE(warm.x[j], lp.upper_bounds()[j] + 1e-9);
+      }
+    }
   }
 }
 
