@@ -5,9 +5,10 @@
 // timings and verifies value equality on each workload.
 //
 // ExtensionFamily always decomposes, so the "no decomposition" row runs
-// the same grid through EvalLipschitzExtension (one LP per Δ over the
-// whole graph). That row also forgoes the family's value cache, watermark
-// and cross-Δ cut pool, so it bounds the cost of decomposition from above.
+// the same grid through MaximizeOverForestPolytope: one LP per Δ over the
+// whole graph, with no fast path. That row also forgoes the family's value
+// cache, watermark and cross-Δ cut pool, so it bounds the cost of
+// decomposition from above.
 
 #include <chrono>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/extension_family.h"
+#include "core/forest_polytope.h"
 #include "core/lipschitz_extension.h"
 #include "eval/table.h"
 #include "graph/connectivity.h"
@@ -54,21 +56,19 @@ std::pair<double, double> RunGrid(const Graph& g,
   return {checksum, MsSince(start)};
 }
 
-// The same grid through the stateless evaluator, one call per Δ — the only
-// path that honors decompose_components = false.
-std::pair<double, double> RunGridOneShot(const Graph& g,
-                                         const ExtensionOptions& options) {
+// The same grid as one whole-graph LP per Δ.
+std::pair<double, double> RunGridWholeGraph(const Graph& g,
+                                            const ExtensionOptions& options) {
   const auto start = Clock::now();
   double checksum = 0.0;
   for (long long delta = 1; delta <= g.NumVertices(); delta *= 2) {
-    const auto value =
-        EvalLipschitzExtension(g, static_cast<double>(delta), options);
-    if (!value.ok()) {
-      std::fprintf(stderr, "eval failed: %s\n",
-                   value.status().ToString().c_str());
+    const ForestPolytopeResult lp = MaximizeOverForestPolytope(
+        g, static_cast<double>(delta), options.polytope);
+    if (lp.status != LpStatus::kOptimal) {
+      std::fprintf(stderr, "eval failed: %s\n", LpStatusName(lp.status));
       return {-1.0, MsSince(start)};
     }
-    checksum += value->value;
+    checksum += lp.value;
   }
   return {checksum, MsSince(start)};
 }
@@ -97,9 +97,9 @@ int main() {
     const auto baseline = RunGrid(w.graph, full);
 
     auto variant = [&](const char* name, ExtensionOptions options,
-                       bool one_shot = false) {
-      const auto run = one_shot ? RunGridOneShot(w.graph, options)
-                                : RunGrid(w.graph, options);
+                       bool whole_graph = false) {
+      const auto run = whole_graph ? RunGridWholeGraph(w.graph, options)
+                                   : RunGrid(w.graph, options);
       table.Cell(w.name)
           .Cell(name)
           .Cell(run.first, 3)
@@ -119,9 +119,7 @@ int main() {
     no_fast.use_repair_fast_path = false;
     variant("no fast path", no_fast);
 
-    ExtensionOptions no_decompose = full;
-    no_decompose.decompose_components = false;
-    variant("no decomposition", no_decompose, /*one_shot=*/true);
+    variant("no decomposition", full, /*whole_graph=*/true);
 
     ExtensionOptions no_heuristic = full;
     no_heuristic.polytope.use_support_heuristic = false;

@@ -76,8 +76,6 @@ void SortedErase(std::vector<double>& v, double x) {
 ExtensionFamily::ExtensionFamily(const Graph& g,
                                  const ExtensionOptions& options)
     : num_vertices_(g.NumVertices()), options_(options) {
-  NODEDP_CHECK_MSG(options_.decompose_components,
-                   "ExtensionFamily requires decompose_components");
   // The constructor's single whole-graph pass; nothing is induced here.
   // Labels are assigned in order of each component's smallest vertex, so
   // components_ has a deterministic order.

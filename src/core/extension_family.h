@@ -72,8 +72,7 @@ class ExtensionFamily {
   // Partitions `g` (one O(n + m) labels pass) but induces nothing: each
   // component is induced on first use. Keeps a copy of `g` until every
   // component has been induced (MemoryBytes() reports it), so the family
-  // owns its inputs and cannot dangle. Requires
-  // options.decompose_components (CHECKed).
+  // owns its inputs and cannot dangle.
   explicit ExtensionFamily(const Graph& g,
                            const ExtensionOptions& options = {});
 

@@ -16,6 +16,11 @@ namespace nodedp {
 
 namespace {
 
+// Violation threshold of the cutting-plane driver: the oracles report a set
+// only when its row is violated by more than this, and a greedy forest within
+// this of the relaxation value certifies it.
+constexpr double kViolationTolerance = 1e-7;
+
 // x(E[S]) for a sorted vertex set S.
 double SubsetEdgeWeight(const Graph& g, const std::vector<double>& x,
                         const std::vector<int>& s) {
@@ -448,7 +453,7 @@ ForestPolytopeResult MaximizeOverForestPolytope(
     const std::vector<int> forest_edges =
         GreedyDegreeBoundedForest(g, delta, solution.x);
     if (static_cast<double>(forest_edges.size()) >=
-        solution.objective - options.tolerance) {
+        solution.objective - kViolationTolerance) {
       finish(solution);
       result.x.assign(g.NumEdges(), 0.0);
       for (int e : forest_edges) result.x[e] = 1.0;
@@ -460,14 +465,14 @@ ForestPolytopeResult MaximizeOverForestPolytope(
     std::vector<SubtourViolation> violations;
     if (options.use_support_heuristic) {
       violations = FindViolatedSupportComponents(g, solution.x,
-                                                 options.tolerance);
+                                                 kViolationTolerance);
     }
     int fresh = 0;
     for (const SubtourViolation& violation : violations) {
       if (installed.count(violation.vertices) == 0) ++fresh;
     }
     if (fresh == 0) {
-      violations = FindViolatedSubtourSets(g, solution.x, options.tolerance,
+      violations = FindViolatedSubtourSets(g, solution.x, kViolationTolerance,
                                            options.max_cuts_per_round);
     }
     bool added_any = false;

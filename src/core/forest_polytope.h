@@ -42,8 +42,6 @@
 namespace nodedp {
 
 struct ForestPolytopeOptions {
-  // Violation threshold for separation and feasibility certification.
-  double tolerance = 1e-7;
   // Cutting-plane rounds before giving up with kIterationLimit.
   int max_cut_rounds = 400;
   // Max violated sets added per round (most violated first); <= 0 means all

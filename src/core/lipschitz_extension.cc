@@ -13,8 +13,7 @@ namespace nodedp {
 
 namespace {
 
-// Evaluates one connected piece (or the whole graph when decomposition is
-// off), accumulating stats into `result`.
+// Evaluates one connected component, accumulating stats into `result`.
 Status EvalPiece(const Graph& piece, double delta,
                  const ExtensionOptions& options, ExtensionValue* result) {
   if (piece.NumEdges() == 0) return Status::OK();
@@ -55,12 +54,6 @@ Result<ExtensionValue> EvalLipschitzExtension(const Graph& g, double delta,
   }
   ExtensionValue result;
   if (g.NumEdges() == 0) return result;
-
-  if (!options.decompose_components) {
-    Status status = EvalPiece(g, delta, options, &result);
-    if (!status.ok()) return status;
-    return result;
-  }
 
   for (const std::vector<int>& component : ComponentVertexSets(g)) {
     if (component.size() < 2) continue;

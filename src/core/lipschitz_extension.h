@@ -27,10 +27,6 @@ namespace nodedp {
 struct ExtensionOptions {
   // Try the Algorithm 3 certificate before the LP. Always sound.
   bool use_repair_fast_path = true;
-  // Evaluate per connected component. Always sound. EvalLipschitzExtension
-  // honors false (one LP over the whole graph, for ablations);
-  // ExtensionFamily always decomposes and CHECK-fails on false.
-  bool decompose_components = true;
   ForestPolytopeOptions polytope;
 };
 

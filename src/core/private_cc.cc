@@ -45,18 +45,17 @@ Result<SpanningForestRelease> PrivateSpanningForestSize(
   release.beta = options.beta > 0.0 ? options.beta
                                     : DefaultBeta(family.num_vertices());
 
-  const int delta_max = options.delta_max > 0
-                            ? options.delta_max
-                            : std::max(1, family.num_vertices());
-  release.grid = PowersOfTwoGrid(delta_max);
+  const std::vector<double> grid_deltas =
+      AlgorithmOneDeltaGrid(family.num_vertices(), options);
+  for (double delta : grid_deltas) {
+    release.grid.push_back(static_cast<int>(delta));
+  }
 
   // Step 1 of Algorithm 4: evaluate the extension family and the scores
   // q_Δ = |f_Δ − f_sf| + Δ/ε_gem. The extensions underestimate (Lemma 3.3),
   // so the absolute value is f_sf − f_Δ. The grid is evaluated as one batch
   // so independent Δ cells run concurrently (see ExtensionFamily::Values).
   const double f_sf = family.SpanningForestSizeValue();
-  const std::vector<double> grid_deltas(release.grid.begin(),
-                                        release.grid.end());
   Result<std::vector<double>> values = family.Values(grid_deltas);
   if (!values.ok()) return values.status();
   const std::vector<double>& extension_values = *values;
@@ -118,18 +117,12 @@ Result<ConnectedComponentsRelease> PrivateConnectedComponents(
   return release;
 }
 
-namespace {
-
-// Shared shape of both batch entry points: validate, then answer each query
-// with its own deterministic child stream. `answer` is the per-query release
-// function; it must not touch state shared across queries.
-template <typename ReleaseType, typename AnswerFn>
-std::vector<Result<ReleaseType>> AnswerBatch(
+std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
     const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const AnswerFn& answer) {
+    const PrivateCcOptions& options) {
   return ParallelMapSeeded(
       rng, static_cast<std::int64_t>(queries.size()),
-      [&](std::int64_t i, Rng& child) -> Result<ReleaseType> {
+      [&](std::int64_t i, Rng& child) -> Result<ConnectedComponentsRelease> {
         const ReleaseQuery& query = queries[static_cast<std::size_t>(i)];
         if (query.graph == nullptr) {
           return Status::InvalidArgument("query graph is null");
@@ -137,27 +130,6 @@ std::vector<Result<ReleaseType>> AnswerBatch(
         if (!(query.epsilon > 0.0)) {
           return Status::InvalidArgument("query epsilon must be > 0");
         }
-        return answer(query, child);
-      });
-}
-
-}  // namespace
-
-std::vector<Result<SpanningForestRelease>> ReleaseSpanningForestBatch(
-    const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const PrivateCcOptions& options) {
-  return AnswerBatch<SpanningForestRelease>(
-      queries, rng, [&options](const ReleaseQuery& query, Rng& child) {
-        return PrivateSpanningForestSize(*query.graph, query.epsilon, child,
-                                         options);
-      });
-}
-
-std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
-    const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const PrivateCcOptions& options) {
-  return AnswerBatch<ConnectedComponentsRelease>(
-      queries, rng, [&options](const ReleaseQuery& query, Rng& child) {
         return PrivateConnectedComponents(*query.graph, query.epsilon, child,
                                           options);
       });

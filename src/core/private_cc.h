@@ -89,10 +89,10 @@ double DefaultBeta(int num_vertices);
 
 // The Δ grid Algorithm 1 evaluates — PowersOfTwoGrid over options.delta_max
 // (the paper's default of n when <= 0) — as doubles ready for
-// ExtensionFamily::Values. The single source of the grid for warm-up
-// paths: the sweep entry points below and the serving layer's load-time
-// warm both use it, so a warmed family always has exactly the cells a
-// later sweep will touch.
+// ExtensionFamily::Values. The single source of the grid: every release,
+// the sweep entry points below and the serving layer's load-time warm use
+// it, so a warmed family always has exactly the cells a later release will
+// touch.
 std::vector<double> AlgorithmOneDeltaGrid(int num_vertices,
                                           const PrivateCcOptions& options);
 
@@ -115,11 +115,6 @@ struct ReleaseQuery {
   const Graph* graph = nullptr;  // borrowed; must outlive the call
   double epsilon = 1.0;
 };
-
-// Releases f_sf(G) for every query (Algorithm 1).
-std::vector<Result<SpanningForestRelease>> ReleaseSpanningForestBatch(
-    const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const PrivateCcOptions& options = {});
 
 // Releases f_cc(G) for every query (Eq. (1)).
 std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(

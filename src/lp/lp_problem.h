@@ -1,4 +1,8 @@
-// Linear-program model: maximize c·x subject to Ax <= b, 0 <= x <= u.
+// Linear-program model: maximize c·x subject to Ax <= b, 0 <= x <= u, with
+// b >= 0 (CHECKed in AddConstraint). So x = 0 is always feasible, which is
+// what lets lp/simplex.h start every solve from the slack basis; the
+// forest-polytope LP of Definition 3.1 has right-hand sides Δ > 0 and
+// |S| - 1 >= 1.
 //
 // Constraints are stored sparsely (the forest-polytope LP of Definition 3.1
 // touches only |S| or deg(v) variables per row). The solver densifies
@@ -47,10 +51,11 @@ class LpProblem {
   }
   const std::vector<double>& upper_bounds() const { return upper_; }
 
-  // Adds the row sum_j coeff_j * x_j <= rhs. Returns the row index.
-  // Duplicate variable entries within a row are summed by the solver.
+  // Adds the row sum_j coeff_j * x_j <= rhs (rhs >= 0). Returns the row
+  // index. Duplicate variable entries within a row are summed by the solver.
   int AddConstraint(std::vector<std::pair<int, double>> coefficients,
                     double rhs) {
+    NODEDP_CHECK_GE(rhs, 0.0);
     for (const auto& [var, coeff] : coefficients) {
       (void)coeff;
       NODEDP_CHECK_GE(var, 0);

@@ -11,6 +11,9 @@ namespace nodedp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Feasibility and optimality tolerance of every comparison: reduced costs,
+// basic values against their bounds, and Harris's ratio-test slack.
+constexpr double kTolerance = 1e-9;
 // Smallest |a| a ratio test may pivot on: smaller pivots blow up the
 // tableau's entries within a few hundred pivots.
 constexpr double kPivotTolerance = 1e-7;
@@ -46,19 +49,12 @@ const char* LpStatusName(LpStatus status) {
 }
 
 Simplex::Simplex(const LpProblem& problem, const SimplexOptions& options)
-    : tol_(options.tolerance),
-      max_iterations_(options.max_iterations),
+    : max_iterations_(options.max_iterations),
       stall_threshold_(options.stall_threshold),
       num_vars_(problem.num_vars()),
       cost_(problem.objective()) {
   const int num_rows = problem.num_constraints();
-  int num_artificials = 0;
-  for (int i = 0; i < num_rows; ++i) {
-    if (problem.rhs(i) < 0.0) ++num_artificials;
-  }
-  artificial_begin_ = num_vars_ + num_rows;
-  artificial_end_ = artificial_begin_ + num_artificials;
-  const int width = artificial_end_;
+  const int width = num_vars_ + num_rows;
   rows_.assign(num_rows, std::vector<double>(width, 0.0));
   beta_.resize(num_rows);
   obj_.assign(width, 0.0);
@@ -68,26 +64,17 @@ Simplex::Simplex(const LpProblem& problem, const SimplexOptions& options)
   flipped_.assign(width, 0);
   position_.assign(width, -1);
   basis_.resize(num_rows);
-  slack_col_.resize(num_rows);
-  active_.assign(num_rows, 1);
-  row_negated_.assign(num_rows, 0);
-
-  int next_artificial = artificial_begin_;
+  // The slack basis: feasible because b >= 0.
   for (int i = 0; i < num_rows; ++i) {
-    const bool negate = problem.rhs(i) < 0.0;
-    row_negated_[i] = negate;
-    const double sign = negate ? -1.0 : 1.0;
     std::vector<double>& row = rows_[i];
     for (const auto& [var, coeff] : problem.row(i)) {
-      row[var] += sign * coeff;  // duplicates sum
+      row[var] += coeff;  // duplicates sum
     }
     for (double& entry : row) entry = DropNoise(entry);
-    slack_col_[i] = num_vars_ + i;
-    row[num_vars_ + i] = sign;  // slack (+1) or surplus (-1)
-    beta_[i] = sign * problem.rhs(i);
-    basis_[i] = negate ? next_artificial++ : num_vars_ + i;
-    row[basis_[i]] = 1.0;
-    position_[basis_[i]] = i;
+    row[num_vars_ + i] = 1.0;
+    beta_[i] = problem.rhs(i);
+    basis_[i] = num_vars_ + i;
+    position_[num_vars_ + i] = i;
   }
 }
 
@@ -99,6 +86,7 @@ long long Simplex::IterationCap() const {
 int Simplex::AddConstraint(
     const std::vector<std::pair<int, double>>& coefficients, double rhs) {
   NODEDP_CHECK_MSG(optimal_, "AddConstraint needs an optimal basis");
+  NODEDP_CHECK_GE(rhs, 0.0);
   const int width = Width();
   // Written in the current (complemented) coordinates, then with every
   // basic variable eliminated through its tableau row.
@@ -118,7 +106,7 @@ int Simplex::AddConstraint(
     (void)coeff;
     const int p = position_[var];
     const double factor = row[var];
-    if (p < 0 || !active_[p] || factor == 0.0) continue;
+    if (p < 0 || factor == 0.0) continue;
     const double* basic_row = rows_[p].data();
     for (int k = 0; k < width; ++k) {
       row[k] = DropNoise(row[k] - factor * basic_row[k]);
@@ -136,30 +124,22 @@ int Simplex::AddConstraint(
   flipped_.push_back(0);
   position_.push_back(index);
   basis_.push_back(width);
-  slack_col_.push_back(width);
-  active_.push_back(1);
-  row_negated_.push_back(0);
   return index;
 }
 
-void Simplex::LoadObjective(bool phase_one) {
+void Simplex::LoadObjective() {
+  // An entry holds the reduced cost z_j - c_j.
   std::fill(obj_.begin(), obj_.end(), 0.0);
   obj_value_ = 0.0;
-  if (phase_one) {
-    // Maximize -sum(artificials); an entry holds z_j - c_j.
-    for (int j = artificial_begin_; j < artificial_end_; ++j) obj_[j] = 1.0;
-  } else {
-    for (int j = 0; j < num_vars_; ++j) {
-      obj_[j] = -cost_[j];
-      if (flipped_[j]) {
-        obj_value_ -= obj_[j] * upper_[j];
-        obj_[j] = -obj_[j];
-      }
+  for (int j = 0; j < num_vars_; ++j) {
+    obj_[j] = -cost_[j];
+    if (flipped_[j]) {
+      obj_value_ -= obj_[j] * upper_[j];
+      obj_[j] = -obj_[j];
     }
   }
   const int width = Width();
   for (int i = 0; i < num_constraints(); ++i) {
-    if (!active_[i]) continue;
     const double factor = obj_[basis_[i]];
     if (factor == 0.0) continue;
     for (int j = 0; j < width; ++j) {
@@ -169,7 +149,7 @@ void Simplex::LoadObjective(bool phase_one) {
   }
 }
 
-LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
+LpStatus Simplex::PrimalPivots(long long max_iterations,
                                long long* iterations) {
   const int width = Width();
   int stall = 0;
@@ -177,9 +157,9 @@ LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
   while (*iterations < max_iterations) {
     const bool bland = stall >= stall_threshold_;
     int entering = -1;
-    double best_reduced = -tol_;
+    double best_reduced = -kTolerance;
     for (int j = 0; j < width; ++j) {
-      if (obj_[j] < best_reduced && (allow_artificial || !IsArtificial(j))) {
+      if (obj_[j] < best_reduced) {
         entering = j;
         best_reduced = obj_[j];
         if (bland) break;  // first (lowest-index) improving column
@@ -189,9 +169,9 @@ LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
 
     // Ratio test: a basic variable reaching 0 (a > 0) or its upper bound
     // (a < 0). Harris's two passes: the first bounds the step with every
-    // basic value allowed tol_ of slack, the second takes the largest |a|
-    // among rows blocking within that bound (under Bland, the lowest basic
-    // index among exact ties).
+    // basic value allowed kTolerance of slack, the second takes the largest
+    // |a| among rows blocking within that bound (under Bland, the lowest
+    // basic index among exact ties).
     auto row_ratio = [&](int i, double slack, bool* at_upper) {
       const double a = rows_[i][entering];
       if (a > kPivotTolerance) {
@@ -207,14 +187,13 @@ LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
     double bound = kInf;
     for (int i = 0; i < num_constraints(); ++i) {
       bool upper_side = false;
-      if (active_[i]) bound = std::min(bound, row_ratio(i, tol_, &upper_side));
+      bound = std::min(bound, row_ratio(i, kTolerance, &upper_side));
     }
     int leaving_row = -1;
     bool at_upper = false;
     double best_ratio = kInf;
     double best_pivot = 0.0;
     for (int i = 0; i < num_constraints(); ++i) {
-      if (!active_[i]) continue;
       bool upper_side = false;
       const double ratio = row_ratio(i, 0.0, &upper_side);
       if (ratio == kInf || ratio > bound) continue;
@@ -241,7 +220,7 @@ LpStatus Simplex::PrimalPivots(bool allow_artificial, long long max_iterations,
       if (at_upper) FlipColumn(leaving);
     }
     ++*iterations;
-    if (obj_value_ > last_objective + tol_) {
+    if (obj_value_ > last_objective + kTolerance) {
       stall = 0;
       last_objective = obj_value_;
     } else {
@@ -273,13 +252,12 @@ LpStatus Simplex::DualPivots(long long max_iterations, long long* iterations) {
     // under Bland).
     int leaving_row = -1;
     bool below = false;
-    double worst = tol_;
+    double worst = kTolerance;
     for (int i = 0; i < num_constraints(); ++i) {
-      if (!active_[i]) continue;
       const double under = -beta_[i];
       const double over = beta_[i] - upper_[basis_[i]];
       const double infeasibility = std::max(under, over);
-      if (infeasibility <= tol_) continue;
+      if (infeasibility <= kTolerance) continue;
       const bool take =
           leaving_row < 0 || (bland ? basis_[i] < basis_[leaving_row]
                                     : infeasibility > worst);
@@ -301,7 +279,7 @@ LpStatus Simplex::DualPivots(long long max_iterations, long long* iterations) {
     const std::vector<double>& row = rows_[leaving_row];
     breakpoints_.clear();
     for (int j = 0; j < width; ++j) {
-      if (position_[j] >= 0 || IsArtificial(j)) continue;
+      if (position_[j] >= 0) continue;
       const double a = below ? -row[j] : row[j];
       if (a <= kPivotTolerance) continue;
       breakpoints_.push_back({std::max(obj_[j], 0.0) / a, a, j});
@@ -319,13 +297,13 @@ LpStatus Simplex::DualPivots(long long max_iterations, long long* iterations) {
       for (; stop + 1 < breakpoints_.size(); ++stop) {
         const Breakpoint& point = breakpoints_[stop];
         const double removed = point.pivot * upper_[point.column];
-        if (!(remaining - removed > tol_)) break;
+        if (!(remaining - removed > kTolerance)) break;
         remaining -= removed;
       }
       pick = stop;
       for (std::size_t k = stop + 1; k < breakpoints_.size() &&
                                      breakpoints_[k].ratio <=
-                                         breakpoints_[stop].ratio + tol_;
+                                         breakpoints_[stop].ratio + kTolerance;
            ++k) {
         if (breakpoints_[k].pivot > breakpoints_[pick].pivot) pick = k;
       }
@@ -360,30 +338,9 @@ void Simplex::PerturbReducedCosts() {
   // the true costs after the dual pivots and finishes with primal pivots.
   const int width = Width();
   for (int j = 0; j < width; ++j) {
-    if (position_[j] >= 0 || IsArtificial(j)) continue;
+    if (position_[j] >= 0) continue;
     const double share = 2.0 - static_cast<double>(j) / width;
     obj_[j] = std::max(obj_[j], 0.0) + kCostPerturbation * share;
-  }
-}
-
-void Simplex::DriveOutArtificials(long long* iterations) {
-  // Pivots artificial variables out of the basis where possible; rows with
-  // no structural/slack pivot are redundant and get deactivated.
-  for (int i = 0; i < num_constraints(); ++i) {
-    if (!active_[i] || !IsArtificial(basis_[i])) continue;
-    int pivot_col = -1;
-    for (int j = 0; j < Width(); ++j) {
-      if (!IsArtificial(j) && std::fabs(rows_[i][j]) > tol_) {
-        pivot_col = j;
-        break;
-      }
-    }
-    if (pivot_col >= 0) {
-      DoPivot(i, pivot_col);
-      ++*iterations;
-    } else {
-      active_[i] = 0;
-    }
   }
 }
 
@@ -391,7 +348,7 @@ void Simplex::DoPivot(int pivot_row, int pivot_col) {
   const int width = Width();
   std::vector<double>& prow = rows_[pivot_row];
   const double pivot = prow[pivot_col];
-  NODEDP_DCHECK(std::fabs(pivot) > tol_);
+  NODEDP_DCHECK(std::fabs(pivot) > kTolerance);
   const double inv = 1.0 / pivot;
   pivot_nonzeros_.clear();
   for (int k = 0; k < width; ++k) {
@@ -410,7 +367,7 @@ void Simplex::DoPivot(int pivot_row, int pivot_col) {
     target[pivot_col] = 0.0;
   };
   for (int i = 0; i < num_constraints(); ++i) {
-    if (i == pivot_row || !active_[i]) continue;
+    if (i == pivot_row) continue;
     const double factor = rows_[i][pivot_col];
     if (factor == 0.0) continue;
     eliminate(rows_[i].data(), factor);
@@ -432,7 +389,6 @@ void Simplex::FlipColumn(int col) {
   const double upper = upper_[col];
   NODEDP_DCHECK(upper < kInf);
   for (int i = 0; i < num_constraints(); ++i) {
-    if (!active_[i]) continue;
     const double a = rows_[i][col];
     if (a == 0.0) continue;
     beta_[i] -= a * upper;
@@ -449,15 +405,14 @@ void Simplex::Extract(LpSolution* solution) const {
   solution->bound_duals.assign(num_vars_, 0.0);
   for (int j = 0; j < num_vars_; ++j) {
     const int p = position_[j];
-    const double value = (p >= 0 && active_[p]) ? beta_[p] : 0.0;
+    const double value = p >= 0 ? beta_[p] : 0.0;
     solution->x[j] = flipped_[j] ? upper_[j] - value : value;
     // At its upper bound the complemented reduced cost is c_j - y·A_j >= 0.
     if (flipped_[j]) solution->bound_duals[j] = obj_[j];
   }
   solution->duals.assign(num_constraints(), 0.0);
   for (int i = 0; i < num_constraints(); ++i) {
-    const double reduced = obj_[slack_col_[i]];
-    solution->duals[i] = row_negated_[i] ? -reduced : reduced;
+    solution->duals[i] = obj_[num_vars_ + i];
   }
 }
 
@@ -465,33 +420,16 @@ LpSolution Simplex::Solve() {
   LpSolution solution;
   const long long max_iterations = IterationCap();
   optimal_ = false;
-  if (!started_) {
-    started_ = true;
-    if (artificial_end_ > artificial_begin_) {
-      LoadObjective(/*phase_one=*/true);
-      const LpStatus phase1 = PrimalPivots(/*allow_artificial=*/true,
-                                           max_iterations,
-                                           &solution.iterations);
-      if (phase1 == LpStatus::kIterationLimit) {
-        solution.status = phase1;
-        return solution;
-      }
-      // Phase-I optimum is -sum(artificials); feasible iff it reaches ~0.
-      if (obj_value_ < -1e-7) {
-        solution.status = LpStatus::kInfeasible;
-        return solution;
-      }
-      DriveOutArtificials(&solution.iterations);
-    }
-    LoadObjective(/*phase_one=*/false);
-  } else {
+  if (started_) {
+    // Rows appended since the last optimum may leave the kept basis primal
+    // infeasible; it is still dual feasible.
     PerturbReducedCosts();
     solution.status = DualPivots(max_iterations, &solution.iterations);
     if (solution.status != LpStatus::kOptimal) return solution;
-    LoadObjective(/*phase_one=*/false);
   }
-  solution.status = PrimalPivots(/*allow_artificial=*/false, max_iterations,
-                                 &solution.iterations);
+  started_ = true;
+  LoadObjective();
+  solution.status = PrimalPivots(max_iterations, &solution.iterations);
   if (solution.status != LpStatus::kOptimal) return solution;
   optimal_ = true;
   Extract(&solution);

@@ -1,8 +1,10 @@
 // Bounded simplex on a dense tableau that keeps its basis between solves.
 //
-// Solves max c·x s.t. Ax <= b, 0 <= x <= u (b of arbitrary sign; Phase I
-// with artificial variables establishes feasibility when some b_i < 0, which
-// no LP built in this library has: only the solver's own tests reach it).
+// Solves max c·x s.t. Ax <= b, 0 <= x <= u with b >= 0 (CHECKed where rows
+// enter: LpProblem::AddConstraint and Simplex::AddConstraint). x = 0 is then
+// feasible, so every solve starts from the slack basis and there is no
+// Phase I; every LP this library builds has that shape (the forest rows have
+// right-hand sides Δ > 0 and |S| - 1 >= 1).
 // Finite upper bounds stay off the row set: a column sitting at its bound is
 // complemented (x_j = u_j - x'_j), so the primal ratio test may flip an
 // entering variable to its other bound or let a basic variable leave at its
@@ -14,8 +16,7 @@
 // feasibility with dual-simplex pivots and finishes with primal pivots for
 // any tolerance-level drift. The cutting-plane driver in
 // core/forest_polytope.h owns one Simplex per cell and re-optimizes after
-// every round of subtour cuts. Its rows all have b >= 0, so the slack basis
-// is feasible and Phase I never runs there.
+// every round of subtour cuts.
 //
 // This is the practical stand-in for the ellipsoid method the paper invokes
 // for polynomial-time solvability of the forest-polytope LP.
@@ -25,7 +26,7 @@
 // and in the dual a bound-flipping ratio test on perturbed reduced costs
 // (the forest LP's unit costs make it massively dual-degenerate). After a
 // stall the solver switches to Bland's rule, which guarantees termination
-// on degenerate instances. Comparisons use the tolerance in SimplexOptions.
+// on degenerate instances. Comparisons use a fixed 1e-9 tolerance.
 // Every arithmetic update of the tableau stores entries below 1e-12 as exact
 // zeros; a pivot touches only the pivot row's nonzeros.
 
@@ -49,8 +50,7 @@ enum class LpStatus {
 const char* LpStatusName(LpStatus status);
 
 struct SimplexOptions {
-  double tolerance = 1e-9;
-  // Hard cap on pivots per Solve() call (both phases). 0 means automatic:
+  // Hard cap on pivots per Solve() call. 0 means automatic:
   // 50 * (rows + cols) + 5000.
   long long max_iterations = 0;
   // Pivots without objective improvement before switching to Bland's rule.
@@ -74,8 +74,9 @@ class Simplex {
   explicit Simplex(const LpProblem& problem,
                    const SimplexOptions& options = {});
 
-  // Appends the row sum_j coeff_j * x_j <= rhs (duplicates summed). The
-  // previous Solve() must have returned kOptimal. Returns the row index.
+  // Appends the row sum_j coeff_j * x_j <= rhs (duplicates summed; rhs >= 0,
+  // CHECKed). The previous Solve() must have returned kOptimal. Returns the
+  // row index.
   int AddConstraint(const std::vector<std::pair<int, double>>& coefficients,
                     double rhs);
 
@@ -86,28 +87,19 @@ class Simplex {
  private:
   int num_constraints() const { return static_cast<int>(rows_.size()); }
   int Width() const { return static_cast<int>(obj_.size()); }
-  bool IsArtificial(int col) const {
-    return col >= artificial_begin_ && col < artificial_end_;
-  }
   long long IterationCap() const;
-  void LoadObjective(bool phase_one);
-  LpStatus PrimalPivots(bool allow_artificial, long long max_iterations,
-                        long long* iterations);
+  void LoadObjective();
+  LpStatus PrimalPivots(long long max_iterations, long long* iterations);
   LpStatus DualPivots(long long max_iterations, long long* iterations);
   void PerturbReducedCosts();
-  void DriveOutArtificials(long long* iterations);
   void DoPivot(int pivot_row, int pivot_col);
   void FlipColumn(int col);
   void Extract(LpSolution* solution) const;
 
-  double tol_;
   long long max_iterations_;
   int stall_threshold_;
   int num_vars_;
-  // Column layout: [structural | slacks of the initial rows | artificials |
-  // slacks of appended rows].
-  int artificial_begin_ = 0;
-  int artificial_end_ = 0;
+  // Column layout: [structural | slacks], one slack per row in row order.
   std::vector<double> cost_;                // c, structural columns
   std::vector<std::vector<double>> rows_;   // B^-1 [A I], complemented
   std::vector<double> beta_;                // basic values
@@ -117,9 +109,6 @@ class Simplex {
   std::vector<char> flipped_;               // per column: complemented
   std::vector<int> position_;               // per column: basic row or -1
   std::vector<int> basis_;                  // per row
-  std::vector<int> slack_col_;              // per row
-  std::vector<char> active_;                // per row: false if redundant
-  std::vector<char> row_negated_;           // per row: b_i < 0 at build
   std::vector<int> pivot_nonzeros_;         // DoPivot scratch
   struct Breakpoint {
     double ratio;  // d_j / a_j

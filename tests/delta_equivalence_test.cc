@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/extension_family.h"
-#include "core/lipschitz_extension.h"
+#include "core/forest_polytope.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "util/parallel.h"
@@ -248,15 +248,12 @@ TEST(DeltaEquivalenceTest, QueriesDuringIncrementalRewarmAreExact) {
 }
 
 TEST(DeltaEquivalenceTest, WholeGraphEvaluationMatchesIncrementalFamily) {
-  // The whole-graph evaluation (decompose_components = false, one LP over
-  // the patched graph) agrees with the incremental family built from a
-  // warmed base.
+  // One LP over the whole patched graph, with no fast path, agrees with
+  // the incremental family built from a warmed base.
   Rng rng(8600);
   const Graph g = gen::ErdosRenyi(30, 0.1, rng);
   const Result<Graph::EdgeDelta> delta = g.ApplyEdgeDelta({{0, 1}, {2, 9}});
   ASSERT_TRUE(delta.ok());
-  ExtensionOptions whole;
-  whole.decompose_components = false;
   const std::vector<double> grid = {1.0, 2.0, 4.0};
 
   ExtensionFamily base(g);
@@ -264,9 +261,10 @@ TEST(DeltaEquivalenceTest, WholeGraphEvaluationMatchesIncrementalFamily) {
   ExtensionFamily incremental(delta->graph, base, delta->added);
   const std::vector<double> values = incremental.Values(grid).value();
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_NEAR(values[i],
-                LipschitzExtensionValue(delta->graph, grid[i], whole), kTol)
-        << "delta " << grid[i];
+    const ForestPolytopeResult whole =
+        MaximizeOverForestPolytope(delta->graph, grid[i]);
+    ASSERT_EQ(whole.status, LpStatus::kOptimal);
+    EXPECT_NEAR(values[i], whole.value, kTol) << "delta " << grid[i];
   }
 }
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/forest_polytope.h"
 #include "core/lipschitz_extension.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
@@ -159,25 +160,17 @@ TEST(ExtensionFamilyTest, ConcurrentValuesCallsAgreeWithSequential) {
 }
 
 TEST(ExtensionFamilyTest, NoDecompositionEvaluationMatchesFamily) {
-  // decompose_components = false is an EvalLipschitzExtension ablation (one
-  // LP over the whole graph); the family always decomposes.
+  // One LP over the whole graph, with no fast path, agrees with the
+  // family's per-component evaluation (P_Δ is a product across components).
   Rng rng(1202);
   const Graph g = gen::DisjointUnion(
       {gen::ErdosRenyi(8, 0.4, rng), gen::Complete(5)});
-  ExtensionOptions whole;
-  whole.decompose_components = false;
   ExtensionFamily decomposed(g);
   for (double delta : {1.0, 2.0, 4.0}) {
-    EXPECT_NEAR(LipschitzExtensionValue(g, delta, whole),
-                decomposed.Value(delta).value(), kTol);
+    const ForestPolytopeResult whole = MaximizeOverForestPolytope(g, delta);
+    ASSERT_EQ(whole.status, LpStatus::kOptimal);
+    EXPECT_NEAR(whole.value, decomposed.Value(delta).value(), kTol);
   }
-}
-
-TEST(ExtensionFamilyDeathTest, RejectsWholeGraphMode) {
-  ExtensionOptions whole;
-  whole.decompose_components = false;
-  EXPECT_DEATH(ExtensionFamily(gen::Complete(4), whole),
-               "decompose_components");
 }
 
 }  // namespace

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iomanip>
 #include <utility>
 #include <vector>
 
+#include "graph/connectivity.h"
 #include "graph/forest.h"
 #include "graph/generators.h"
+#include "graph/subgraph.h"
 #include "util/random.h"
 
 namespace nodedp {
@@ -261,6 +265,62 @@ TEST(CuttingPlaneTest, ColdRestartRecoversAFailedWarmResolve) {
     recovered += recovered_here;
   }
   EXPECT_GT(recovered, 0);
+}
+
+TEST(CuttingPlaneTest, PinnedWorkCounters) {
+  // The LP layer is deterministic: a fixed cell sweep takes the same
+  // pivots, rounds and cuts in every build type and on every machine. A
+  // change to the simplex, the oracles or the driver that moves any of these
+  // totals changes the path the cells take, so equal totals are the A/B
+  // check that such a change pivots exactly as before.
+  long long pivots = 0;
+  int cut_rounds = 0;
+  int cuts_added = 0;
+  int cold_restarts = 0;
+  double value = 0.0;  // summed in sweep order
+  for (int seed = 0; seed < 80; ++seed) {
+    Rng rng(seed);
+    const Graph g = gen::ErdosRenyi(40, 3.0 / 40, rng);
+    for (const std::vector<int>& component : ComponentVertexSets(g)) {
+      const Graph cell = InduceSortedGraph(g, component);
+      for (double delta : {1.0, 2.0, 4.0, 8.0}) {
+        const ForestPolytopeResult result =
+            MaximizeOverForestPolytope(cell, delta);
+        ASSERT_EQ(result.status, LpStatus::kOptimal);
+        pivots += result.simplex_iterations;
+        cut_rounds += result.cut_rounds;
+        cuts_added += result.cuts_added;
+        cold_restarts += result.cold_restarts;
+        value += result.value;
+      }
+    }
+  }
+  EXPECT_EQ(pivots, 12738);
+  EXPECT_EQ(cut_rounds, 325);
+  EXPECT_EQ(cuts_added, 40);
+  EXPECT_EQ(cold_restarts, 0);
+  EXPECT_EQ(value, 10095.916666666668) << std::setprecision(17) << value;
+
+  // The giant of G(2000, 1.5/n), seed 33 (n = 1254, m = 1328), at Δ = 4.
+  Rng rng(33);
+  const Graph g = gen::ErdosRenyi(2000, 1.5 / 2000, rng);
+  const std::vector<std::vector<int>> components = ComponentVertexSets(g);
+  const std::vector<int>& giant = *std::max_element(
+      components.begin(), components.end(),
+      [](const std::vector<int>& a, const std::vector<int>& b) {
+        return a.size() < b.size();
+      });
+  const Graph cell = InduceSortedGraph(g, giant);
+  ASSERT_EQ(cell.NumVertices(), 1254);
+  ASSERT_EQ(cell.NumEdges(), 1328);
+  const ForestPolytopeResult large = MaximizeOverForestPolytope(cell, 4.0);
+  ASSERT_EQ(large.status, LpStatus::kOptimal);
+  EXPECT_EQ(large.simplex_iterations, 2125);
+  EXPECT_EQ(large.cut_rounds, 34);
+  EXPECT_EQ(large.cuts_added, 33);
+  EXPECT_EQ(large.cold_restarts, 0);
+  EXPECT_EQ(large.value, 1245.0000000000036)
+      << std::setprecision(17) << large.value;
 }
 
 TEST(CuttingPlaneTest, EdgelessGraphTrivial) {

@@ -52,36 +52,6 @@ TEST(SimplexTest, UnboundedDetected) {
   EXPECT_EQ(SolveLp(lp).status, LpStatus::kUnbounded);
 }
 
-TEST(SimplexTest, InfeasibleDetected) {
-  // x <= -1 with x >= 0 is infeasible.
-  LpProblem lp(1);
-  lp.SetObjective(0, 1.0);
-  lp.AddConstraint({{0, 1.0}}, -1.0);
-  EXPECT_EQ(SolveLp(lp).status, LpStatus::kInfeasible);
-}
-
-TEST(SimplexTest, NegativeRhsFeasibleViaPhaseOne) {
-  // max x subject to -x <= -2 (i.e. x >= 2) and x <= 5 -> optimum 5.
-  LpProblem lp(1);
-  lp.SetObjective(0, 1.0);
-  lp.AddConstraint({{0, -1.0}}, -2.0);
-  lp.AddConstraint({{0, 1.0}}, 5.0);
-  const LpSolution solution = SolveLp(lp);
-  ASSERT_EQ(solution.status, LpStatus::kOptimal);
-  EXPECT_NEAR(solution.objective, 5.0, kTol);
-}
-
-TEST(SimplexTest, GreaterEqualBindingAtOptimum) {
-  // min-like shape: max -x s.t. x >= 3 (as -x <= -3) -> x = 3.
-  LpProblem lp(1);
-  lp.SetObjective(0, -1.0);
-  lp.AddConstraint({{0, -1.0}}, -3.0);
-  const LpSolution solution = SolveLp(lp);
-  ASSERT_EQ(solution.status, LpStatus::kOptimal);
-  EXPECT_NEAR(solution.x[0], 3.0, kTol);
-  EXPECT_NEAR(solution.objective, -3.0, kTol);
-}
-
 TEST(SimplexTest, DegenerateDoesNotCycle) {
   // Classic Beale-type degeneracy; the solver must terminate (Bland
   // fallback) with the correct optimum 0.05 at x4 = 1... Beale's example:
@@ -315,6 +285,18 @@ TEST(SimplexTest, AppendedRowsReoptimizeToTheColdOptimum) {
       }
     }
   }
+}
+
+TEST(SimplexDeathTest, NegativeRhsRejected) {
+  // b >= 0 keeps x = 0 feasible, so every solve starts from the slack basis.
+  // Both ways a row enters the solver CHECK it.
+  LpProblem lp(1);
+  lp.SetObjective(0, 1.0);
+  EXPECT_DEATH(lp.AddConstraint({{0, -1.0}}, -2.0), "rhs vs 0.0");
+  lp.AddConstraint({{0, 1.0}}, 4.0);
+  Simplex simplex(lp);
+  ASSERT_EQ(simplex.Solve().status, LpStatus::kOptimal);
+  EXPECT_DEATH(simplex.AddConstraint({{0, -1.0}}, -2.0), "rhs vs 0.0");
 }
 
 }  // namespace
