@@ -6,7 +6,7 @@
 //
 // Besides the console table, every run writes machine-readable JSON (the
 // BENCH_perf_substrates.json CI artifact; see src/eval/json_report.h) via a
-// custom reporter in main() below. The *Threads benchmarks sweep explicit
+// custom reporter in main() below. BM_GridSweepThreads sweeps explicit
 // pool widths, so one run measures the parallel substrate's scaling.
 
 #include <benchmark/benchmark.h>
@@ -153,33 +153,12 @@ void BM_Algorithm1CachedFamily(benchmark::State& state) {
 BENCHMARK(BM_Algorithm1CachedFamily)->Arg(64)->Arg(128)->Arg(256);
 
 // --------------------------------------------------------------------------
-// Thread sweeps: the same work at explicit pool widths. Speedup at width t
+// Thread sweep: the same work at explicit pool widths. Speedup at width t
 // is real_ns(X/n/1) / real_ns(X/n/t) for the same n.
 // --------------------------------------------------------------------------
 
-// The exact separation oracle — one min-cut per root, parallelized across
-// roots (the inner loop of every cutting-plane round).
-void BM_SeparationOracleThreads(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Rng rng(3);
-  const Graph g = gen::ErdosRenyi(n, 3.0 / n, rng);
-  std::vector<double> x(g.NumEdges());
-  for (double& w : x) w = rng.NextDouble();
-  ThreadPool pool(threads);
-  ScopedThreadPool scope(&pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FindViolatedSubtourSets(g, x, 1e-7, 0));
-  }
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_SeparationOracleThreads)
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({128, 4});
-
 // The Algorithm 4 grid sweep on a cold family — every unsettled Δ cell is an
-// independent cutting-plane solve (the tentpole's widest loop).
+// independent cutting-plane solve, and the one loop that runs on the pool.
 void BM_GridSweepThreads(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -199,32 +178,6 @@ BENCHMARK(BM_GridSweepThreads)
     ->Args({128, 1})
     ->Args({128, 2})
     ->Args({128, 4});
-
-// Batched serving: many independent (graph, ε) releases per call.
-void BM_ReleaseBatchThreads(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Rng wrng(11);
-  std::vector<Graph> graphs;
-  graphs.reserve(batch);
-  for (int i = 0; i < batch; ++i) {
-    graphs.push_back(gen::ErdosRenyi(48, 2.0 / 48, wrng));
-  }
-  std::vector<ReleaseQuery> queries;
-  queries.reserve(batch);
-  for (const Graph& g : graphs) queries.push_back(ReleaseQuery{&g, 1.0});
-  ThreadPool pool(threads);
-  ScopedThreadPool scope(&pool);
-  Rng rng(12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ReleaseBatch(queries, rng));
-  }
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ReleaseBatchThreads)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 4});
 
 // A console reporter that also feeds every finished run into the JSON
 // report. Subclassing the display reporter (rather than using the

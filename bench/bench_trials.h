@@ -3,15 +3,14 @@
 // Every E1-E8 bench has the same shape per table row: evaluate one release
 // function many times against a shared (expensive-to-warm) ExtensionFamily
 // and summarize the error distribution. RunWarmedTrials standardizes the
-// concurrency protocol:
+// protocol:
 //
 //   1. one warm call on a fixed throwaway stream populates the family's
-//      grid caches, so the concurrent trials below are pure noise
-//      sampling (ExtensionFamily is safe for concurrent callers either
-//      way; warming just avoids duplicated cold LP work);
-//   2. the trials run on the pool via ParallelMapSeeded — child streams
-//      are split from `rng` in trial order, so every bench table is
-//      identical at any NODEDP_THREADS width.
+//      grid caches (on the pool), so the trials below are pure noise
+//      sampling;
+//   2. the trials run in order on the calling thread, trial i on the i-th
+//      child split from `rng`, so every bench table is identical at any
+//      NODEDP_THREADS width.
 //
 // If the warm call fails, its failure is returned as the single result so
 // callers report it through their normal per-trial error path.
@@ -19,11 +18,10 @@
 #ifndef NODEDP_BENCH_BENCH_TRIALS_H_
 #define NODEDP_BENCH_BENCH_TRIALS_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
-#include "util/parallel.h"
 #include "util/random.h"
 
 namespace nodedp {
@@ -44,8 +42,13 @@ auto RunWarmedTrials(Rng& rng, int trials, Fn&& fn)
       return failed;
     }
   }
-  return ParallelMapSeeded(
-      rng, trials, [&fn](std::int64_t, Rng& child) { return fn(child); });
+  std::vector<ResultT> results;
+  results.reserve(static_cast<std::size_t>(trials));
+  for (int i = 0; i < trials; ++i) {
+    Rng child = rng.Split();
+    results.push_back(fn(child));
+  }
+  return results;
 }
 
 }  // namespace bench

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "graph/connectivity.h"
 #include "graph/union_find.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace nodedp {
 
@@ -161,42 +159,33 @@ std::vector<SubtourViolation> FindViolatedSubtourSets(
   }
 
   // One independent max-flow per root — the hottest loop of the cutting
-  // plane. Roots are solved concurrently; results land in per-root slots
-  // and are deduplicated afterwards in root order, so the outcome is
-  // bit-identical at any thread count.
-  std::vector<std::optional<SubtourViolation>> by_root = ParallelMap(
-      n, [&](std::int64_t root_index) -> std::optional<SubtourViolation> {
-        const int root = static_cast<int>(root_index);
-        // Only roots carrying weight can participate in a violated set: if
-        // x(δ(r)) = 0 then S \ {r} is at least as violated as S.
-        if (degree[root] <= tolerance) return std::nullopt;
-
-        Dinic dinic(shared, /*spare_arcs=*/1);
-        dinic.AddArc(source, 2 + root, Dinic::kInfinity);
-        const double cut = dinic.Solve(source, sink);
-        // max_{S∋root} (x(E[S]) - |S|) = -(cut + offset).
-        const double closure_value = -(cut + offset);
-        if (closure_value <= -1.0 + tolerance) return std::nullopt;
-
-        SubtourViolation violation;
-        for (int v = 0; v < n; ++v) {
-          if (dinic.OnSourceSide(2 + v)) violation.vertices.push_back(v);
-        }
-        if (violation.vertices.size() < 2) return std::nullopt;
-        // Recompute the violation from the set itself (exact, independent
-        // of flow arithmetic): x(E[S]) - (|S| - 1).
-        violation.violation =
-            SubsetEdgeWeight(g, x, violation.vertices) -
-            (static_cast<double>(violation.vertices.size()) - 1.0);
-        if (violation.violation <= tolerance) return std::nullopt;
-        return violation;
-      });
-
+  // plane. Sets are deduplicated in root order.
   std::set<std::vector<int>> seen;
-  for (std::optional<SubtourViolation>& violation : by_root) {
-    if (!violation.has_value()) continue;
-    if (!seen.insert(violation->vertices).second) continue;
-    violations.push_back(std::move(*violation));
+  for (int root = 0; root < n; ++root) {
+    // Only roots carrying weight can participate in a violated set: if
+    // x(δ(r)) = 0 then S \ {r} is at least as violated as S.
+    if (degree[root] <= tolerance) continue;
+
+    Dinic dinic(shared, /*spare_arcs=*/1);
+    dinic.AddArc(source, 2 + root, Dinic::kInfinity);
+    const double cut = dinic.Solve(source, sink);
+    // max_{S∋root} (x(E[S]) - |S|) = -(cut + offset).
+    const double closure_value = -(cut + offset);
+    if (closure_value <= -1.0 + tolerance) continue;
+
+    SubtourViolation violation;
+    for (int v = 0; v < n; ++v) {
+      if (dinic.OnSourceSide(2 + v)) violation.vertices.push_back(v);
+    }
+    if (violation.vertices.size() < 2) continue;
+    // Recompute the violation from the set itself (exact, independent of
+    // flow arithmetic): x(E[S]) - (|S| - 1).
+    violation.violation =
+        SubsetEdgeWeight(g, x, violation.vertices) -
+        (static_cast<double>(violation.vertices.size()) - 1.0);
+    if (violation.violation <= tolerance) continue;
+    if (!seen.insert(violation.vertices).second) continue;
+    violations.push_back(std::move(violation));
   }
 
   std::sort(violations.begin(), violations.end(),

@@ -7,7 +7,6 @@
 #include "dp/laplace.h"
 #include "graph/connectivity.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace nodedp {
 
@@ -117,28 +116,10 @@ Result<ConnectedComponentsRelease> PrivateConnectedComponents(
   return release;
 }
 
-std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
-    const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const PrivateCcOptions& options) {
-  return ParallelMapSeeded(
-      rng, static_cast<std::int64_t>(queries.size()),
-      [&](std::int64_t i, Rng& child) -> Result<ConnectedComponentsRelease> {
-        const ReleaseQuery& query = queries[static_cast<std::size_t>(i)];
-        if (query.graph == nullptr) {
-          return Status::InvalidArgument("query graph is null");
-        }
-        if (!(query.epsilon > 0.0)) {
-          return Status::InvalidArgument("query epsilon must be > 0");
-        }
-        return PrivateConnectedComponents(*query.graph, query.epsilon, child,
-                                          options);
-      });
-}
-
 namespace {
 
 // Shared shape of both sweep entry points: warm the family's Δ grid once
-// (the ε-independent work), then answer every ε on the pool. A warm-up
+// (the ε-independent work), then answer each ε in order. A warm-up
 // failure (LP resource exhaustion) is reported in every slot — the per-ε
 // releases could not have succeeded either.
 template <typename ReleaseType, typename ReleaseFn>
@@ -150,15 +131,17 @@ std::vector<Result<ReleaseType>> AnswerSweep(
   if (!warm.ok()) {
     return std::vector<Result<ReleaseType>>(epsilons.size(), warm.status());
   }
-  return ParallelMapSeeded(
-      rng, static_cast<std::int64_t>(epsilons.size()),
-      [&](std::int64_t i, Rng& child) -> Result<ReleaseType> {
-        const double epsilon = epsilons[static_cast<std::size_t>(i)];
-        if (!(epsilon > 0.0)) {
-          return Status::InvalidArgument("sweep epsilon must be > 0");
-        }
-        return release(epsilon, child);
-      });
+  std::vector<Result<ReleaseType>> results;
+  results.reserve(epsilons.size());
+  for (double epsilon : epsilons) {
+    Rng child = rng.Split();
+    if (!(epsilon > 0.0)) {
+      results.push_back(Status::InvalidArgument("sweep epsilon must be > 0"));
+    } else {
+      results.push_back(release(epsilon, child));
+    }
+  }
+  return results;
 }
 
 }  // namespace

@@ -97,39 +97,16 @@ std::vector<double> AlgorithmOneDeltaGrid(int num_vertices,
                                           const PrivateCcOptions& options);
 
 // ---------------------------------------------------------------------------
-// Batched serving
-//
-// The serving shape: many independent (graph, ε) queries — e.g. one per
-// user-held graph — answered concurrently on the current thread pool
-// (util/parallel.h). Each query draws from its own child Rng, split from
-// `rng` in query order before dispatch, so a batch returns bit-identical
-// releases at any thread count. Privacy composition is per query: queries
-// are assumed to touch disjoint databases (different users' graphs); batch
-// execution adds no coupling between them.
-//
-// Per-query failures (null graph, ε <= 0, LP resource exhaustion) are
-// reported in that query's slot and do not affect the other queries.
-// ---------------------------------------------------------------------------
-
-struct ReleaseQuery {
-  const Graph* graph = nullptr;  // borrowed; must outlive the call
-  double epsilon = 1.0;
-};
-
-// Releases f_cc(G) for every query (Eq. (1)).
-std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
-    const std::vector<ReleaseQuery>& queries, Rng& rng,
-    const PrivateCcOptions& options = {});
-
-// ---------------------------------------------------------------------------
 // Epsilon sweeps on one warmed family
 //
 // The release-server shape: many releases at different ε against the SAME
 // graph. The expensive part of Algorithm 1 — evaluating {f_Δ} over the grid
-// — does not depend on ε, so the sweep warms the family's grid once and then
-// answers every ε concurrently against the cached values; each release pays
-// only for GEM scoring and noise sampling. Child Rngs are split in epsilon
-// order before dispatch, so results are bit-identical at any thread count.
+// — does not depend on ε, so the sweep warms the family's grid once (on the
+// pool) and then answers each ε in order on the calling thread against the
+// cached values; each release pays only for GEM scoring and noise sampling.
+// Release k draws from the k-th child split from `rng`, an invalid ε (<= 0,
+// reported in its slot) included, so `rng` advances exactly |epsilons|
+// splits and results are bit-identical at any thread count.
 //
 // Privacy: all releases read the same database, so publishing the sweep
 // costs Σ ε_i by sequential composition (Lemma 2.4) — the caller (e.g.

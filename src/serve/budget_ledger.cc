@@ -1,5 +1,6 @@
 #include "serve/budget_ledger.h"
 
+#include <cmath>
 #include <string>
 
 namespace nodedp {
@@ -8,9 +9,10 @@ BudgetLedger::BudgetLedger(double total_epsilon)
     : accountant_(total_epsilon) {}
 
 Status BudgetLedger::TryCharge(double epsilon, std::string label) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("charge epsilon must be > 0, got " +
-                                   std::to_string(epsilon));
+  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument(
+        "charge epsilon must be finite and > 0, got " +
+        std::to_string(epsilon));
   }
   // The accountant's own admission predicate, so the Spend below can never
   // CHECK-fail.

@@ -38,8 +38,8 @@ class BudgetLedger {
 
   // Admits and records a charge of `epsilon` for the named query, or
   // refuses with ResourceExhausted (leaving the ledger untouched) when the
-  // charge would exceed the total. epsilon <= 0 is refused with
-  // InvalidArgument.
+  // charge would exceed the total. A non-finite or non-positive epsilon is
+  // refused with InvalidArgument.
   Status TryCharge(double epsilon, std::string label);
 
   // Whether TryCharge(epsilon, ...) would be admitted right now. Lets the

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -89,11 +90,16 @@ void Appendf(std::string* out, const char* format, ...) {
   out->append(big.data(), static_cast<std::size_t>(n));
 }
 
-// Parses a strictly positive double, returning false on garbage.
+// Parses a strictly positive finite double, returning false on garbage.
+// Subnormals are refused too: halving one for a mechanism's budget split
+// can round to 0, which the accountant CHECK-fails on.
 bool ParsePositiveDouble(const std::string& token, double* out) {
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || !(value > 0.0)) return false;
+  if (end == token.c_str() || *end != '\0' || !(value > 0.0) ||
+      !std::isnormal(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -111,7 +117,7 @@ bool ParseConfigTail(const std::vector<std::string>& args, std::size_t from,
                      ServeGraphConfig* config, std::string* error) {
   if (args.size() > from) {
     if (!ParsePositiveDouble(args[from], &config->total_epsilon)) {
-      *error = "budget must be a positive number";
+      *error = "budget must be a finite positive number";
       return false;
     }
   }
@@ -271,7 +277,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
     }
     double epsilon = 0.0;
     if (!ParsePositiveDouble(args[2], &epsilon)) {
-      out = "err epsilon must be a positive number";
+      out = "err epsilon must be a finite positive number";
       return reply;
     }
     if (is_cc && tier == "approx") {
@@ -312,7 +318,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
     for (std::size_t i = 2; i < args.size(); ++i) {
       double epsilon = 0.0;
       if (!ParsePositiveDouble(args[i], &epsilon)) {
-        out = "err sweep: every epsilon must be a positive number";
+        out = "err sweep: every epsilon must be a finite positive number";
         return reply;
       }
       epsilons.push_back(epsilon);

@@ -1,6 +1,7 @@
 #include "serve/release_server.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -113,9 +114,10 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
   if (name.empty()) {
     return Status::InvalidArgument("graph name must be non-empty");
   }
-  if (!(config.total_epsilon > 0.0)) {
-    return Status::InvalidArgument("total_epsilon must be > 0, got " +
-                                   std::to_string(config.total_epsilon));
+  if (!(config.total_epsilon > 0.0) || !std::isfinite(config.total_epsilon)) {
+    return Status::InvalidArgument(
+        "total_epsilon must be finite and > 0, got " +
+        std::to_string(config.total_epsilon));
   }
   std::string cache_key;
   {

@@ -65,7 +65,7 @@ enum class GraphFileFormat { kV2, kText };
 struct ServeGraphConfig {
   // Total privacy budget for the lifetime of this graph in the registry.
   // Every admitted query spends from it; once exhausted the graph can only
-  // be evicted. Must be > 0.
+  // be evicted. Must be finite and > 0.
   double total_epsilon = 10.0;
   // Per-release knobs (Δmax, β, extension options). delta_max should be a
   // data-independent public constant (e.g. a degree cap); <= 0 means the

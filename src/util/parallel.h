@@ -1,22 +1,22 @@
 // Parallel execution substrate: a lazily-started global thread pool and the
-// ParallelFor / ParallelMap primitives the rest of the library builds on.
+// ParallelFor primitive that evaluates extension-family grid cells
+// (ExtensionFamily::Values), the one loop in the library wide and costly
+// enough to pay for a pool dispatch. No randomized work runs on the pool:
+// noise is drawn on the request thread.
 //
-// Determinism contract. Every parallel construct in this library is
-// *schedule-independent*: for a fixed seed and fixed inputs, results are
-// bit-identical at 1 thread and at N threads. The primitives enforce the
-// three rules that make that possible:
+// Determinism contract. The pool is *schedule-independent*: for fixed
+// inputs, results are bit-identical at 1 thread and at N threads. Two rules
+// make that possible:
 //
-//   1. Work items communicate only through their own index-addressed slot
-//      (ParallelMap writes results[i]; items never touch shared state).
-//   2. Randomized items draw from a child Rng split from the parent
-//      *sequentially, before dispatch* (ParallelForSeeded), so the stream a
-//      work item sees depends only on its index, never on the schedule.
-//   3. Any cross-item reduction happens after the join, in index order.
+//   1. Work items communicate only through their own index-addressed slot;
+//      items never touch shared state except under a lock whose effects are
+//      order-independent.
+//   2. Any cross-item reduction happens after the join, in index order.
 //
 // Thread count. The global pool starts lazily on first use with
 // NODEDP_THREADS workers (env var; unset or invalid means the hardware
 // concurrency — an invalid value additionally warns once on stderr).
-// NODEDP_THREADS=1 disables the pool entirely: every primitive degrades to a
+// NODEDP_THREADS=1 disables the pool entirely: ParallelFor degrades to a
 // plain sequential loop on the calling thread. Tests and benchmarks that
 // need a specific width construct their own ThreadPool and install it with
 // ScopedThreadPool.
@@ -27,9 +27,7 @@
 //
 // Nesting. A ParallelFor issued from inside a pool worker runs inline on
 // that worker (no new tasks are enqueued), so nested parallel code cannot
-// deadlock the pool and outer-level parallelism wins — the right choice for
-// this library, where the outer loops (grid cells, batch queries) are the
-// wide ones.
+// deadlock the pool and the outer loop keeps the width.
 //
 // Exceptions thrown by work items are captured and the one with the lowest
 // index is rethrown on the calling thread after all items settle (again
@@ -44,13 +42,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "util/random.h"
 
 namespace nodedp {
 
@@ -106,7 +101,7 @@ int ThreadCountFromEnv();
 // the env path prints to stderr; otherwise it is cleared.
 int ThreadCountFromEnv(const char* value, std::string* warning);
 
-// Installs `pool` as the pool used by ParallelFor/ParallelMap/... on this
+// Installs `pool` as the pool ParallelFor uses on this
 // thread for the scope's lifetime (nullptr restores the global pool).
 class ScopedThreadPool {
  public:
@@ -120,66 +115,17 @@ class ScopedThreadPool {
   ThreadPool* previous_;
 };
 
-// The pool the free-function primitives below dispatch to: the innermost
+// The pool ParallelFor dispatches to: the innermost
 // ScopedThreadPool override on this thread, else the global pool.
 ThreadPool& CurrentThreadPool();
 
-// Number of threads the free-function primitives would use right now.
+// Number of threads ParallelFor would use right now.
 int ParallelThreadCount();
 
 // fn(i) for every i in [0, n), on the current pool.
 inline void ParallelFor(std::int64_t n,
                         const std::function<void(std::int64_t)>& fn) {
   CurrentThreadPool().For(n, fn);
-}
-
-// Maps fn over [0, n), returning the results in index order. T needs only a
-// move constructor.
-template <typename Fn>
-auto ParallelMap(std::int64_t n, Fn&& fn)
-    -> std::vector<decltype(fn(std::int64_t{0}))> {
-  using T = decltype(fn(std::int64_t{0}));
-  std::vector<std::optional<T>> slots(static_cast<std::size_t>(n));
-  ParallelFor(n, [&](std::int64_t i) {
-    slots[static_cast<std::size_t>(i)].emplace(fn(i));
-  });
-  std::vector<T> results;
-  results.reserve(static_cast<std::size_t>(n));
-  for (std::optional<T>& slot : slots) results.push_back(std::move(*slot));
-  return results;
-}
-
-// fn(i, child_rng) for every i in [0, n). The n child streams are split from
-// `parent` sequentially before dispatch, so the stream item i sees depends
-// only on i and the parent state — never on the schedule — and `parent`
-// advances exactly n splits regardless of thread count.
-template <typename Fn>
-void ParallelForSeeded(Rng& parent, std::int64_t n, Fn&& fn) {
-  std::vector<Rng> children;
-  children.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) children.push_back(parent.Split());
-  ParallelFor(n, [&](std::int64_t i) {
-    fn(i, children[static_cast<std::size_t>(i)]);
-  });
-}
-
-// Seeded map: fn(i, child_rng) -> T, results in index order.
-template <typename Fn>
-auto ParallelMapSeeded(Rng& parent, std::int64_t n, Fn&& fn)
-    -> std::vector<decltype(fn(std::int64_t{0}, std::declval<Rng&>()))> {
-  using T = decltype(fn(std::int64_t{0}, std::declval<Rng&>()));
-  std::vector<Rng> children;
-  children.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) children.push_back(parent.Split());
-  std::vector<std::optional<T>> slots(static_cast<std::size_t>(n));
-  ParallelFor(n, [&](std::int64_t i) {
-    slots[static_cast<std::size_t>(i)].emplace(
-        fn(i, children[static_cast<std::size_t>(i)]));
-  });
-  std::vector<T> results;
-  results.reserve(static_cast<std::size_t>(n));
-  for (std::optional<T>& slot : slots) results.push_back(std::move(*slot));
-  return results;
 }
 
 }  // namespace nodedp

@@ -11,8 +11,10 @@
 
 #include "core/forest_polytope.h"
 #include "core/lipschitz_extension.h"
+#include "core/private_cc.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace nodedp {
@@ -170,6 +172,45 @@ TEST(ExtensionFamilyTest, NoDecompositionEvaluationMatchesFamily) {
     const ForestPolytopeResult whole = MaximizeOverForestPolytope(g, delta);
     ASSERT_EQ(whole.status, LpStatus::kOptimal);
     EXPECT_NEAR(whole.value, decomposed.Value(delta).value(), kTol);
+  }
+}
+
+TEST(ExtensionFamilyTest, PinnedWorkCounters) {
+  // The family layer is deterministic: a fixed warm and sweep plan the same
+  // cells, settle the same ones by certificate, watermark and cache, and run
+  // the same LPs at every pool width. A change to the family or the sweep
+  // that moves any of these counters changes which cells are solved, so
+  // equal counters are the A/B check for that layer.
+  Rng rng(1203);
+  std::vector<Graph> parts;
+  for (int i = 0; i < 6; ++i) {
+    parts.push_back(gen::ErdosRenyi(30, 3.0 / 30, rng));
+  }
+  parts.push_back(gen::Caterpillar(8, 2));
+  parts.push_back(gen::Complete(6));
+  parts.push_back(gen::Star(9));
+  const Graph g = gen::DisjointUnion(parts);
+  const PrivateCcOptions options;
+  for (int width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedThreadPool scope(&pool);
+    ExtensionFamily family(g, options.extension);
+    ASSERT_TRUE(
+        family.Warm(AlgorithmOneDeltaGrid(g.NumVertices(), options)).ok());
+    Rng sweep_rng(7);
+    for (const auto& release : SweepConnectedComponents(
+             family, {0.25, 0.5, 1.0}, sweep_rng, options)) {
+      ASSERT_TRUE(release.ok());
+    }
+    const ExtensionFamily::Stats stats = family.stats();
+    EXPECT_EQ(stats.lp_evaluations, 19) << "width=" << width;
+    EXPECT_EQ(stats.fast_certificates, 53) << "width=" << width;
+    EXPECT_EQ(stats.watermark_hits, 212) << "width=" << width;
+    EXPECT_EQ(stats.cache_hits, 76) << "width=" << width;
+    EXPECT_EQ(stats.cut_rounds, 15) << "width=" << width;
+    EXPECT_EQ(stats.cuts_added, 12) << "width=" << width;
+    EXPECT_EQ(stats.simplex_iterations, 419) << "width=" << width;
+    EXPECT_EQ(stats.cold_restarts, 0) << "width=" << width;
   }
 }
 

@@ -153,28 +153,6 @@ TEST(ThreadPoolTest, ScopedOverrideAndRestore) {
   EXPECT_EQ(ParallelThreadCount(), default_width);
 }
 
-TEST(ParallelMapTest, ResultsInIndexOrder) {
-  ThreadPool pool(4);
-  ScopedThreadPool scope(&pool);
-  const std::vector<std::int64_t> squares =
-      ParallelMap(100, [](std::int64_t i) { return i * i; });
-  for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(squares[i], i * i);
-}
-
-TEST(ParallelMapSeededTest, ChildStreamsIndependentOfThreadCount) {
-  // The stream item i sees must depend only on i and the parent seed.
-  auto draw = [](int width) {
-    ThreadPool pool(width);
-    ScopedThreadPool scope(&pool);
-    Rng parent(42);
-    return ParallelMapSeeded(
-        parent, 64, [](std::int64_t, Rng& rng) { return rng.NextUint64(); });
-  };
-  const std::vector<uint64_t> at_one = draw(1);
-  const std::vector<uint64_t> at_four = draw(4);
-  EXPECT_EQ(at_one, at_four);
-}
-
 // ---------------------------------------------------------------------------
 // The determinism contract on the real algorithms.
 // ---------------------------------------------------------------------------
@@ -239,55 +217,6 @@ TEST(ParallelDeterminismTest, PrivateSpanningForestSizeBitIdentical) {
   EXPECT_EQ(at_one.selected_delta, at_four.selected_delta);
   EXPECT_EQ(at_one.extension_value, at_four.extension_value);
   EXPECT_EQ(at_one.laplace_scale, at_four.laplace_scale);
-}
-
-TEST(ParallelDeterminismTest, ReleaseBatchBitIdenticalAcrossWidths) {
-  Rng wrng(80);
-  std::vector<Graph> graphs;
-  for (int i = 0; i < 6; ++i) {
-    graphs.push_back(gen::ErdosRenyi(24, 2.0 / 24, wrng));
-  }
-  std::vector<ReleaseQuery> queries;
-  for (const Graph& g : graphs) queries.push_back(ReleaseQuery{&g, 1.0});
-
-  auto run = [&](int width) {
-    ThreadPool pool(width);
-    ScopedThreadPool scope(&pool);
-    Rng rng(321);
-    return ReleaseBatch(queries, rng);
-  };
-  const auto at_one = run(1);
-  const auto at_four = run(4);
-  ASSERT_EQ(at_one.size(), queries.size());
-  ASSERT_EQ(at_four.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(at_one[i].ok());
-    ASSERT_TRUE(at_four[i].ok());
-    EXPECT_EQ(at_one[i]->estimate, at_four[i]->estimate) << "query " << i;
-    EXPECT_EQ(at_one[i]->node_count_estimate,
-              at_four[i]->node_count_estimate);
-    EXPECT_EQ(at_one[i]->forest.estimate, at_four[i]->forest.estimate);
-    EXPECT_EQ(at_one[i]->forest.selected_delta,
-              at_four[i]->forest.selected_delta);
-  }
-}
-
-TEST(ReleaseBatchTest, PerQueryFailuresAreIsolated) {
-  Rng wrng(81);
-  const Graph g = gen::ErdosRenyi(20, 0.2, wrng);
-  std::vector<ReleaseQuery> queries = {
-      ReleaseQuery{&g, 1.0},
-      ReleaseQuery{nullptr, 1.0},  // null graph
-      ReleaseQuery{&g, 0.0},       // invalid epsilon
-      ReleaseQuery{&g, 0.5},
-  };
-  Rng rng(11);
-  const auto releases = ReleaseBatch(queries, rng);
-  ASSERT_EQ(releases.size(), 4u);
-  EXPECT_TRUE(releases[0].ok());
-  EXPECT_FALSE(releases[1].ok());
-  EXPECT_FALSE(releases[2].ok());
-  EXPECT_TRUE(releases[3].ok());
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "graph/graph_io.h"
 #include "serve/budget_ledger.h"
 #include "serve/family_cache.h"
+#include "serve/protocol.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace nodedp {
@@ -75,7 +77,13 @@ TEST(BudgetLedgerTest, NonPositiveChargeIsInvalid) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.TryCharge(-1.0, "negative").code(),
             StatusCode::kInvalidArgument);
+  // Non-finite charges are invalid too, not budget refusals.
+  EXPECT_EQ(ledger.TryCharge(INFINITY, "inf").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ledger.TryCharge(NAN, "nan").code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.num_charges(), 0);
+  EXPECT_EQ(ledger.num_refusals(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,9 +180,28 @@ TEST(ReleaseServerTest, DuplicateAndInvalidLoadsRejected) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(server.Load("h", TestGraph(), SmallConfig(0.0)).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Load("h", TestGraph(), SmallConfig(INFINITY)).code(),
+            StatusCode::kInvalidArgument);
   // A name freed by eviction is reusable.
   ASSERT_TRUE(server.Evict("g").ok());
   EXPECT_TRUE(server.Load("g", TestGraph(80), SmallConfig(5.0)).ok());
+}
+
+TEST(ReleaseServerTest, NonFiniteBudgetAndEpsilonLinesAreRefused) {
+  // An infinite budget would admit an infinite ε (inf + inf <= inf), whose
+  // split ε − ε/2 is NaN and CHECK-fails inside the mechanism. Both lines
+  // must be refused, and the server keeps serving.
+  ReleaseServer server(11);
+  auto reply = [&server](const char* line) {
+    return HandleRequestLine(server, line).response;
+  };
+  EXPECT_EQ(reply("gen gi gnp 50 1.5 3 inf 8").substr(0, 3), "err");
+  EXPECT_EQ(reply("release_cc gi inf").substr(0, 3), "err");
+  ASSERT_EQ(reply("gen g gnp 50 1.5 3 2 8").substr(0, 2), "ok");
+  EXPECT_EQ(reply("release_cc g inf").substr(0, 3), "err");
+  // The smallest subnormal halves to 0 in the mechanism's budget split.
+  EXPECT_EQ(reply("release_cc g 5e-324").substr(0, 3), "err");
+  EXPECT_EQ(reply("release_cc g 0.5").substr(0, 2), "ok");
 }
 
 TEST(ReleaseServerTest, PrewarmBuildsFamilyAtLoad) {
@@ -597,22 +624,37 @@ TEST(SweepTest, SweepIsDeterministicAtAnyWidthAndValidatesEpsilon) {
   const Graph g = TestGraph();
   PrivateCcOptions options;
   options.delta_max = 8;
+  const std::vector<double> epsilons = {0.5, -1.0, 1.0};
 
-  ExtensionFamily family_a(g, {});
-  Rng rng_a(3);
-  const auto a =
-      SweepConnectedComponents(family_a, {0.5, -1.0, 1.0}, rng_a, options);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_TRUE(a[0].ok());
-  EXPECT_EQ(a[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(a[2].ok());
+  for (int width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedThreadPool scope(&pool);
+    ExtensionFamily family(g, {});
+    Rng rng(3);
+    const auto sweep =
+        SweepConnectedComponents(family, epsilons, rng, options);
+    ASSERT_EQ(sweep.size(), epsilons.size());
+    EXPECT_EQ(sweep[1].status().code(), StatusCode::kInvalidArgument);
 
-  ExtensionFamily family_b(g, {});
-  Rng rng_b(3);
-  const auto b =
-      SweepConnectedComponents(family_b, {0.5, -1.0, 1.0}, rng_b, options);
-  EXPECT_DOUBLE_EQ(a[0]->estimate, b[0]->estimate);
-  EXPECT_DOUBLE_EQ(a[2]->estimate, b[2]->estimate);
+    // The stream contract: one child per ε, split in ε order (the invalid ε
+    // uses up its split too), so slot k is exactly a single release on
+    // child k, and the parent ends up advanced by exactly |ε| splits.
+    Rng manual(3);
+    for (std::size_t k = 0; k < epsilons.size(); ++k) {
+      Rng child = manual.Split();
+      if (!(epsilons[k] > 0.0)) continue;
+      ASSERT_TRUE(sweep[k].ok()) << "width=" << width << " k=" << k;
+      const auto expected =
+          PrivateConnectedComponents(family, epsilons[k], child, options);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(sweep[k]->estimate, expected->estimate) << "width=" << width;
+      EXPECT_EQ(sweep[k]->node_count_estimate, expected->node_count_estimate);
+      EXPECT_EQ(sweep[k]->forest.estimate, expected->forest.estimate);
+      EXPECT_EQ(sweep[k]->forest.selected_delta,
+                expected->forest.selected_delta);
+    }
+    EXPECT_EQ(rng.NextUint64(), manual.NextUint64()) << "width=" << width;
+  }
 
   ExtensionFamily family_c(g, {});
   Rng rng_c(3);
