@@ -1,6 +1,7 @@
 // P1 — google-benchmark timings of the substrates: simplex pivots, Dinic
 // max-flow, the exact separation oracle, full cutting-plane solves, the
-// repair/local-search certificate, s(G), and end-to-end Algorithm 1.
+// repair/local-search certificate, s(G), end-to-end Algorithm 1, and the
+// warm serving reads (exact, sweep of 3, approx).
 // These are the cost drivers behind every experiment table; regressions
 // here would silently blow up E1-E8 runtimes.
 //
@@ -18,6 +19,7 @@
 #include "core/extension_family.h"
 #include "core/forest_polytope.h"
 #include "core/private_cc.h"
+#include "core/sublinear_cc.h"
 #include "dp/gem.h"
 #include "eval/json_report.h"
 #include "flow/dinic.h"
@@ -151,6 +153,74 @@ void BM_Algorithm1CachedFamily(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Algorithm1CachedFamily)->Arg(64)->Arg(128)->Arg(256);
+
+// --------------------------------------------------------------------------
+// Warm reads on perfbench's warm shape: 1,000 G(10, 1.5/9) blocks, Δmax 8,
+// the family warmed before timing. The exact read and the sweep answer
+// from the family's settled totals; `target_ns` is the read's budget.
+// --------------------------------------------------------------------------
+
+Graph WarmShapeGraph() {
+  Rng rng(10);
+  std::vector<Graph> blocks;
+  for (int b = 0; b < 1000; ++b) {
+    blocks.push_back(gen::ErdosRenyi(10, 1.5 / 9, rng));
+  }
+  return gen::DisjointUnion(blocks);
+}
+
+PrivateCcOptions WarmShapeOptions() {
+  PrivateCcOptions options;
+  options.delta_max = 8;
+  return options;
+}
+
+void BM_WarmExactRead(benchmark::State& state) {
+  const Graph g = WarmShapeGraph();
+  const PrivateCcOptions options = WarmShapeOptions();
+  ExtensionFamily family(g, options.extension);
+  if (!family.Warm(AlgorithmOneDeltaGrid(g.NumVertices(), options)).ok()) {
+    state.SkipWithError("warm failed");
+    return;
+  }
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        PrivateConnectedComponents(family, 0.1, rng, options));
+  }
+  state.counters["target_ns"] = 10000;
+}
+BENCHMARK(BM_WarmExactRead);
+
+void BM_WarmSweep3(benchmark::State& state) {
+  const Graph g = WarmShapeGraph();
+  const PrivateCcOptions options = WarmShapeOptions();
+  ExtensionFamily family(g, options.extension);
+  if (!family.Warm(AlgorithmOneDeltaGrid(g.NumVertices(), options)).ok()) {
+    state.SkipWithError("warm failed");
+    return;
+  }
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SweepConnectedComponents(family, {0.1, 0.2, 0.4}, rng, options));
+  }
+  state.counters["target_ns"] = 50000;
+}
+BENCHMARK(BM_WarmSweep3);
+
+// The approx tier's read (PrivateSublinearCc with the serving defaults:
+// T = 64, D = Δmax, so s = 640 sampled truncated BFSs). No family.
+void BM_ApproxRead(benchmark::State& state) {
+  const Graph g = WarmShapeGraph();
+  PrivateSublinearCcOptions options;
+  options.delta_max = WarmShapeOptions().delta_max;
+  Rng rng(13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PrivateSublinearCc(g, 0.1, rng, options));
+  }
+}
+BENCHMARK(BM_ApproxRead);
 
 // --------------------------------------------------------------------------
 // Thread sweep: the same work at explicit pool widths. Speedup at width t

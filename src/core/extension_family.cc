@@ -313,6 +313,7 @@ std::size_t ExtensionFamily::MemoryBytes() const {
     total += component->cached.size() *
              (sizeof(std::pair<const double, double>) + 4 * sizeof(void*));
   }
+  total += settled_.capacity() * sizeof(SettledTotal);
   return total;
 }
 
@@ -333,8 +334,30 @@ Result<double> ExtensionFamily::Value(double delta) {
 Result<std::vector<double>> ExtensionFamily::Values(
     const std::vector<double>& deltas) {
   for (double delta : deltas) {
-    if (delta < 1.0) {
+    // Refuses NaN too: it would never match its own settled total, so
+    // every read of it would walk and record one more.
+    if (!(delta >= 1.0)) {
       return Status::InvalidArgument("delta must be >= 1 (Algorithm 1 grid)");
+    }
+  }
+
+  {
+    // The settled read: every requested Δ has a memoized total, so no pair
+    // needs planning. Hits are counted per requested Δ, duplicates
+    // included, exactly as the walk counts them.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::all_of(deltas.begin(), deltas.end(), [this](double delta) {
+          return FindSettledLocked(delta) != nullptr;
+        })) {
+      std::vector<double> totals;
+      totals.reserve(deltas.size());
+      for (double delta : deltas) {
+        const SettledTotal& settled = *FindSettledLocked(delta);
+        stats_.watermark_hits += settled.watermark_hits;
+        stats_.cache_hits += settled.cache_hits;
+        totals.push_back(settled.total);
+      }
+      return totals;
     }
   }
 
@@ -508,28 +531,47 @@ Result<std::vector<double>> ExtensionFamily::Values(
       if (!all_settled) continue;
     }
 
-    // Assemble the per-Δ totals; every pair is settled.
+    // Assemble the per-Δ totals; every pair is settled. Each total is
+    // memoized for the settled read above, with the hits a later planning
+    // pass would count for it, until the next publication clears it.
     std::vector<double> totals;
     totals.reserve(deltas.size());
     for (double delta : deltas) {
-      double total = 0.0;
+      SettledTotal settled{delta, 0.0, 0, 0};
       for (const auto& component : components_) {
+        if (delta >= component->exact_from) {
+          ++settled.watermark_hits;
+        } else {
+          ++settled.cache_hits;
+        }
         const auto cached = component->cached.find(delta);
         if (cached != component->cached.end()) {
-          total += cached->second;
+          settled.total += cached->second;
         } else {
           NODEDP_CHECK_GE(delta, component->exact_from);
-          total += component->f_sf;
+          settled.total += component->f_sf;
         }
       }
-      totals.push_back(total);
+      totals.push_back(settled.total);
+      if (FindSettledLocked(delta) == nullptr) settled_.push_back(settled);
     }
     return totals;
   }
 }
 
+const ExtensionFamily::SettledTotal* ExtensionFamily::FindSettledLocked(
+    double delta) const {
+  for (const SettledTotal& settled : settled_) {
+    if (settled.delta == delta) return &settled;
+  }
+  return nullptr;
+}
+
 void ExtensionFamily::PublishCellLocked(const CellTask& cell,
                                         const CellOutcome& outcome) {
+  // A publication can lower a watermark (turning a cache hit into a
+  // watermark hit) or add a cached value, so every memoized total is stale.
+  settled_.clear();
   ComponentState& component =
       *components_[static_cast<std::size_t>(cell.component)];
   component.fast_path_failed_at =

@@ -14,7 +14,11 @@
 //     so cuts separated at one Δ pre-tighten the LP at every other Δ;
 //   * fast-path certificate via Algorithm 3 repair + Fürer–Raghavachari-
 //     style local search (core/degree_improve.h), skipping the LP wherever
-//     a spanning Δ-forest is found.
+//     a spanning Δ-forest is found;
+//   * settled totals: once every component has settled a Δ, the walk that
+//     sums f_Δ over the components memoizes the sum, so a warm read is one
+//     lock and |grid| doubles. Any cell publication drops the memo (it may
+//     move a watermark), and the next read walks and records again.
 //
 // Construction is one O(n + m) ComponentLabels pass: it partitions the
 // vertices, and each component's spanning-forest size is |C| − 1 by the
@@ -104,7 +108,10 @@ class ExtensionFamily {
   Result<double> Value(double delta);
 
   // Evaluates the whole grid at once — the Algorithm 4 access pattern — and
-  // returns f_Δ(G) for each delta, in input order. Unsettled
+  // returns f_Δ(G) for each delta, in input order. A read whose Δs all have
+  // a settled total (the steady warm read) takes the lock once, runs no
+  // pool work, allocates only the returned vector, and counts exactly the
+  // watermark and cache hits the walk would have counted. Unsettled
   // (component, Δ) cells are solved concurrently on the current thread
   // pool; each cell works against a snapshot of the family taken before the
   // batch (cut pool, watermark, fast-path floor), and the cells' updates
@@ -151,15 +158,18 @@ class ExtensionFamily {
   std::size_t MemoryBytes() const;
 
   // Cumulative work statistics across all Value() calls.
+  // 64-bit: the hit counters grow by one per (component, Δ) pair per read,
+  // which passes INT32_MAX within minutes of warm serving.
   struct Stats {
-    int lp_evaluations = 0;    // component evaluations that ran the LP
-    int fast_certificates = 0; // component evaluations settled by a forest
-    int watermark_hits = 0;    // settled by the monotone watermark
-    int cache_hits = 0;
-    int cut_rounds = 0;
-    int cuts_added = 0;
+    long long lp_evaluations = 0;  // component evaluations that ran the LP
+    // Component evaluations settled by a forest.
+    long long fast_certificates = 0;
+    long long watermark_hits = 0;  // settled by the monotone watermark
+    long long cache_hits = 0;
+    long long cut_rounds = 0;
+    long long cuts_added = 0;
     long long simplex_iterations = 0;
-    int cold_restarts = 0;  // warm LP re-solves redone from scratch
+    long long cold_restarts = 0;  // warm LP re-solves redone from scratch
   };
   // Snapshot copy, taken under the internal mutex (all mutations happen
   // under it too), so concurrent callers see a consistent view.
@@ -244,6 +254,18 @@ class ExtensionFamily {
   // fixed-order merge.
   void PublishCellLocked(const CellTask& cell, const CellOutcome& outcome);
 
+  // f_Δ(G) for a Δ every component has settled, with the hits a walk over
+  // the components counts for it: watermark where Δ >= exact_from, cache
+  // elsewhere. Valid until the next PublishCellLocked, which clears them.
+  struct SettledTotal {
+    double delta;
+    double total;
+    long long watermark_hits;
+    long long cache_hits;
+  };
+  // The memo for `delta`, or null. Requires mu_.
+  const SettledTotal* FindSettledLocked(double delta) const;
+
   int num_vertices_ = 0;
   double f_sf_total_ = 0.0;
   ExtensionOptions options_;
@@ -266,6 +288,9 @@ class ExtensionFamily {
   // publication only broadcasts when this is non-zero, so the uncontended
   // warm never pays a notify per cell.
   int cell_waiters_ = 0;
+  // One entry per settled Δ a read has walked since the last publication,
+  // guarded by mu_. A handful of grid Δs, so lookups scan it.
+  std::vector<SettledTotal> settled_;
   Stats stats_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "dp/laplace.h"
@@ -20,34 +18,33 @@ int TruncatedComponentSize(const Graph& g, int v, int cutoff, int* work) {
   // The visited bitmap is grown once per thread and then kept all-false
   // between calls by clearing only the entries a sample touched: per-sample
   // cost stays O(cutoff) no matter how large the graph is, which is the
-  // whole point of the sublinear estimator.
+  // whole point of the sublinear estimator. `touched` is also the BFS
+  // queue (vertices enter it in visit order and `head` walks it), and it
+  // too is kept per thread, so a sample allocates nothing once warm.
   static thread_local std::vector<bool> visited;
+  static thread_local std::vector<int> touched;
   if (static_cast<int>(visited.size()) < g.NumVertices()) {
     visited.resize(g.NumVertices(), false);
   }
-  std::vector<int> touched = {v};
+  touched.clear();
+  touched.push_back(v);
   visited[v] = true;
-  std::queue<int> queue;
-  queue.push(v);
-  int count = 1;
   bool truncated = false;
-  while (!queue.empty() && !truncated) {
-    const int u = queue.front();
-    queue.pop();
+  for (std::size_t head = 0; head < touched.size() && !truncated;) {
+    const int u = touched[head++];
     ++*work;
     for (int w : g.Neighbors(u)) {
       if (visited[w]) continue;
       visited[w] = true;
       touched.push_back(w);
-      if (++count > cutoff) {
+      if (static_cast<int>(touched.size()) > cutoff) {
         truncated = true;
         break;
       }
-      queue.push(w);
     }
   }
   for (int w : touched) visited[w] = false;
-  return truncated ? -1 : count;
+  return truncated ? -1 : static_cast<int>(touched.size());
 }
 
 }  // namespace
@@ -100,18 +97,23 @@ double ExactTruncatedComponentCount(const Graph& g, int cutoff,
   return count;
 }
 
-// Draws `count` distinct vertices of [0, n) uniformly. Only called with
-// count < n/2, so rejection sampling terminates quickly (expected < 2
-// draws per sample).
-std::vector<int> SampleDistinctVertices(int n, int count, Rng& rng) {
-  std::unordered_set<int> chosen;
-  chosen.reserve(count * 2);
-  std::vector<int> samples;
-  samples.reserve(count);
+// Draws `count` distinct vertices of [0, n) uniformly, into a per-thread
+// buffer valid until the thread's next call. Only called with count < n/2,
+// so rejection sampling terminates quickly (expected < 2 draws per
+// sample). The `chosen` bitmap is kept all-false between calls by clearing
+// only the sampled entries, like TruncatedComponentSize's.
+const std::vector<int>& SampleDistinctVertices(int n, int count, Rng& rng) {
+  static thread_local std::vector<bool> chosen;
+  static thread_local std::vector<int> samples;
+  if (static_cast<int>(chosen.size()) < n) chosen.resize(n, false);
+  samples.clear();
   while (static_cast<int>(samples.size()) < count) {
     const int v = static_cast<int>(rng.NextUint64(n));
-    if (chosen.insert(v).second) samples.push_back(v);
+    if (chosen[v]) continue;
+    chosen[v] = true;
+    samples.push_back(v);
   }
+  for (int v : samples) chosen[v] = false;
   return samples;
 }
 
@@ -172,7 +174,7 @@ Result<SublinearCcRelease> PrivateSublinearCc(
         g, options.bfs_cutoff, &release.vertices_visited);
     release.sampling_error_bound = 0.0;
   } else {
-    const std::vector<int> sampled =
+    const std::vector<int>& sampled =
         SampleDistinctVertices(n, static_cast<int>(samples), rng);
     double total = 0.0;
     for (int v : sampled) {

@@ -8,6 +8,7 @@
 #ifndef NODEDP_DP_COMPOSITION_H_
 #define NODEDP_DP_COMPOSITION_H_
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +42,10 @@ class PrivacyAccountant {
                                                     << epsilon << " > "
                                                     << total_);
     spent_ += epsilon;
+    ++num_charges_;
+    if (ledger_.size() == 2 * kRecentCharges) {
+      ledger_.erase(ledger_.begin(), ledger_.begin() + kRecentCharges);
+    }
     ledger_.emplace_back(std::move(label), epsilon);
     return epsilon;
   }
@@ -48,13 +53,24 @@ class PrivacyAccountant {
   double total() const { return total_; }
   double spent() const { return spent_; }
   double remaining() const { return total_ - spent_; }
+  // Every charge ever spent, including those dropped from ledger().
+  long long num_charges() const { return num_charges_; }
+  // The recent charges, oldest first: all of them until there are
+  // 2 * kRecentCharges, then never fewer than the last kRecentCharges. A
+  // serving ledger (serve/budget_ledger.h) lives as long as its graph and
+  // admits one charge per query, so keeping every label would grow memory
+  // by ~70 bytes per query without bound; the durable per-charge record
+  // is the write-ahead log (serve/ledger_wal.h).
   const std::vector<std::pair<std::string, double>>& ledger() const {
     return ledger_;
   }
 
+  static constexpr std::size_t kRecentCharges = 64;
+
  private:
   double total_;
   double spent_;
+  long long num_charges_ = 0;
   std::vector<std::pair<std::string, double>> ledger_;
 };
 

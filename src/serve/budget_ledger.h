@@ -62,11 +62,12 @@ class BudgetLedger {
   double spent() const { return accountant_.spent(); }
   double remaining() const { return accountant_.remaining(); }
   int num_charges() const {
-    return static_cast<int>(accountant_.ledger().size());
+    return static_cast<int>(accountant_.num_charges());
   }
   int num_refusals() const { return num_refusals_; }
 
-  // The admitted charges, in order: (label, epsilon).
+  // The most recent admitted charges, in order: (label, epsilon). Bounded
+  // (see PrivacyAccountant::ledger()); num_charges() counts them all.
   const std::vector<std::pair<std::string, double>>& charges() const {
     return accountant_.ledger();
   }

@@ -397,7 +397,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       Appendf(&out,
               "ok n=%d m=%d memory_bytes=%zu warmed=%d family_bytes=%zu "
               "answered=%lld failed=%lld spent=%.6g remaining=%.6g "
-              "lp_evals=%d fast_certs=%d cache_hits=%d mapped_bytes=%zu",
+              "lp_evals=%lld fast_certs=%lld cache_hits=%lld mapped_bytes=%zu",
               stats->num_vertices, stats->num_edges,
               stats->graph_memory_bytes, stats->family_warmed ? 1 : 0,
               stats->family_memory_bytes, stats->queries_answered,

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -116,6 +118,7 @@ TEST(ExtensionFamilyTest, SpanningForestSizeValue) {
 TEST(ExtensionFamilyTest, InvalidDeltaRejected) {
   ExtensionFamily family(gen::Path(4));
   EXPECT_FALSE(family.Value(0.5).ok());
+  EXPECT_FALSE(family.Value(std::nan("")).ok());
 }
 
 TEST(ExtensionFamilyTest, ConcurrentValuesCallsAgreeWithSequential) {
@@ -175,12 +178,9 @@ TEST(ExtensionFamilyTest, NoDecompositionEvaluationMatchesFamily) {
   }
 }
 
-TEST(ExtensionFamilyTest, PinnedWorkCounters) {
-  // The family layer is deterministic: a fixed warm and sweep plan the same
-  // cells, settle the same ones by certificate, watermark and cache, and run
-  // the same LPs at every pool width. A change to the family or the sweep
-  // that moves any of these counters changes which cells are solved, so
-  // equal counters are the A/B check for that layer.
+// The graph of the pinned-counter tests: six sparse G(30, 3/30) blocks
+// plus a caterpillar, a clique and a star.
+Graph PinnedGraph() {
   Rng rng(1203);
   std::vector<Graph> parts;
   for (int i = 0; i < 6; ++i) {
@@ -189,7 +189,29 @@ TEST(ExtensionFamilyTest, PinnedWorkCounters) {
   parts.push_back(gen::Caterpillar(8, 2));
   parts.push_back(gen::Complete(6));
   parts.push_back(gen::Star(9));
-  const Graph g = gen::DisjointUnion(parts);
+  return gen::DisjointUnion(parts);
+}
+
+// All eight counters of `after` minus `before`, in declaration order.
+std::vector<long long> StatsDelta(const ExtensionFamily::Stats& before,
+                                  const ExtensionFamily::Stats& after) {
+  return {after.lp_evaluations - before.lp_evaluations,
+          after.fast_certificates - before.fast_certificates,
+          after.watermark_hits - before.watermark_hits,
+          after.cache_hits - before.cache_hits,
+          after.cut_rounds - before.cut_rounds,
+          after.cuts_added - before.cuts_added,
+          after.simplex_iterations - before.simplex_iterations,
+          after.cold_restarts - before.cold_restarts};
+}
+
+TEST(ExtensionFamilyTest, PinnedWorkCounters) {
+  // The family layer is deterministic: a fixed warm and sweep plan the same
+  // cells, settle the same ones by certificate, watermark and cache, and run
+  // the same LPs at every pool width. A change to the family or the sweep
+  // that moves any of these counters changes which cells are solved, so
+  // equal counters are the A/B check for that layer.
+  const Graph g = PinnedGraph();
   const PrivateCcOptions options;
   for (int width : {1, 4}) {
     ThreadPool pool(width);
@@ -212,6 +234,76 @@ TEST(ExtensionFamilyTest, PinnedWorkCounters) {
     EXPECT_EQ(stats.simplex_iterations, 419) << "width=" << width;
     EXPECT_EQ(stats.cold_restarts, 0) << "width=" << width;
   }
+}
+
+TEST(ExtensionFamilyTest, SettledReadsMatchAFreshWalk) {
+  // Settled totals are a memo of the cell walk, so every read (the warm,
+  // repeated reads, off-grid Δs that publish new cells, and the grid read
+  // after them) returns what a fresh family's walk returns, bit for bit,
+  // and moves the work counters exactly as the walk did.
+  const Graph g = PinnedGraph();
+  const PrivateCcOptions options;
+  const std::vector<double> grid =
+      AlgorithmOneDeltaGrid(g.NumVertices(), options);
+  auto fresh = [&](const std::vector<double>& deltas) {
+    ExtensionFamily family(g, options.extension);
+    return family.Values(deltas).value();
+  };
+  const std::vector<double> fresh_grid = fresh(grid);
+  for (int width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedThreadPool scope(&pool);
+    ExtensionFamily family(g, options.extension);
+    ExtensionFamily::Stats before = family.stats();
+    auto step = [&](const std::vector<double>& deltas,
+                    const std::vector<double>& expected_values,
+                    const std::vector<long long>& expected_stats,
+                    const char* what) {
+      const std::vector<double> values = family.Values(deltas).value();
+      ASSERT_EQ(values.size(), expected_values.size()) << what;
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(values[i], expected_values[i])
+            << what << " delta=" << deltas[i] << " width=" << width;
+      }
+      const ExtensionFamily::Stats after = family.stats();
+      EXPECT_EQ(StatsDelta(before, after), expected_stats)
+          << what << " width=" << width;
+      before = after;
+    };
+    step(grid, fresh_grid, {19, 53, 0, 0, 15, 12, 419, 0}, "warm");
+    step(grid, fresh_grid, {0, 0, 53, 19, 0, 0, 0, 0}, "first read");
+    step(grid, fresh_grid, {0, 0, 53, 19, 0, 0, 0, 0}, "second read");
+    step({1.5}, fresh({1.5}), {9, 0, 0, 0, 9, 0, 379, 0}, "off-grid 1.5");
+    step({3.0}, fresh({3.0}), {2, 6, 1, 0, 2, 0, 32, 0}, "off-grid 3");
+    step(grid, fresh_grid, {0, 0, 53, 19, 0, 0, 0, 0}, "read after off-grid");
+  }
+}
+
+TEST(ExtensionFamilyTest, HitCountersDoNotWrap) {
+  // 20,000 two-vertex components, all settled at Δ = 1 by a certificate:
+  // every later grid read adds one watermark hit per (component, Δ) pair.
+  // Enough reads push the total past INT32_MAX, and it must stay exact.
+  constexpr int kComponents = 20000;
+  std::vector<int> sizes(kComponents, 2);
+  const Graph g = gen::CliqueUnion(sizes);
+  const std::vector<double> grid = {1.0, 2.0, 4.0, 8.0};
+  ExtensionFamily family(g);
+  ASSERT_TRUE(family.Warm(grid).ok());
+  const ExtensionFamily::Stats before = family.stats();
+  const long long pairs =
+      static_cast<long long>(kComponents) * static_cast<long long>(grid.size());
+  const long long reads =
+      std::numeric_limits<std::int32_t>::max() / pairs + 2;
+  for (long long r = 0; r < reads; ++r) {
+    ASSERT_TRUE(family.Values(grid).ok());
+  }
+  const ExtensionFamily::Stats after = family.stats();
+  const long long hits = (after.watermark_hits - before.watermark_hits) +
+                         (after.cache_hits - before.cache_hits);
+  EXPECT_GT(hits, std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(hits, reads * pairs);
+  EXPECT_EQ(after.watermark_hits - before.watermark_hits, reads * pairs);
+  EXPECT_EQ(after.lp_evaluations, before.lp_evaluations);
 }
 
 }  // namespace

@@ -48,6 +48,23 @@ TEST(BudgetLedgerTest, ChargesAccumulate) {
   EXPECT_EQ(ledger.charges()[1].first, "b");
 }
 
+TEST(BudgetLedgerTest, ChargeHistoryIsBoundedButCountsEveryCharge) {
+  // A serving ledger admits one charge per query for as long as its graph
+  // is loaded: its in-memory label history stays bounded while the count
+  // and the spent total still cover every charge.
+  constexpr int kCharges = 1000;
+  BudgetLedger ledger(kCharges);
+  for (int i = 0; i < kCharges; ++i) {
+    ASSERT_TRUE(ledger.TryCharge(1.0, "q" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(ledger.num_charges(), kCharges);
+  EXPECT_DOUBLE_EQ(ledger.spent(), kCharges);
+  EXPECT_LE(ledger.charges().size(), 2 * PrivacyAccountant::kRecentCharges);
+  EXPECT_GE(ledger.charges().size(), PrivacyAccountant::kRecentCharges);
+  EXPECT_EQ(ledger.charges().back().first, "q" + std::to_string(kCharges - 1));
+  EXPECT_FALSE(ledger.TryCharge(1.0, "over").ok());
+}
+
 TEST(BudgetLedgerTest, RefusesOverspendAndLeavesLedgerUntouched) {
   BudgetLedger ledger(1.0);
   EXPECT_TRUE(ledger.TryCharge(0.6, "first").ok());

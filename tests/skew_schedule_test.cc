@@ -79,6 +79,9 @@ TEST(SkewScheduleTest, RacingCallersMidWarmSeeIdenticalValues) {
   // mid-flight) depend on timing.
   const Graph g = SkewedGraph();
   const SweepResult reference = Sweep(g, /*width=*/1);
+  const std::vector<double> off_grid = {3.0, 6.0};
+  const std::vector<double> off_grid_reference =
+      ExtensionFamily(g).Values(off_grid).value();
   for (int round = 0; round < 3; ++round) {
     ThreadPool pool(4);
     ExtensionFamily family(g);
@@ -102,6 +105,40 @@ TEST(SkewScheduleTest, RacingCallersMidWarmSeeIdenticalValues) {
     ASSERT_TRUE(warmed.ok());
     for (std::size_t i = 0; i < kGrid.size(); ++i) {
       EXPECT_EQ(got[i], reference.values[i]) << "delta=" << kGrid[i];
+    }
+
+    // Settled grid reads racing off-grid Values: each off-grid cell's
+    // publication drops the settled totals, so the readers alternate
+    // between the memo and the walk and must see the warm's table either
+    // way.
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 3; ++r) {
+      readers.emplace_back([&pool, &family, &reference] {
+        ScopedThreadPool scope(&pool);
+        for (int i = 0; i < 40; ++i) {
+          const Result<std::vector<double>> values = family.Values(kGrid);
+          ASSERT_TRUE(values.ok());
+          EXPECT_EQ(*values, reference.values);
+        }
+      });
+    }
+    std::vector<double> off_grid_got;
+    std::thread off_grid_caller([&pool, &family, &off_grid, &off_grid_got] {
+      ScopedThreadPool scope(&pool);
+      for (double delta : off_grid) {
+        const Result<double> value = family.Value(delta);
+        ASSERT_TRUE(value.ok());
+        off_grid_got.push_back(*value);
+      }
+    });
+    for (std::thread& reader : readers) reader.join();
+    off_grid_caller.join();
+    ASSERT_EQ(off_grid_got.size(), off_grid.size());
+    for (std::size_t i = 0; i < off_grid.size(); ++i) {
+      // The cold reference solves these cells from other cut pools, so
+      // they agree to the LP tolerance, not bit for bit.
+      EXPECT_NEAR(off_grid_got[i], off_grid_reference[i], 1e-6)
+          << "delta=" << off_grid[i];
     }
   }
 }

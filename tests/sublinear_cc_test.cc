@@ -194,5 +194,48 @@ TEST(PrivateSublinearCcTest, RawEstimateRespectsTruncationBiasBound) {
             truth - release->truncation_bias_bound);
 }
 
+TEST(PrivateSublinearCcTest, SeededReleaseIsPinned) {
+  // The sampler's seeded output, bit for bit: which vertices are drawn, the
+  // order each truncated BFS visits, and the noise all feed these numbers.
+  // Components sit below (cliques, singletons) and above (path, grid, star)
+  // the cutoff T = 8, so truncation happens on both release paths.
+  const Graph g = gen::DisjointUnion(
+      {gen::Path(60), gen::Grid(4, 4), gen::CliqueUnion({3, 4, 5, 6, 2, 2}),
+       gen::Star(11), gen::Empty(40)});
+  ASSERT_EQ(g.NumVertices(), 150);
+  PrivateSublinearCcOptions options;
+  options.delta_max = 2;
+  options.bfs_cutoff = 8;
+
+  // Sampling path: s = T(D + 2) = 32 < n/2.
+  Rng sampled_rng(1706);
+  const auto sampled = PrivateSublinearCc(g, 1.0, sampled_rng, options);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_FALSE(sampled->exact_ft);
+  EXPECT_EQ(sampled->num_samples, 32);
+  EXPECT_EQ(sampled->raw_estimate, 35.078125000000007);
+  EXPECT_EQ(sampled->vertices_visited, 151);
+  EXPECT_EQ(sampled->estimate, 25.808336256707008);
+
+  // Exact-F_T path: s >= n/2.
+  options.num_samples = 100;
+  Rng exact_rng(1707);
+  const auto exact = PrivateSublinearCc(g, 1.0, exact_rng, options);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(exact->exact_ft);
+  EXPECT_EQ(exact->raw_estimate, 46.0);
+  EXPECT_EQ(exact->vertices_visited, 150);
+  EXPECT_EQ(exact->estimate, 42.935245406449816);
+
+  // The non-private estimator (sampling with replacement).
+  SublinearCcOptions plain;
+  plain.num_samples = 50;
+  plain.bfs_cutoff = 8;
+  Rng plain_rng(1708);
+  const auto estimate = SublinearConnectedComponents(g, plain_rng, plain);
+  EXPECT_EQ(estimate.estimate, 48.600000000000001);
+  EXPECT_EQ(estimate.vertices_visited, 219);
+}
+
 }  // namespace
 }  // namespace nodedp
