@@ -17,8 +17,15 @@ inverted: a regression is baseline/current above the threshold — i.e. the
 speedup *fell* by that factor. Getting this backwards either flags every
 improvement as a regression or waves real regressions through, which is
 why bench/test_compare_bench.py pins the convention and CI runs it.
-Non-`_speedup` counters are contextual (sizes, percentiles already
-covered by real_ns records) and are not gated.
+Other counters are contextual (sizes, percentiles already covered by
+real_ns records) and are not gated, except `target_ns`.
+
+A record may carry its own budget as a `target_ns` counter (the warm
+serving reads in bench_perf_substrates do). A current record whose
+real_ns exceeds its target_ns misses its budget. That is a regression
+under --strict whether or not a baseline exists, since it compares the
+current run against its own target. Records without a target are not
+affected.
 
 Benchmarks present in only one side are never an error: a record new in
 the current run has no baseline to regress against, so it is reported as
@@ -27,14 +34,16 @@ baseline to start gating it.
 
 Exit status: 0 unless --strict is given, in which case any benchmark whose
 real_ns grew — or whose `_speedup` counter shrank — by more than
---threshold (default 1.25, i.e. 25%) fails the run. CI's smoke timings
+--threshold (default 1.25, i.e. 25%), or whose real_ns is over its own
+target_ns, fails the run. CI's smoke timings
 are noisy by design, so the bench-smoke step runs without --strict as a
 trend line; the bench-regression gate runs --strict with a deliberately
 loose threshold to catch only catastrophic regressions.
 
 A missing baseline file is not an error: the first run of a new suite (or
 a fresh checkout without bench/baselines/) has nothing to compare against,
-so the script says so and exits 0 rather than failing the pipeline.
+so the script says so, checks only the current run's targets, and exits 0
+unless --strict is given and a target is missed.
 
 Usage:
   compare_bench.py BASELINE.json CURRENT.json [--threshold 1.25] [--strict]
@@ -57,6 +66,7 @@ def load_report(path):
         raise SystemExit(f"{path}: missing suite name")
     benches = {}
     speedups = {}
+    targets = {}
     for record in doc.get("benchmarks", []):
         name = record.get("name")
         real_ns = record.get("real_ns")
@@ -71,12 +81,13 @@ def load_report(path):
         counters = record.get("counters", {})
         if isinstance(counters, dict):
             for counter, value in counters.items():
-                if not counter.endswith("_speedup"):
-                    continue
                 if not isinstance(value, (int, float)):
                     continue
-                speedups[(suite, name, counter)] = float(value)
-    return doc, benches, speedups
+                if counter == "target_ns":
+                    targets[key] = float(value)
+                elif counter.endswith("_speedup"):
+                    speedups[(suite, name, counter)] = float(value)
+    return doc, benches, speedups, targets
 
 
 def format_key(key):
@@ -91,6 +102,27 @@ def format_ns(ns):
     if ns >= 1e3:
         return f"{ns / 1e3:.2f}us"
     return f"{ns:.0f}ns"
+
+
+def check_targets(cur, targets):
+    """Prints each record's real_ns against its target_ns; returns misses."""
+    misses = []
+    if not targets:
+        return misses
+    print()
+    width = max(len(format_key(key)) for key in targets)
+    header = (f"{'target (real_ns must not exceed)':<{width}}  "
+              f"{'target':>10}  {'current':>10}")
+    print(header)
+    print("-" * len(header))
+    for key in sorted(targets):
+        flag = ""
+        if cur[key] > targets[key]:
+            flag = "  << OVER TARGET"
+            misses.append((format_key(key), cur[key] / targets[key]))
+        print(f"{format_key(key):<{width}}  {format_ns(targets[key]):>10}  "
+              f"{format_ns(cur[key]):>10}{flag}")
+    return misses
 
 
 def main():
@@ -110,10 +142,12 @@ def main():
     if not os.path.exists(args.baseline):
         print(f"no baseline at {args.baseline}: nothing to compare against "
               f"(first run of this suite?); skipping comparison")
-        return 0
+        _, cur, _, targets = load_report(args.current)
+        misses = check_targets(cur, targets)
+        return report_misses(misses, args.strict)
 
-    base_doc, base, base_speedups = load_report(args.baseline)
-    cur_doc, cur, cur_speedups = load_report(args.current)
+    base_doc, base, base_speedups, _ = load_report(args.baseline)
+    cur_doc, cur, cur_speedups, targets = load_report(args.current)
 
     print(f"baseline: {args.baseline} (git_rev {base_doc.get('git_rev')}, "
           f"threads {base_doc.get('threads')})")
@@ -174,6 +208,8 @@ def main():
         print(f"new record (no baseline): skipped {format_key(key)} "
               f"({format_ns(cur[key])}) — refresh the baseline to gate it")
 
+    misses = check_targets(cur, targets)
+
     print()
     if regressions:
         print(f"{len(regressions)} benchmark(s) regressed past "
@@ -188,7 +224,18 @@ def main():
         total = len(shared) + len(shared_speedups)
         print(f"no regressions past {args.threshold:.2f}x "
               f"({total} shared benchmarks)")
-    return 0
+    return report_misses(misses, args.strict)
+
+
+def report_misses(misses, strict):
+    """Summarizes target misses; a miss fails the run under --strict."""
+    if not misses:
+        return 0
+    print()
+    print(f"{len(misses)} benchmark(s) over their target_ns:")
+    for name, ratio in misses:
+        print(f"  {name}: {ratio:.2f}x its target")
+    return 1 if strict else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 
 real_ns is a time (lower is better): growth past the threshold regresses.
 `_speedup` counters are ratios (higher is better): SHRINKAGE past the
-threshold regresses, and growth never does. This script exists because the
+threshold regresses, and growth never does. A record's own `target_ns`
+counter is a budget: real_ns over it fails --strict with or without a
+baseline, and a record without one is unaffected. This script exists
+because the
 inverted direction is exactly the kind of bug a green CI run hides — a
 gate that flags improvements and waves regressions through still exits 0
 on a quiet day. Run: python3 bench/test_compare_bench.py (exits non-zero
@@ -114,6 +117,35 @@ def main():
         print("case: missing baseline file exits zero")
         code, out = run_compare(os.path.join(tmp, "nope.json"), cur)
         check("exit zero", code == 0, out)
+
+        print("case: real_ns under its target_ns passes --strict")
+        write_report(base, [record("W/read", 1000, {"target_ns": 10000})])
+        write_report(cur, [record("W/read", 1000, {"target_ns": 10000})])
+        code, out = run_compare(base, cur, "--strict")
+        check("exit zero", code == 0, out)
+
+        print("case: real_ns over its target_ns fails --strict")
+        write_report(cur, [record("W/read", 12000, {"target_ns": 10000})])
+        code, out = run_compare(base, cur, "--strict", "--threshold", "100")
+        check("exit non-zero", code != 0, out)
+        check("flagged as over target", "OVER TARGET" in out, out)
+        code, out = run_compare(base, cur)
+        check("exit zero without --strict", code == 0, out)
+
+        print("case: over-target record fails --strict without a baseline")
+        code, out = run_compare(os.path.join(tmp, "nope.json"), cur,
+                                "--strict")
+        check("exit non-zero", code != 0, out)
+        check("names the record", "W/read" in out, out)
+
+        print("case: a record without target_ns is not target-gated")
+        write_report(base, [record("W/read", 1000)])
+        write_report(cur, [record("W/read", 1000), record("W/slow", 1e9)])
+        code, out = run_compare(base, cur, "--strict")
+        check("exit zero", code == 0, out)
+        code, out = run_compare(os.path.join(tmp, "nope.json"), cur,
+                                "--strict")
+        check("exit zero without a baseline", code == 0, out)
 
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")

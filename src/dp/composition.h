@@ -3,15 +3,15 @@
 //
 // The accountant is a guard rail for pipeline code: each mechanism call
 // spends from a fixed total and over-spending CHECK-fails, making budget
-// arithmetic mistakes loud instead of silently non-private.
+// arithmetic mistakes loud instead of silently non-private. Composition is
+// sequential, so its whole state is the total, the running sum and the
+// number of charges; a charge's label only names the culprit of a failed
+// CHECK.
 
 #ifndef NODEDP_DP_COMPOSITION_H_
 #define NODEDP_DP_COMPOSITION_H_
 
-#include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "util/check.h"
 
@@ -29,12 +29,12 @@ class PrivacyAccountant {
   // refusal-style callers (serve/BudgetLedger) test it first — keeping both
   // on the same arithmetic so an admitted charge can never fail the Spend.
   bool CanSpend(double epsilon) const {
-    return epsilon > 0.0 && spent_ + epsilon <= total_ * (1.0 + 1e-12);
+    return epsilon > 0.0 && Fits(spent_ + epsilon);
   }
 
   // Reserves `epsilon` of budget for the named mechanism. CHECK-fails if the
   // total would be exceeded.
-  double Spend(double epsilon, std::string label) {
+  double Spend(double epsilon, const std::string& label) {
     NODEDP_CHECK_GT(epsilon, 0.0);
     NODEDP_CHECK_MSG(CanSpend(epsilon),
                      "privacy budget exceeded by '" << label << "': spent "
@@ -43,35 +43,31 @@ class PrivacyAccountant {
                                                     << total_);
     spent_ += epsilon;
     ++num_charges_;
-    if (ledger_.size() == 2 * kRecentCharges) {
-      ledger_.erase(ledger_.begin(), ledger_.begin() + kRecentCharges);
-    }
-    ledger_.emplace_back(std::move(label), epsilon);
     return epsilon;
+  }
+
+  // Sets the running sum and the charge count to values restored from
+  // durable storage (serve/ledger_wal.h), so `spent` is the bit-exact
+  // pre-crash sum. Returns false and changes nothing unless `spent` is
+  // finite, non-negative and fits the total under CanSpend's slack.
+  bool Restore(double spent, long long num_charges) {
+    if (!(spent >= 0.0) || !Fits(spent) || num_charges < 0) return false;
+    spent_ = spent;
+    num_charges_ = num_charges;
+    return true;
   }
 
   double total() const { return total_; }
   double spent() const { return spent_; }
   double remaining() const { return total_ - spent_; }
-  // Every charge ever spent, including those dropped from ledger().
   long long num_charges() const { return num_charges_; }
-  // The recent charges, oldest first: all of them until there are
-  // 2 * kRecentCharges, then never fewer than the last kRecentCharges. A
-  // serving ledger (serve/budget_ledger.h) lives as long as its graph and
-  // admits one charge per query, so keeping every label would grow memory
-  // by ~70 bytes per query without bound; the durable per-charge record
-  // is the write-ahead log (serve/ledger_wal.h).
-  const std::vector<std::pair<std::string, double>>& ledger() const {
-    return ledger_;
-  }
-
-  static constexpr std::size_t kRecentCharges = 64;
 
  private:
+  bool Fits(double spent) const { return spent <= total_ * (1.0 + 1e-12); }
+
   double total_;
   double spent_;
   long long num_charges_ = 0;
-  std::vector<std::pair<std::string, double>> ledger_;
 };
 
 }  // namespace nodedp

@@ -8,7 +8,7 @@ namespace nodedp {
 BudgetLedger::BudgetLedger(double total_epsilon)
     : accountant_(total_epsilon) {}
 
-Status BudgetLedger::TryCharge(double epsilon, std::string label) {
+Status BudgetLedger::TryCharge(double epsilon, const std::string& label) {
   if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
     return Status::InvalidArgument(
         "charge epsilon must be finite and > 0, got " +
@@ -24,19 +24,19 @@ Status BudgetLedger::TryCharge(double epsilon, std::string label) {
         std::to_string(accountant_.remaining()) + " of " +
         std::to_string(accountant_.total()) + " remains");
   }
-  accountant_.Spend(epsilon, std::move(label));
+  accountant_.Spend(epsilon, label);
   return Status::OK();
 }
 
-Status BudgetLedger::RestoreCharge(double epsilon, std::string label) {
-  if (!accountant_.CanSpend(epsilon)) {
+Status BudgetLedger::Restore(double spent, long long num_charges,
+                             long long num_refusals) {
+  if (num_refusals < 0 || !accountant_.Restore(spent, num_charges)) {
     return Status::Internal(
-        "restored ledger is corrupt: charge '" + label + "' of " +
-        std::to_string(epsilon) + " does not fit " +
-        std::to_string(accountant_.remaining()) + " of " +
+        "restored ledger is corrupt: spent " + std::to_string(spent) +
+        " over " + std::to_string(num_charges) + " charges does not fit " +
         std::to_string(accountant_.total()));
   }
-  accountant_.Spend(epsilon, std::move(label));
+  num_refusals_ = num_refusals;
   return Status::OK();
 }
 

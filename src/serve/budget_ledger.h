@@ -15,6 +15,9 @@
 //     release later fails internally (LP resource exhaustion). This is the
 //     conservative reading: budget accounting must not depend on
 //     data-dependent execution paths.
+//   * The state is four numbers: total, spent, charge count and refusal
+//     count. A charge's label only names the query in a refusal message,
+//     so memory does not grow with the number of queries admitted.
 //   * Not thread-safe by itself; the owning ReleaseServer entry serializes
 //     access (see release_server.cc).
 
@@ -22,8 +25,6 @@
 #define NODEDP_SERVE_BUDGET_LEDGER_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "dp/composition.h"
 #include "util/status.h"
@@ -40,7 +41,7 @@ class BudgetLedger {
   // refuses with ResourceExhausted (leaving the ledger untouched) when the
   // charge would exceed the total. A non-finite or non-positive epsilon is
   // refused with InvalidArgument.
-  Status TryCharge(double epsilon, std::string label);
+  Status TryCharge(double epsilon, const std::string& label);
 
   // Whether TryCharge(epsilon, ...) would be admitted right now. Lets the
   // durable-ledger path (serve/ledger_wal.h) order the admission decision
@@ -48,33 +49,22 @@ class BudgetLedger {
   // accountant's one admission predicate.
   bool CanCharge(double epsilon) const { return accountant_.CanSpend(epsilon); }
 
-  // Re-admits a charge from a durable record during WAL replay. Unlike
-  // TryCharge, a failure is Internal (a restored ledger that does not fit
-  // its own total is corrupt state, not a client refusal) and the refusal
-  // counter is untouched.
-  Status RestoreCharge(double epsilon, std::string label);
-
-  // Restores the refusal counter from a durable record (telemetry only;
-  // never affects admission).
-  void SetRefusals(int num_refusals) { num_refusals_ = num_refusals; }
+  // Sets the ledger to a durable record's state during WAL replay: the
+  // stored `spent` itself (not a re-summation), so it is bit-identical to
+  // the pre-crash sum. A `spent` that is non-finite, negative or over the
+  // total, or a negative count, is corrupt state and fails with Internal,
+  // leaving the ledger untouched.
+  Status Restore(double spent, long long num_charges, long long num_refusals);
 
   double total() const { return accountant_.total(); }
   double spent() const { return accountant_.spent(); }
   double remaining() const { return accountant_.remaining(); }
-  int num_charges() const {
-    return static_cast<int>(accountant_.num_charges());
-  }
-  int num_refusals() const { return num_refusals_; }
-
-  // The most recent admitted charges, in order: (label, epsilon). Bounded
-  // (see PrivacyAccountant::ledger()); num_charges() counts them all.
-  const std::vector<std::pair<std::string, double>>& charges() const {
-    return accountant_.ledger();
-  }
+  long long num_charges() const { return accountant_.num_charges(); }
+  long long num_refusals() const { return num_refusals_; }
 
  private:
   PrivacyAccountant accountant_;
-  int num_refusals_ = 0;
+  long long num_refusals_ = 0;
 };
 
 }  // namespace nodedp

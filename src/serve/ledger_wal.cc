@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 namespace nodedp {
 
@@ -25,7 +26,7 @@ std::string ErrnoMessage(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-// %.17g round-trips every finite double, so a replayed ledger's spent sum
+// %.17g round-trips every finite double, so a restored ledger's spent sum
 // is bit-identical to the pre-crash one.
 std::string FormatDoubleExact(double value) {
   char buffer[40];
@@ -44,11 +45,18 @@ bool ParseDoubleExact(const std::string& token, double* out) {
   return true;
 }
 
+// Counts and sequence numbers are counted on from their restored value, so
+// a file may not set one so close to LLONG_MAX that the next increment
+// overflows; 2^62 leaves room for centuries of records.
 bool ParseLongLong(const std::string& token, long long* out) {
   if (token.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size() || value < 0) return false;
+  if (end != token.c_str() + token.size() || errno == ERANGE || value < 0 ||
+      value > (1LL << 62)) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -131,11 +139,10 @@ Status SyncDir(const std::string& dir) {
   return status;
 }
 
-// Splits the first `count` space-separated tokens of `line`; everything
-// after them (minus the separating space) lands in `label` when non-null.
-// Returns fewer than `count` tokens if the line is short.
-std::vector<std::string> HeadTokens(const std::string& line, int count,
-                                    std::string* label) {
+// Splits the first `count` space-separated tokens of `line` (a charge
+// record's label, after them, is not needed to replay it). Returns fewer
+// than `count` tokens if the line is short.
+std::vector<std::string> HeadTokens(const std::string& line, int count) {
   std::vector<std::string> tokens;
   std::size_t pos = 0;
   for (int i = 0; i < count; ++i) {
@@ -145,33 +152,25 @@ std::vector<std::string> HeadTokens(const std::string& line, int count,
     if (pos == begin) break;
     tokens.push_back(line.substr(begin, pos - begin));
   }
-  if (label != nullptr) {
-    *label = pos < line.size() ? line.substr(pos + 1) : std::string();
-  }
   return tokens;
 }
 
 }  // namespace
 
-LedgerWal::LedgerWal(std::string dir, const Options& options)
-    : dir_(std::move(dir)), options_(options) {}
+LedgerWal::LedgerWal(std::string dir) : dir_(std::move(dir)) {}
 
 LedgerWal::~LedgerWal() {
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_fd_ >= 0) ::close(wal_fd_);
 }
 
-Result<std::unique_ptr<LedgerWal>> LedgerWal::Open(const std::string& dir,
-                                                   const Options& options) {
+Result<std::unique_ptr<LedgerWal>> LedgerWal::Open(const std::string& dir) {
   if (dir.empty()) {
     return Status::InvalidArgument("ledger store directory must be non-empty");
   }
-  if (options.snapshot_every < 1) {
-    return Status::InvalidArgument("snapshot_every must be >= 1");
-  }
   Status made = MakeDirs(dir);
   if (!made.ok()) return made;
-  std::unique_ptr<LedgerWal> wal(new LedgerWal(dir, options));
+  std::unique_ptr<LedgerWal> wal(new LedgerWal(dir));
   {
     std::lock_guard<std::mutex> lock(wal->mu_);
     Status replayed = wal->ReplayLocked();
@@ -199,51 +198,35 @@ Status LedgerWal::ReplayLocked() {
       if (torn || lines.empty()) {
         return Status::IoError("corrupt snapshot " + snap_path);
       }
-      const std::vector<std::string> header =
-          HeadTokens(lines[0], 3, nullptr);
+      const std::vector<std::string> header = HeadTokens(lines[0], 3);
       if (header.size() != 3 || header[0] != "ndpw-snap" ||
-          header[1] != "v1" || !ParseLongLong(header[2], &snap_seq)) {
+          !ParseLongLong(header[2], &snap_seq)) {
         return Status::IoError("bad snapshot header in " + snap_path);
       }
-      std::size_t i = 1;
+      if (header[1] != "v2") {
+        return Status::IoError("snapshot " + snap_path + " has format " +
+                               header[1] + "; only v2 is readable");
+      }
       bool ended = false;
-      while (i < lines.size()) {
+      for (std::size_t i = 1; i < lines.size(); ++i) {
         if (lines[i] == "end") {
           ended = true;
           break;
         }
-        const std::vector<std::string> graph =
-            HeadTokens(lines[i], 5, nullptr);
+        const std::vector<std::string> graph = HeadTokens(lines[i], 6);
         PersistedLedger ledger;
-        long long refusals = 0;
-        long long num_charges = 0;
-        if (graph.size() != 5 || graph[0] != "graph" || !ValidName(graph[1]) ||
+        if (graph.size() != 6 || graph[0] != "graph" || !ValidName(graph[1]) ||
             !ParseDoubleExact(graph[2], &ledger.total_epsilon) ||
-            !ParseLongLong(graph[3], &refusals) ||
-            !ParseLongLong(graph[4], &num_charges) ||
+            !(ledger.total_epsilon > 0.0) ||
+            !ParseDoubleExact(graph[3], &ledger.spent) ||
+            !(ledger.spent >= 0.0) ||
+            !ParseLongLong(graph[4], &ledger.num_charges) ||
+            !ParseLongLong(graph[5], &ledger.num_refusals) ||
             state_.count(graph[1]) != 0) {
           return Status::IoError("bad graph record in " + snap_path + ": '" +
                                  lines[i] + "'");
         }
-        ledger.num_refusals = static_cast<int>(refusals);
-        ++i;
-        ledger.charges.reserve(static_cast<std::size_t>(num_charges));
-        for (long long c = 0; c < num_charges; ++c, ++i) {
-          if (i >= lines.size()) {
-            return Status::IoError("truncated charge list in " + snap_path);
-          }
-          std::string label;
-          const std::vector<std::string> charge =
-              HeadTokens(lines[i], 2, &label);
-          double epsilon = 0.0;
-          if (charge.size() != 2 || charge[0] != "charge" ||
-              !ParseDoubleExact(charge[1], &epsilon)) {
-            return Status::IoError("bad charge record in " + snap_path +
-                                   ": '" + lines[i] + "'");
-          }
-          ledger.charges.emplace_back(std::move(label), epsilon);
-        }
-        state_.emplace(graph[1], std::move(ledger));
+        state_.emplace(graph[1], ledger);
       }
       if (!ended) {
         return Status::IoError("snapshot " + snap_path +
@@ -267,8 +250,7 @@ Status LedgerWal::ReplayLocked() {
     // full state.
     if (exists && !lines.empty()) {
       long long since = 0;
-      const std::vector<std::string> header =
-          HeadTokens(lines[0], 3, nullptr);
+      const std::vector<std::string> header = HeadTokens(lines[0], 3);
       if (header.size() != 3 || header[0] != "ndpw-wal" || header[1] != "v1" ||
           !ParseLongLong(header[2], &since)) {
         return Status::IoError("bad WAL header in " + wal_path);
@@ -287,8 +269,7 @@ Status LedgerWal::ReplayLocked() {
           // `torn` only ever affects text after the last parsed line, so
           // every line here was fully appended before any crash.
           const std::string& line = lines[i];
-          std::string label;
-          const std::vector<std::string> tokens = HeadTokens(line, 3, &label);
+          const std::vector<std::string> tokens = HeadTokens(line, 3);
           Status bad = Status::IoError("bad WAL record in " + wal_path +
                                        ": '" + line + "'");
           if (tokens.empty()) return bad;
@@ -304,7 +285,7 @@ Status LedgerWal::ReplayLocked() {
             if (state_.count(tokens[1]) == 0) {
               PersistedLedger ledger;
               ledger.total_epsilon = total;
-              state_.emplace(tokens[1], std::move(ledger));
+              state_.emplace(tokens[1], ledger);
             }
           } else if (kind == "charge") {
             double epsilon = 0.0;
@@ -314,7 +295,10 @@ Status LedgerWal::ReplayLocked() {
             }
             auto it = state_.find(tokens[1]);
             if (it == state_.end()) return bad;  // charge precedes its load
-            it->second.charges.emplace_back(std::move(label), epsilon);
+            // Log order is admission order, so this sum is bit-identical
+            // to the in-memory one.
+            it->second.spent += epsilon;
+            ++it->second.num_charges;
           } else if (kind == "refuse") {
             if (tokens.size() < 2 || !ValidName(tokens[1])) return bad;
             auto it = state_.find(tokens[1]);
@@ -367,7 +351,7 @@ Status LedgerWal::AppendLocked(const std::string& line) {
   if (wal_fd_ < 0) return Status::IoError("ledger WAL is not open");
   Status written = WriteAll(wal_fd_, line + "\n", dir_ + "/" + kWalName);
   if (!written.ok()) return written;
-  if (options_.sync_every_record && ::fdatasync(wal_fd_) != 0) {
+  if (::fdatasync(wal_fd_) != 0) {
     return Status::IoError(ErrnoMessage("fdatasync " + dir_ + "/" + kWalName));
   }
   ++seq_;
@@ -380,7 +364,7 @@ Status LedgerWal::AppendLocked(const std::string& line) {
 // snapshotting from inside AppendLocked would write a snapshot whose
 // sequence counts the new record but whose state does not yet contain it.
 void LedgerWal::MaybeSnapshotLocked() {
-  if (since_last_snapshot_ < options_.snapshot_every) return;
+  if (since_last_snapshot_ < kSnapshotEvery) return;
   // Compaction failure is not fatal to the append that triggered it: the
   // record is durable in the WAL; the next append retries the snapshot.
   Status snapped = SnapshotLocked();
@@ -390,17 +374,13 @@ void LedgerWal::MaybeSnapshotLocked() {
 Status LedgerWal::SnapshotLocked() {
   const std::string snap_path = dir_ + "/" + kSnapName;
   const std::string tmp_path = snap_path + ".tmp";
-  std::string content = "ndpw-snap v1 " + std::to_string(seq_) + "\n";
+  std::string content = "ndpw-snap v2 " + std::to_string(seq_) + "\n";
   for (const auto& [name, ledger] : state_) {
     content += "graph " + name + " " +
                FormatDoubleExact(ledger.total_epsilon) + " " +
-               std::to_string(ledger.num_refusals) + " " +
-               std::to_string(ledger.charges.size()) + "\n";
-    for (const auto& [label, epsilon] : ledger.charges) {
-      content += "charge " + FormatDoubleExact(epsilon);
-      if (!label.empty()) content += " " + label;
-      content += "\n";
-    }
+               FormatDoubleExact(ledger.spent) + " " +
+               std::to_string(ledger.num_charges) + " " +
+               std::to_string(ledger.num_refusals) + "\n";
   }
   content += "end\n";
 
@@ -431,14 +411,6 @@ std::optional<PersistedLedger> LedgerWal::Restored(
   return it->second;
 }
 
-std::vector<std::string> LedgerWal::RestoredNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(state_.size());
-  for (const auto& [name, ledger] : state_) names.push_back(name);
-  return names;
-}
-
 Status LedgerWal::RecordLoad(const std::string& name, double total_epsilon) {
   if (!ValidName(name)) {
     return Status::InvalidArgument("bad ledger graph name '" + name + "'");
@@ -453,7 +425,7 @@ Status LedgerWal::RecordLoad(const std::string& name, double total_epsilon) {
   if (!appended.ok()) return appended;
   PersistedLedger ledger;
   ledger.total_epsilon = total_epsilon;
-  state_.emplace(name, std::move(ledger));
+  state_.emplace(name, ledger);
   MaybeSnapshotLocked();
   return Status::OK();
 }
@@ -479,7 +451,8 @@ Status LedgerWal::RecordCharge(const std::string& name, double epsilon,
   if (!label.empty()) line += " " + label;
   Status appended = AppendLocked(line);
   if (!appended.ok()) return appended;
-  it->second.charges.emplace_back(label, epsilon);
+  it->second.spent += epsilon;
+  ++it->second.num_charges;
   MaybeSnapshotLocked();
   return Status::OK();
 }

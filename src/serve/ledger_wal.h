@@ -12,8 +12,10 @@
 //
 // so every charge that could have produced a release is on disk before any
 // noise is sampled. After a crash, replay restores each graph's ledger —
-// total, refusal count, and the admitted charges in admission order — and a
-// query that was refused over-budget before the crash is refused forever.
+// total, spent, charge count and refusal count — and a query that was
+// refused over-budget before the crash is refused forever. Composition is
+// sequential (Lemma 2.4), so those four numbers are the whole state: memory,
+// snapshots and restore are O(1) per graph however many charges it took.
 // The failure direction is conservative by construction: a crash between
 // append and mechanism wastes budget (charged, never released), it never
 // leaks it.
@@ -21,10 +23,9 @@
 // On-disk layout (text, line-oriented, inside the store directory):
 //
 //   ledger.snap    full state at sequence S:
-//                    "ndpw-snap v1 <S>"
-//                    "graph <name> <total> <refusals> <k>"   (per graph)
-//                    "charge <epsilon> <label...>"            (k lines, in
-//                                                             admission order)
+//                    "ndpw-snap v2 <S>"
+//                    "graph <name> <total> <spent> <charges> <refusals>"
+//                                                      (one line per graph)
 //                    "end"
 //   ledger.wal     records appended since the snapshot:
 //                    "ndpw-wal v1 <since>"
@@ -33,20 +34,28 @@
 //                    "refuse <name>"
 //                    "evict <name>"
 //
-// Doubles are written with %.17g so replayed sums are bit-identical to the
-// pre-crash ledger. Snapshots are written to a temp file and renamed over
-// ledger.snap, then the WAL is truncated; the sequence numbers make the
-// crash window between rename and truncate safe — a WAL whose `since` is
-// older than the snapshot's sequence is entirely contained in the snapshot
-// and is ignored on replay. A final WAL line without a trailing newline is
-// a torn append from a crash mid-write and is dropped (its mechanism never
-// ran); any other malformed line fails the replay with IoError — serving
-// with a partially known ledger is exactly the unsoundness this file
-// exists to prevent.
+// Doubles are written with %.17g so a restored `spent` is bit-identical to
+// the pre-crash ledger: a snapshot stores the sum itself, and replay folds
+// each `charge` record into it in log order — the in-memory summation
+// order. A v1 snapshot (which listed every charge) is refused with IoError.
+// Every append is fdatasync'd before it counts as made, so a record
+// survives power loss, not just process death.
+//
+// Every kSnapshotEvery appends the state is compacted: the snapshot is
+// written to a temp file and renamed over ledger.snap, then the WAL is
+// truncated. The sequence numbers make the crash window between rename and
+// truncate safe — a WAL whose `since` is older than the snapshot's sequence
+// is entirely contained in the snapshot and is ignored on replay. A final
+// WAL line without a trailing newline is a torn append from a crash
+// mid-write and is dropped (its mechanism never ran); any other malformed
+// line fails the replay with IoError — serving with a partially known
+// ledger is exactly the unsoundness this file exists to prevent.
 //
 // Replay semantics per record: `load` creates the graph's persisted ledger
 // if absent and is a no-op if present (a reload never resets charges and
-// never raises the original total); `evict` deletes it (eviction is the
+// never raises the original total); `charge` adds its ε to `spent` and
+// counts it (its label stays in the log for operators, not in memory);
+// `refuse` counts a refusal; `evict` deletes the ledger (eviction is the
 // operator action that ends a ledger's lifetime — see docs/SERVING.md).
 //
 // Thread safety: all methods are safe to call concurrently (one internal
@@ -60,8 +69,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "util/status.h"
 
@@ -70,32 +77,22 @@ namespace nodedp {
 // One graph's durable ledger state, as restored by replay.
 struct PersistedLedger {
   double total_epsilon = 0.0;
-  int num_refusals = 0;
-  // Admitted charges in admission order: (label, epsilon) — the same shape
-  // as PrivacyAccountant::ledger(), so restore preserves the sum exactly.
-  std::vector<std::pair<std::string, double>> charges;
-};
-
-struct LedgerWalOptions {
-  // Appends between snapshot compactions. Each compaction rewrites the
-  // full state and truncates the WAL, bounding replay time.
-  int snapshot_every = 256;
-  // fdatasync after every append: survives power loss, not just process
-  // death (a SIGKILL loses nothing either way — the append is write()n
-  // to the kernel before the record is considered made). Turning this
-  // off trades power-loss durability for append latency.
-  bool sync_every_record = true;
+  double spent = 0.0;  // Σ admitted ε, summed in admission order
+  long long num_charges = 0;
+  long long num_refusals = 0;
 };
 
 class LedgerWal {
  public:
-  using Options = LedgerWalOptions;
+  // Appends between snapshot compactions. Each compaction rewrites the
+  // full state (one line per graph) and truncates the WAL, bounding replay
+  // time.
+  static constexpr int kSnapshotEvery = 256;
 
   // Opens the store rooted at `dir` (created if needed) and replays
   // snapshot + WAL into the live state. Fails with IoError on unreadable
   // or corrupt files (a torn final WAL line is tolerated; see above).
-  static Result<std::unique_ptr<LedgerWal>> Open(const std::string& dir,
-                                                 const Options& options = {});
+  static Result<std::unique_ptr<LedgerWal>> Open(const std::string& dir);
 
   ~LedgerWal();
 
@@ -105,9 +102,6 @@ class LedgerWal {
   // The live persisted state for `name` (replayed at Open and kept current
   // by every Record*), or nullopt if the name has no durable ledger.
   std::optional<PersistedLedger> Restored(const std::string& name) const;
-
-  // Names with live persisted state, in name order.
-  std::vector<std::string> RestoredNames() const;
 
   // Records a graph registration. No-op (returns OK without appending) if
   // the name already has persisted state — the restored ledger wins.
@@ -129,14 +123,14 @@ class LedgerWal {
   Status RecordEvict(const std::string& name);
 
   // Forces a snapshot compaction now (also runs automatically every
-  // Options::snapshot_every appends).
+  // kSnapshotEvery appends).
   Status Snapshot();
 
   // Records appended since Open (testing/telemetry).
   long long records_appended() const;
 
  private:
-  explicit LedgerWal(std::string dir, const Options& options);
+  explicit LedgerWal(std::string dir);
 
   Status ReplayLocked();
   Status AppendLocked(const std::string& line);
@@ -145,7 +139,6 @@ class LedgerWal {
   Status OpenWalForAppendLocked(bool truncate);
 
   const std::string dir_;
-  const Options options_;
 
   mutable std::mutex mu_;
   std::map<std::string, PersistedLedger> state_;

@@ -136,7 +136,7 @@ bool ParseConfigTail(const std::vector<std::string>& args, std::size_t from,
 std::string BudgetResponse(const BudgetReport& budget) {
   std::string out;
   Appendf(&out,
-          "ok total=%.6g spent=%.6g remaining=%.6g charges=%d refusals=%d",
+          "ok total=%.6g spent=%.6g remaining=%.6g charges=%lld refusals=%lld",
           budget.total, budget.spent, budget.remaining, budget.num_charges,
           budget.num_refusals);
   return out;

@@ -93,8 +93,7 @@ Histogram* UpdateStageHistogram(const char* name, const char* help) {
 
 }  // namespace
 
-Status ReleaseServer::EnableDurableLedgers(const std::string& dir,
-                                           const LedgerWal::Options& options) {
+Status ReleaseServer::EnableDurableLedgers(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!registry_.empty()) {
     return Status::InvalidArgument(
@@ -103,7 +102,7 @@ Status ReleaseServer::EnableDurableLedgers(const std::string& dir,
   if (wal_ != nullptr) {
     return Status::InvalidArgument("durable ledgers are already enabled");
   }
-  Result<std::unique_ptr<LedgerWal>> wal = LedgerWal::Open(dir, options);
+  Result<std::unique_ptr<LedgerWal>> wal = LedgerWal::Open(dir);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(*wal);
   return Status::OK();
@@ -130,8 +129,8 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
   }
   // Durable-ledger adoption: a name with restored state keeps its original
   // budget promise — the restored total (never the config's: a reload must
-  // not mint fresh budget for the same data), its spent charges in
-  // admission order, and its refusal count. A fresh name's registration is
+  // not mint fresh budget for the same data), its spent sum, its charge
+  // count and its refusal count. A fresh name's registration is
   // recorded before it can admit any charge.
   std::optional<PersistedLedger> restored;
   ServeGraphConfig effective = config;
@@ -147,11 +146,9 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
   auto entry =
       std::make_shared<Entry>(std::move(g), effective, std::move(cache_key));
   if (restored.has_value()) {
-    for (const auto& [label, epsilon] : restored->charges) {
-      Status replayed = entry->ledger.RestoreCharge(epsilon, label);
-      if (!replayed.ok()) return replayed;
-    }
-    entry->ledger.SetRefusals(restored->num_refusals);
+    Status adopted = entry->ledger.Restore(
+        restored->spent, restored->num_charges, restored->num_refusals);
+    if (!adopted.ok()) return adopted;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -409,7 +406,7 @@ Rng ReleaseServer::SplitRng() {
 
 Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
                                                      double epsilon_total,
-                                                     std::string label,
+                                                     const std::string& label,
                                                      bool need_family) {
   Admitted admitted;
   {
@@ -424,37 +421,29 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
       // and now; refuse before charging the discarded ledger.
       return Status::NotFound("graph '" + name + "' was unloaded");
     }
-    if (wal_ == nullptr) {
-      Status charged = entry.ledger.TryCharge(epsilon_total, std::move(label));
-      if (!charged.ok()) {
-        if (charged.code() == StatusCode::kResourceExhausted) {
-          RefusalCounter()->Increment();
-        }
-        return charged;
-      }
-    } else if (!(epsilon_total > 0.0) ||
-               !entry.ledger.CanCharge(epsilon_total)) {
+    if (!entry.ledger.CanCharge(epsilon_total)) {
       // Refused (or invalid) admissions never touch the durable charge
       // log; the refusal record is telemetry — keeping restored refusal
       // counts exact — and an I/O failure there must not change the
       // refusal the client sees.
-      Status refused = entry.ledger.TryCharge(epsilon_total, std::move(label));
+      Status refused = entry.ledger.TryCharge(epsilon_total, label);
       if (refused.code() == StatusCode::kResourceExhausted) {
         RefusalCounter()->Increment();
-        (void)wal_->RecordRefusal(name);
+        if (wal_ != nullptr) (void)wal_->RecordRefusal(name);
       }
       return refused;
-    } else {
-      // The write-ahead rule: admission decided above, the durable record
-      // lands here, the in-memory charge follows, and only then does any
-      // mechanism run. A crash at any point between record and release
-      // wastes budget; it never leaks it. An unrecordable charge refuses
-      // the query with nothing spent on either side.
+    }
+    // The write-ahead rule: admission decided above, the durable record
+    // lands here, the in-memory charge follows, and only then does any
+    // mechanism run. A crash at any point between record and release
+    // wastes budget; it never leaks it. An unrecordable charge refuses the
+    // query with nothing spent on either side.
+    if (wal_ != nullptr) {
       Status recorded = wal_->RecordCharge(name, epsilon_total, label);
       if (!recorded.ok()) return recorded;
-      Status charged = entry.ledger.TryCharge(epsilon_total, std::move(label));
-      if (!charged.ok()) return charged;  // unreachable: CanCharge held
     }
+    Status charged = entry.ledger.TryCharge(epsilon_total, label);
+    if (!charged.ok()) return charged;  // unreachable: CanCharge held
     const TierMetrics& tier = MetricsForTier(need_family);
     tier.admissions->Increment();
     tier.epsilon_spent->Add(epsilon_total);

@@ -85,8 +85,8 @@ struct BudgetReport {
   double total = 0.0;
   double spent = 0.0;
   double remaining = 0.0;
-  int num_charges = 0;
-  int num_refusals = 0;
+  long long num_charges = 0;
+  long long num_refusals = 0;
 };
 
 // What UpdateGraph did: how much of the insert batch was new, the
@@ -127,20 +127,20 @@ class ReleaseServer {
   // creating it if needed and replaying any existing snapshot + WAL. From
   // then on every admission is appended to the log *before* the in-memory
   // charge is made and the mechanism runs, so a restart from the same
-  // store restores every graph's ledger — charges in admission order,
-  // totals bit-identical — and a query refused over-budget before a crash
-  // stays refused after it. A graph `Load`ed under a name with restored
-  // state adopts the restored ledger wholesale: its original
-  // total_epsilon (the config's total is ignored — a reload must never
-  // mint fresh budget for the same data), its spent charges, and its
-  // refusal count. `Evict` is the one operator action that ends a name's
-  // durable ledger; a later load of that name starts a fresh budget.
+  // store restores every graph's ledger — spent bit-identical — and a
+  // query refused over-budget before a crash stays refused after it. A
+  // graph `Load`ed under a name with restored state adopts the restored
+  // ledger wholesale: its original total_epsilon (the config's total is
+  // ignored — a reload must never mint fresh budget for the same data),
+  // its spent sum, its charge count and its refusal count. A restored
+  // ledger that does not fit its own total fails the Load with Internal.
+  // `Evict` is the one operator action that ends a name's durable ledger;
+  // a later load of that name starts a fresh budget.
   //
   // Must be called before the first Load (fails with InvalidArgument once
   // graphs are registered); fails with IoError if the store cannot be
   // opened or replayed.
-  Status EnableDurableLedgers(const std::string& dir,
-                              const LedgerWal::Options& options = {});
+  Status EnableDurableLedgers(const std::string& dir);
 
   // Registers `g` under `name`. Fails with InvalidArgument if the name is
   // empty, already registered, or the config is invalid; with the family
@@ -321,7 +321,7 @@ class ReleaseServer {
   // tier passes need_family = false: it runs on the graph alone, so
   // admission never triggers (or waits on) a family build.
   Result<Admitted> Admit(const std::string& name, double epsilon_total,
-                         std::string label, bool need_family = true);
+                         const std::string& label, bool need_family = true);
 
   // The Δ grid the family is warmed with (the Algorithm 1 access pattern).
   static std::vector<double> WarmGrid(const Graph& graph,

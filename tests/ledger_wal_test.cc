@@ -3,14 +3,18 @@
 // The property under test is the serving-layer soundness promise: a charge
 // recorded before a crash is still charged after replay, with the exact
 // same floating-point sum, and corrupt or half-written files fail closed
-// (refuse to serve) rather than open (serve with a smaller ledger).
+// (refuse to serve) rather than open (serve with a smaller ledger). The
+// durable state is four numbers per graph, so it must not grow with the
+// number of charges.
 
 #include "serve/ledger_wal.h"
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +22,7 @@
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "serve/protocol.h"
 #include "serve/release_server.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -58,6 +63,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 }
 
 TEST(LedgerWalTest, RoundTripRestoresChargesInOrder) {
+  // The charges fold into (spent, count) in log order.
   ScratchDir dir("round_trip");
   {
     auto wal = LedgerWal::Open(dir.path());
@@ -74,16 +80,14 @@ TEST(LedgerWalTest, RoundTripRestoresChargesInOrder) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->total_epsilon, 2.0);
   EXPECT_EQ(restored->num_refusals, 1);
-  ASSERT_EQ(restored->charges.size(), 2u);
-  EXPECT_EQ(restored->charges[0].first, "release_cc");
-  EXPECT_EQ(restored->charges[0].second, 0.5);
-  EXPECT_EQ(restored->charges[1].first, "sweep eps=0.25");
-  EXPECT_EQ(restored->charges[1].second, 0.25);
+  EXPECT_EQ(restored->spent, 0.5 + 0.25);
+  EXPECT_EQ(restored->num_charges, 2);
 }
 
 TEST(LedgerWalTest, RestoredSumIsBitIdentical) {
   // 0.1 is not representable in binary; the %.17g round trip must still
-  // reproduce the exact same doubles, so the replayed sum is bit-identical.
+  // reproduce the exact same doubles, so the sum replayed from the WAL and
+  // the sum stored in a snapshot are both bit-identical to the live one.
   ScratchDir dir("bit_identical");
   double spent = 0.0;
   {
@@ -95,15 +99,21 @@ TEST(LedgerWalTest, RestoredSumIsBitIdentical) {
       spent += 0.1;
     }
   }
+  {
+    auto wal = LedgerWal::Open(dir.path());
+    ASSERT_TRUE(wal.ok());
+    const auto restored = (*wal)->Restored("g");
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ(restored->spent, spent);  // exact equality, not near
+    EXPECT_EQ(restored->num_charges, 7);
+    ASSERT_TRUE((*wal)->Snapshot().ok());
+  }
   auto wal = LedgerWal::Open(dir.path());
   ASSERT_TRUE(wal.ok());
   const auto restored = (*wal)->Restored("g");
   ASSERT_TRUE(restored.has_value());
-  double replayed = 0.0;
-  for (const auto& [label, epsilon] : restored->charges) {
-    replayed += epsilon;
-  }
-  EXPECT_EQ(replayed, spent);  // exact equality, not near
+  EXPECT_EQ(restored->spent, spent);
+  EXPECT_EQ(restored->num_charges, 7);
 }
 
 TEST(LedgerWalTest, EvictEndsTheLedgerLifetime) {
@@ -122,7 +132,8 @@ TEST(LedgerWalTest, EvictEndsTheLedgerLifetime) {
   const auto restored = (*wal)->Restored("g");
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->total_epsilon, 3.0);
-  EXPECT_TRUE(restored->charges.empty());
+  EXPECT_EQ(restored->spent, 0.0);
+  EXPECT_EQ(restored->num_charges, 0);
 }
 
 TEST(LedgerWalTest, ReloadNeverResetsCharges) {
@@ -134,43 +145,82 @@ TEST(LedgerWalTest, ReloadNeverResetsCharges) {
   // Restored ledger wins: a second load is a durable no-op.
   ASSERT_TRUE((*wal)->RecordLoad("g", 99.0).ok());
   const auto state = (*wal)->Restored("g");
+  ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->total_epsilon, 1.0);
-  ASSERT_EQ(state->charges.size(), 1u);
+  EXPECT_EQ(state->spent, 0.75);
+  EXPECT_EQ(state->num_charges, 1);
 }
 
 TEST(LedgerWalTest, SnapshotCompactionPreservesState) {
+  // More than 2 * kSnapshotEvery appends, so the automatic compaction runs
+  // at least twice.
+  constexpr int kCharges = 2 * LedgerWal::kSnapshotEvery + 10;
   ScratchDir dir("snapshot");
-  LedgerWal::Options options;
-  options.snapshot_every = 4;  // force several compactions
+  double spent = 0.0;
   {
-    auto wal = LedgerWal::Open(dir.path(), options);
+    auto wal = LedgerWal::Open(dir.path());
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->RecordLoad("a", 8.0).ok());
+    ASSERT_TRUE((*wal)->RecordLoad("a", 1000.0).ok());
     ASSERT_TRUE((*wal)->RecordLoad("b", 2.0).ok());
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < kCharges; ++i) {
       ASSERT_TRUE((*wal)->RecordCharge("a", 0.5, "q" + std::to_string(i)).ok());
+      spent += 0.5;
     }
     ASSERT_TRUE((*wal)->RecordRefusal("b").ok());
   }
   // The WAL was compacted, so it holds only the tail of the history.
   const std::string wal_text = ReadFile(dir.path() + "/ledger.wal");
-  EXPECT_LT(wal_text.size(), 200u) << wal_text;
-  EXPECT_NE(ReadFile(dir.path() + "/ledger.snap").find("ndpw-snap v1"),
+  const auto wal_lines = std::count(wal_text.begin(), wal_text.end(), '\n');
+  EXPECT_LE(wal_lines, LedgerWal::kSnapshotEvery) << wal_text;
+  EXPECT_NE(ReadFile(dir.path() + "/ledger.snap").find("ndpw-snap v2"),
             std::string::npos);
 
-  auto wal = LedgerWal::Open(dir.path(), options);
+  auto wal = LedgerWal::Open(dir.path());
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   const auto a = (*wal)->Restored("a");
   ASSERT_TRUE(a.has_value());
-  ASSERT_EQ(a->charges.size(), 10u);
-  EXPECT_EQ(a->charges[9].first, "q9");
+  EXPECT_EQ(a->spent, spent);
+  EXPECT_EQ(a->num_charges, kCharges);
   const auto b = (*wal)->Restored("b");
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->num_refusals, 1);
-  const std::vector<std::string> names = (*wal)->RestoredNames();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "b");
+  EXPECT_EQ(b->num_charges, 0);
+}
+
+TEST(LedgerWalTest, SnapshotSizeIndependentOfChargeCount) {
+  ScratchDir dir("snapshot_size");
+  const std::string snap_path = dir.path() + "/ledger.snap";
+  double spent = 0.0;
+  std::size_t small_size = 0;
+  std::size_t large_size = 0;
+  {
+    auto wal = LedgerWal::Open(dir.path());
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->RecordLoad("g", 1000.0).ok());
+    int charges = 0;
+    for (; charges < 10; ++charges) {
+      ASSERT_TRUE((*wal)->RecordCharge("g", 0.1, "release_cc eps=0.1").ok());
+      spent += 0.1;
+    }
+    ASSERT_TRUE((*wal)->Snapshot().ok());
+    small_size = ReadFile(snap_path).size();
+    for (; charges < 1000; ++charges) {
+      ASSERT_TRUE((*wal)->RecordCharge("g", 0.1, "release_cc eps=0.1").ok());
+      spent += 0.1;
+    }
+    ASSERT_TRUE((*wal)->Snapshot().ok());
+    large_size = ReadFile(snap_path).size();
+  }
+  // Only the printed numbers (sequence, spent, count) can get wider.
+  ASSERT_GE(large_size, small_size);
+  EXPECT_LT(large_size - small_size, 16u);
+
+  auto wal = LedgerWal::Open(dir.path());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  const auto restored = (*wal)->Restored("g");
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(std::memcmp(&restored->spent, &spent, sizeof(spent)), 0);
+  EXPECT_EQ(restored->num_charges, 1000);
 }
 
 TEST(LedgerWalTest, TornFinalLineIsDropped) {
@@ -191,8 +241,8 @@ TEST(LedgerWalTest, TornFinalLineIsDropped) {
   const auto restored = (*wal)->Restored("g");
   ASSERT_TRUE(restored.has_value());
   // The torn charge never ran its mechanism; dropping it is sound.
-  ASSERT_EQ(restored->charges.size(), 1u);
-  EXPECT_EQ(restored->charges[0].second, 0.5);
+  EXPECT_EQ(restored->num_charges, 1);
+  EXPECT_EQ(restored->spent, 0.5);
 }
 
 TEST(LedgerWalTest, MidFileCorruptionFailsClosed) {
@@ -223,9 +273,8 @@ TEST(LedgerWalTest, StaleWalAfterSnapshotIsIgnored) {
   // already inside the snapshot and replaying it would double-charge.
   ScratchDir dir("stale");
   WriteFile(dir.path() + "/ledger.snap",
-            "ndpw-snap v1 3\n"
-            "graph g 1 0 1\n"
-            "charge 0.5 q\n"
+            "ndpw-snap v2 3\n"
+            "graph g 1 0.5 1 0\n"
             "end\n");
   WriteFile(dir.path() + "/ledger.wal",
             "ndpw-wal v1 0\n"
@@ -235,8 +284,8 @@ TEST(LedgerWalTest, StaleWalAfterSnapshotIsIgnored) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   const auto restored = (*wal)->Restored("g");
   ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->charges.size(), 1u);  // not doubled
-  EXPECT_EQ(restored->charges[0].second, 0.5);
+  EXPECT_EQ(restored->num_charges, 1);  // not doubled
+  EXPECT_EQ(restored->spent, 0.5);
 }
 
 TEST(LedgerWalTest, WalGapAfterSnapshotFailsClosed) {
@@ -244,8 +293,8 @@ TEST(LedgerWalTest, WalGapAfterSnapshotFailsClosed) {
   // lost between them; serving would under-count spent budget.
   ScratchDir dir("gap");
   WriteFile(dir.path() + "/ledger.snap",
-            "ndpw-snap v1 2\n"
-            "graph g 1 0 0\n"
+            "ndpw-snap v2 2\n"
+            "graph g 1 0 0 0\n"
             "end\n");
   WriteFile(dir.path() + "/ledger.wal", "ndpw-wal v1 7\n");
   auto wal = LedgerWal::Open(dir.path());
@@ -256,18 +305,55 @@ TEST(LedgerWalTest, WalGapAfterSnapshotFailsClosed) {
 TEST(LedgerWalTest, TornSnapshotFailsClosed) {
   ScratchDir dir("torn_snap");
   WriteFile(dir.path() + "/ledger.snap",
-            "ndpw-snap v1 2\n"
-            "graph g 1 0 1\n");  // no charge line, no "end"
+            "ndpw-snap v2 2\n"
+            "graph g 1 0.5 1 0\n");  // no "end"
   auto wal = LedgerWal::Open(dir.path());
   ASSERT_FALSE(wal.ok());
   EXPECT_EQ(wal.status().code(), StatusCode::kIoError);
+}
+
+TEST(LedgerWalTest, V1SnapshotFailsClosed) {
+  // The v1 format listed every charge; it is refused, not half-read.
+  ScratchDir dir("v1_snap");
+  WriteFile(dir.path() + "/ledger.snap",
+            "ndpw-snap v1 3\n"
+            "graph g 1 0 1\n"
+            "charge 0.5 q\n"
+            "end\n");
+  auto wal = LedgerWal::Open(dir.path());
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kIoError);
+  EXPECT_NE(wal.status().message().find("format v1"), std::string::npos)
+      << wal.status().ToString();
+}
+
+TEST(LedgerWalTest, BadGraphRecordFailsClosed) {
+  // `fields` follow the name: total, spent, charges, refusals.
+  auto expect_refused = [](const std::string& fields) {
+    ScratchDir dir("bad_graph_record");
+    const std::string snap = "ndpw-snap v2 2\ngraph g " + fields + "\nend\n";
+    WriteFile(dir.path() + "/ledger.snap", snap);
+    auto wal = LedgerWal::Open(dir.path());
+    ASSERT_FALSE(wal.ok()) << fields;
+    EXPECT_EQ(wal.status().code(), StatusCode::kIoError) << fields;
+  };
+  expect_refused("1 nan 1 0");
+  expect_refused("1 -nan 1 0");
+  expect_refused("1 inf 1 0");
+  expect_refused("1 -0.5 1 0");
+  // A ledger with no budget cannot be served.
+  expect_refused("0 0 0 0");
+  expect_refused("-1 0 0 0");
+  // Counting on from LLONG_MAX would be signed overflow.
+  expect_refused("1 0.5 9223372036854775807 0");
+  expect_refused("1 0.5 0 9223372036854775807");
+  expect_refused("1 0.5 99999999999999999999 0");
 }
 
 TEST(LedgerWalTest, EmptyDirectoryOpensEmpty) {
   ScratchDir dir("empty");
   auto wal = LedgerWal::Open(dir.path());
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-  EXPECT_TRUE((*wal)->RestoredNames().empty());
   EXPECT_FALSE((*wal)->Restored("anything").has_value());
 }
 
@@ -320,6 +406,50 @@ TEST(LedgerWalServerTest, RestartAdoptsRestoredTotalAndSpend) {
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
   // ...and the remaining 0.25 is still admissible.
   EXPECT_TRUE(server.ReleaseCc("g", 0.25).ok());
+}
+
+TEST(LedgerWalServerTest, OverspentSnapshotRefusesTheLoad) {
+  // A restored spent that does not fit its own total is corrupt state: the
+  // graph is not served under it.
+  ScratchDir dir("server_overspent");
+  WriteFile(dir.path() + "/ledger.snap",
+            "ndpw-snap v2 2\n"
+            "graph g 1 1.5 3 0\n"
+            "end\n");
+  ReleaseServer server(9);
+  ASSERT_TRUE(server.EnableDurableLedgers(dir.path()).ok());
+  const Status loaded = server.Load("g", TestGnp(11), SmallConfig(1.0));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), StatusCode::kInternal);
+  EXPECT_FALSE(server.Budget("g").ok());
+}
+
+TEST(LedgerWalServerTest, CountersPast32BitsRestoreExactly) {
+  ScratchDir dir("server_wide_counts");
+  WriteFile(dir.path() + "/ledger.snap",
+            "ndpw-snap v2 2\n"
+            "graph g 1 0.5 3000000000 4294967297\n"
+            "end\n");
+  {
+    auto wal = LedgerWal::Open(dir.path());
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const auto restored = (*wal)->Restored("g");
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ(restored->num_charges, 3000000000LL);
+    EXPECT_EQ(restored->num_refusals, 4294967297LL);
+  }
+  ReleaseServer server(10);
+  ASSERT_TRUE(server.EnableDurableLedgers(dir.path()).ok());
+  ASSERT_TRUE(server.Load("g", TestGnp(11), SmallConfig(99.0)).ok());
+  const auto budget = server.Budget("g");
+  ASSERT_TRUE(budget.ok());
+  EXPECT_EQ(budget->total, 1.0);
+  EXPECT_EQ(budget->spent, 0.5);
+  EXPECT_EQ(budget->num_charges, 3000000000LL);
+  EXPECT_EQ(budget->num_refusals, 4294967297LL);
+  EXPECT_EQ(HandleRequestLine(server, "budget g").response,
+            "ok total=1 spent=0.5 remaining=0.5 charges=3000000000 "
+            "refusals=4294967297");
 }
 
 }  // namespace
