@@ -1,20 +1,35 @@
 #include "core/sublinear_cc.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "dp/laplace.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace nodedp {
 
 namespace {
 
-// Size of v's component, or -1 if it exceeds `cutoff` vertices. Also adds
-// the number of visited vertices to *work.
-int TruncatedComponentSize(const Graph& g, int v, int cutoff, int* work) {
+// Size of v's component, or -1 if it exceeds `cutoff` vertices. Adds the
+// number of vertices the BFS expanded to *work.
+//
+// `memo` is the graph's ComponentSizeMemo at this cutoff, or null. The
+// answer depends only on |C(v)|, and every vertex a BFS touches lies in
+// C(v), so a BFS writes its answer into all of them (|C| when it finished,
+// kOverCutoff when it was cut off) and a later sample on a filled vertex
+// is one load with no BFS and no work. Concurrent readers write the same
+// values, so relaxed stores suffice.
+int TruncatedComponentSize(const Graph& g, int v, int cutoff,
+                           std::atomic<std::uint8_t>* memo,
+                           std::int64_t* work) {
+  if (memo != nullptr) {
+    const int code = memo[v].load(std::memory_order_relaxed);
+    if (code != 0) return code == Graph::kOverCutoff ? -1 : code;
+  }
   // The visited bitmap is grown once per thread and then kept all-false
   // between calls by clearing only the entries a sample touched: per-sample
   // cost stays O(cutoff) no matter how large the graph is, which is the
@@ -43,8 +58,14 @@ int TruncatedComponentSize(const Graph& g, int v, int cutoff, int* work) {
       }
     }
   }
-  for (int w : touched) visited[w] = false;
-  return truncated ? -1 : static_cast<int>(touched.size());
+  const int size = truncated ? -1 : static_cast<int>(touched.size());
+  const auto code = static_cast<std::uint8_t>(truncated ? Graph::kOverCutoff
+                                                        : size);
+  for (int w : touched) {
+    visited[w] = false;
+    if (memo != nullptr) memo[w].store(code, std::memory_order_relaxed);
+  }
+  return size;
 }
 
 }  // namespace
@@ -56,10 +77,11 @@ SublinearCcEstimate SublinearConnectedComponents(
   SublinearCcEstimate result;
   const int n = g.NumVertices();
   if (n == 0) return result;
+  std::atomic<std::uint8_t>* memo = g.ComponentSizeMemo(options.bfs_cutoff);
   double total = 0.0;
   for (int s = 0; s < options.num_samples; ++s) {
     const int v = static_cast<int>(rng.NextUint64(n));
-    const int size = TruncatedComponentSize(g, v, options.bfs_cutoff,
+    const int size = TruncatedComponentSize(g, v, options.bfs_cutoff, memo,
                                             &result.vertices_visited);
     if (size > 0) total += 1.0 / size;
   }
@@ -174,14 +196,14 @@ Result<SublinearCcRelease> PrivateSublinearCc(
         g, options.bfs_cutoff, &release.vertices_visited);
     release.sampling_error_bound = 0.0;
   } else {
+    ScopedSpan sampler_span("sampler");
     const std::vector<int>& sampled =
         SampleDistinctVertices(n, static_cast<int>(samples), rng);
+    std::atomic<std::uint8_t>* memo = g.ComponentSizeMemo(options.bfs_cutoff);
     double total = 0.0;
     for (int v : sampled) {
-      int work = 0;
-      const int size =
-          TruncatedComponentSize(g, v, options.bfs_cutoff, &work);
-      release.vertices_visited += work;
+      const int size = TruncatedComponentSize(g, v, options.bfs_cutoff, memo,
+                                              &release.vertices_visited);
       if (size > 0) total += 1.0 / size;
     }
     release.raw_estimate = total * n / static_cast<double>(samples);

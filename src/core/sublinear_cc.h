@@ -18,6 +18,14 @@
 // component-count surrogate F_T whose Laplace noise is calibrated to the
 // estimator's own truncation bias.
 //
+// Cost. Both estimators share the graph's per-vertex memo of truncated
+// component sizes (Graph::ComponentSizeMemo, one byte per vertex while
+// T < 255): each BFS writes its answer into every vertex it touched, so a
+// sample on a filled vertex is one load. A read is O(s * T) on a fresh
+// graph and O(s) lookups once the sampled vertices' components are known.
+// The draws, the per-sample values and the summation order are the same
+// with or without the memo, so every estimate is bitwise the same.
+//
 // Privacy analysis of PrivateSublinearCc (derivation in
 // docs/ARCHITECTURE.md). Let T = bfs_cutoff, D = delta_max (public degree
 // promise; D = n when unconditional), and let q_G(v) = 1{|C(v)| <= T} /
@@ -56,7 +64,9 @@ struct SublinearCcOptions {
 
 struct SublinearCcEstimate {
   double estimate = 0.0;
-  int vertices_visited = 0;  // total BFS work actually performed
+  // Vertices the truncated BFSs expanded. A sample answered from the
+  // graph's memo (Graph::ComponentSizeMemo) runs no BFS and adds 0.
+  std::int64_t vertices_visited = 0;
 };
 
 // Estimates f_cc(G). Not differentially private. Requires num_samples >= 1
@@ -94,7 +104,8 @@ struct SublinearCcRelease {
   double truncation_bias_bound = 0.0;
   // Sampling deviation |raw - F_T| is O(n/sqrt(s)); 0 on the exact path.
   double sampling_error_bound = 0.0;
-  std::int64_t vertices_visited = 0;  // total BFS work performed
+  // Vertices the BFSs expanded; memo hits add 0 (see SublinearCcEstimate).
+  std::int64_t vertices_visited = 0;
 };
 
 // Epsilon-node-DP release of the truncated component count F_T (a

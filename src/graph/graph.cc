@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "graph/ndpg_v2.h"
@@ -293,7 +296,69 @@ Result<Graph::EdgeDelta> Graph::ApplyEdgeDelta(
   return delta;
 }
 
-std::size_t Graph::MemoryBytes() const { return heap_bytes_; }
+std::size_t Graph::MemoryBytes() const {
+  return heap_bytes_ + size_memo_.Bytes();
+}
+
+// The memo is a calloc'd block viewed as atomics: one byte each, with a
+// trivial default constructor and destructor, so the zeroed block already
+// holds valid "unknown" entries and nothing writes (or pages in) it up
+// front.
+using MemoByte = std::atomic<std::uint8_t>;
+static_assert(sizeof(MemoByte) == 1 &&
+                  std::is_trivially_default_constructible<MemoByte>::value &&
+                  std::is_trivially_destructible<MemoByte>::value,
+              "the component-size memo must be calloc'd bytes");
+
+struct Graph::SizeMemoSlot::Memo {
+  Memo(int cutoff_in, std::size_t bytes_in)
+      : cutoff(cutoff_in),
+        bytes(bytes_in),
+        sizes(static_cast<MemoByte*>(std::calloc(bytes_in, 1))) {}
+  ~Memo() { std::free(sizes); }
+  Memo(const Memo&) = delete;
+  Memo& operator=(const Memo&) = delete;
+
+  const int cutoff;
+  const std::size_t bytes;
+  MemoByte* const sizes;  // zeroed: every vertex unknown
+};
+
+Graph::SizeMemoSlot& Graph::SizeMemoSlot::operator=(
+    const SizeMemoSlot& other) noexcept {
+  if (this != &other) delete memo_.exchange(nullptr);
+  return *this;
+}
+
+Graph::SizeMemoSlot::~SizeMemoSlot() { delete memo_.load(); }
+
+const Graph::SizeMemoSlot::Memo* Graph::SizeMemoSlot::GetOrInstall(
+    int n, int cutoff) const {
+  Memo* installed = memo_.load(std::memory_order_acquire);
+  if (installed != nullptr) return installed;
+  auto fresh = std::make_unique<Memo>(cutoff, static_cast<std::size_t>(n));
+  if (fresh->sizes == nullptr) return nullptr;
+  if (memo_.compare_exchange_strong(installed, fresh.get(),
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return fresh.release();
+  }
+  return installed;  // another reader won the race; ours is freed
+}
+
+std::size_t Graph::SizeMemoSlot::Bytes() const {
+  const Memo* memo = memo_.load(std::memory_order_acquire);
+  return memo == nullptr ? 0 : memo->bytes;
+}
+
+std::atomic<std::uint8_t>* Graph::ComponentSizeMemo(int cutoff) const {
+  if (cutoff < 1 || cutoff >= kOverCutoff || num_vertices_ == 0) {
+    return nullptr;
+  }
+  const SizeMemoSlot::Memo* memo =
+      size_memo_.GetOrInstall(num_vertices_, cutoff);
+  return memo != nullptr && memo->cutoff == cutoff ? memo->sizes : nullptr;
+}
 
 void GraphBuilder::ReserveEdges(int expected_edges) {
   NODEDP_CHECK_GE(expected_edges, 0);

@@ -29,10 +29,16 @@
 // Graph never mutates). MemoryBytes() reports resident heap bytes,
 // MappedBytes() the mapped file bytes — a mapped graph costs no heap and
 // only the pages queries touch.
+//
+// The one mutable part of a Graph is a cache that is a pure function of
+// the arrays: ComponentSizeMemo, the approx sampler's per-vertex memo of
+// truncated component sizes. It is allocated on first use, never on
+// construction, and a copied or moved Graph starts without it.
 
 #ifndef NODEDP_GRAPH_GRAPH_H_
 #define NODEDP_GRAPH_GRAPH_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -182,6 +188,22 @@ class Graph {
 
   bool IsMapped() const { return mapped_bytes_ != 0; }
 
+  // Memo code for "the component has more than `cutoff` vertices".
+  static constexpr int kOverCutoff = 255;
+
+  // The approx sampler's per-vertex memo of component sizes truncated at
+  // `cutoff` (core/sublinear_cc.cc), one byte per vertex: 0 = unknown,
+  // 1..cutoff = |C(v)|, kOverCutoff = more than `cutoff`. The first call
+  // installs it (zero pages from calloc, so the untouched part of a large
+  // graph's memo stays non-resident) under that call's cutoff; it is freed
+  // with this Graph and counted in MemoryBytes() from then on. Returns
+  // nullptr when `cutoff` is outside [1, kOverCutoff), when the memo was
+  // installed under another cutoff, or for the empty graph: the caller
+  // then runs its BFS without one. Safe to call and fill from any number
+  // of threads: every writer of a byte writes the same value, so the
+  // bytes are relaxed atomics.
+  std::atomic<std::uint8_t>* ComponentSizeMemo(int cutoff) const;
+
  private:
   struct SortedUniqueTag {};
   struct HeapStorage;
@@ -199,6 +221,26 @@ class Graph {
 
   int SliceLength(int v) const { return offsets_[v + 1] - offsets_[v]; }
 
+  // Owns the ComponentSizeMemo: null until the first call installs one by
+  // compare-exchange. The memo belongs to one Graph object, so a copy or a
+  // move starts empty, and assigning another graph drops it.
+  class SizeMemoSlot {
+   public:
+    struct Memo;
+    SizeMemoSlot() = default;
+    SizeMemoSlot(const SizeMemoSlot&) noexcept {}
+    SizeMemoSlot& operator=(const SizeMemoSlot& other) noexcept;
+    ~SizeMemoSlot();
+
+    // The installed memo, or the one this call installs for `n` vertices
+    // under `cutoff`; nullptr if allocation fails.
+    const Memo* GetOrInstall(int n, int cutoff) const;
+    std::size_t Bytes() const;
+
+   private:
+    mutable std::atomic<Memo*> memo_{nullptr};
+  };
+
   // The shared immutable backing (HeapStorage or MmapRegion). Never null;
   // all the spans below point into it, so copies of a Graph share one
   // backing and a view stays valid while any copy lives.
@@ -210,6 +252,7 @@ class Graph {
   Span<const int> offsets_;
   Span<const int> csr_neighbors_;
   Span<const int> csr_incident_;
+  SizeMemoSlot size_memo_;
 };
 
 // `added` is what the incremental ExtensionFamily maintenance consumes —

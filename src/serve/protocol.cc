@@ -258,8 +258,10 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
   } else if (command == "release_cc" || command == "release_sf") {
     // release_cc takes an optional serving tier: `tier=exact` (default)
     // answers from the warmed Algorithm 1 family; `tier=approx` answers
-    // from the sampled sublinear estimator — no family, O(s * cutoff)
-    // work, its own (larger) noise, reported with public error bounds.
+    // from the sampled sublinear estimator — no family; O(s * cutoff)
+    // BFS work on a graph's first approx read, then mostly O(s) lookups
+    // in its component-size memo; its own (larger) noise, reported with
+    // public error bounds.
     const bool is_cc = command == "release_cc";
     std::string tier = "exact";
     if (is_cc && args.size() == 4) {

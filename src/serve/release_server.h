@@ -226,8 +226,12 @@ class ReleaseServer {
   // Charges `epsilon` to the same ledger as the exact tier (composition
   // does not care which mechanism spent it) but needs no warmed family and
   // touches O(s * cutoff) vertices — the serving path for mmap-backed
-  // graphs too large to warm. The release reports its own sensitivity and
-  // public error bounds; config.approx configures it (delta_max inheriting
+  // graphs too large to warm. The BFSs fill the resident graph's
+  // component-size memo (Graph::ComponentSizeMemo, n bytes allocated on
+  // the graph's first approx read and freed when an update or evict drops
+  // the graph), so later reads are mostly O(s) one-byte lookups. The
+  // release reports its own sensitivity and public error bounds;
+  // config.approx configures it (delta_max inheriting
   // config.release.delta_max when unset).
   Result<SublinearCcRelease> ReleaseCcApprox(const std::string& name,
                                              double epsilon);

@@ -639,6 +639,45 @@ TEST(ReleaseServerTest, UpdateGraphAdoptsUntouchedComponents) {
   EXPECT_TRUE(server.ReleaseCc("g", 0.5).ok());
 }
 
+TEST(ReleaseServerTest, ApproxReadsRaceUpdatesSafely) {
+  // Approx readers fill the resident graph's component-size memo while a
+  // writer swaps in patched graphs, each with a memo of its own. Run under
+  // TSan in CI, this is the proof that the memo's install and its byte
+  // writes race neither each other nor the graph swap.
+  ServeGraphConfig config = SmallConfig(1e6);
+  config.prewarm = false;  // approx reads need no family
+  ReleaseServer server(17);
+  // n = 2000 > 2s = 1280, so every read takes the sampling path.
+  ASSERT_TRUE(server.Load("g", TestGraph(2000, 1.0, 5), config).ok());
+  constexpr int kReaders = 3;
+  constexpr int kReads = 20;
+  constexpr int kUpdates = 10;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&server]() {
+      for (int i = 0; i < kReads; ++i) {
+        const auto release = server.ReleaseCcApprox("g", 0.5);
+        ASSERT_TRUE(release.ok()) << release.status().ToString();
+        EXPECT_FALSE(release->exact_ft);
+        EXPECT_TRUE(std::isfinite(release->estimate));
+      }
+    });
+  }
+  threads.emplace_back([&server]() {
+    Rng rng(23);
+    for (int i = 0; i < kUpdates; ++i) {
+      const int u = static_cast<int>(rng.NextUint64(1000));
+      const int v = 1000 + static_cast<int>(rng.NextUint64(1000));
+      EXPECT_TRUE(server.UpdateGraph("g", {{u, v}}).ok());
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  const auto stats = server.Stats("g");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->queries_answered, kReaders * kReads);
+  EXPECT_EQ(stats->queries_failed, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Library-level sweep entry points
 // ---------------------------------------------------------------------------
