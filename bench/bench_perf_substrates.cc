@@ -1,7 +1,8 @@
 // P1 — google-benchmark timings of the substrates: simplex pivots, Dinic
 // max-flow, the exact separation oracle, full cutting-plane solves, the
-// repair/local-search certificate, s(G), end-to-end Algorithm 1, and the
-// warm serving reads (exact, sweep of 3, approx).
+// repair/local-search certificate, s(G), end-to-end Algorithm 1, the
+// warm serving reads (exact, sweep of 3, approx), and the one-edge
+// streaming update.
 // These are the cost drivers behind every experiment table; regressions
 // here would silently blow up E1-E8 runtimes.
 //
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/degree_improve.h"
@@ -239,6 +241,60 @@ void BM_ApproxReadFresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproxReadFresh);
+
+// --------------------------------------------------------------------------
+// One-edge add_edges on perfbench mixed's shape: `blocks` G(20, 2.5/19)
+// blocks (500 = 10k vertices, 5000 = 100k), Δmax 8, warmed on a 4-thread
+// pool. Each iteration times what ReleaseServer::UpdateGraph pays for one
+// new edge inside a random block: ApplyEdgeDelta, the incremental family
+// constructor, the re-warm, and releasing the old family and graph. One
+// component is rebuilt; the rest are adopted.
+// --------------------------------------------------------------------------
+
+void BM_AddEdgesOneEdge(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  constexpr int kBlockSize = 20;
+  Rng rng(14);
+  std::vector<Graph> parts;
+  for (int b = 0; b < blocks; ++b) {
+    parts.push_back(gen::ErdosRenyi(kBlockSize, 2.5 / (kBlockSize - 1), rng));
+  }
+  auto graph = std::make_unique<Graph>(gen::DisjointUnion(parts));
+  PrivateCcOptions options;
+  options.delta_max = 8;
+  const std::vector<double> grid =
+      AlgorithmOneDeltaGrid(graph->NumVertices(), options);
+  ThreadPool pool(4);
+  ScopedThreadPool scope(&pool);
+  auto family = std::make_unique<ExtensionFamily>(*graph, options.extension);
+  if (!family->Warm(grid).ok()) {
+    state.SkipWithError("warm failed");
+    return;
+  }
+  for (auto _ : state) {
+    int u = 0;
+    int v = 0;
+    do {
+      const int base =
+          static_cast<int>(rng.NextUint64(static_cast<uint64_t>(blocks))) *
+          kBlockSize;
+      u = base + static_cast<int>(rng.NextUint64(kBlockSize));
+      v = base + static_cast<int>(rng.NextUint64(kBlockSize));
+    } while (u == v || graph->HasEdge(u, v));
+    Result<Graph::EdgeDelta> delta = graph->ApplyEdgeDelta({{u, v}});
+    auto next_graph = std::make_unique<Graph>(std::move(delta->graph));
+    auto next = std::make_unique<ExtensionFamily>(*next_graph, *family,
+                                                  delta->added);
+    if (!next->Warm(grid).ok()) {
+      state.SkipWithError("re-warm failed");
+      return;
+    }
+    family = std::move(next);
+    graph = std::move(next_graph);
+  }
+  if (blocks == 500) state.counters["target_ns"] = 1270000;
+}
+BENCHMARK(BM_AddEdgesOneEdge)->Arg(500)->Arg(5000)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // Thread sweep: the same work at explicit pool widths. Speedup at width t

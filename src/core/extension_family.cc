@@ -71,6 +71,44 @@ void SortedErase(std::vector<double>& v, double x) {
   if (it != v.end() && *it == x) v.erase(it);
 }
 
+// The same for ComponentState::cached, sorted (Δ, f_Δ) cells.
+using CachedCells = std::vector<std::pair<double, double>>;
+
+CachedCells::const_iterator LowerBoundCell(const CachedCells& cells,
+                                           double delta) {
+  return std::lower_bound(
+      cells.begin(), cells.end(), delta,
+      [](const std::pair<double, double>& cell, double d) {
+        return cell.first < d;
+      });
+}
+
+// The cached f_Δ, or null.
+const double* FindCached(const CachedCells& cells, double delta) {
+  const auto it = LowerBoundCell(cells, delta);
+  return it != cells.end() && it->first == delta ? &it->second : nullptr;
+}
+
+// Adds (Δ, value) unless Δ is already cached. Copy-on-write: the cells
+// may be shared with another family, so this installs an extended copy.
+void InsertCached(std::shared_ptr<const CachedCells>& cells, double delta,
+                  double value) {
+  if (FindCached(*cells, delta) != nullptr) return;
+  auto extended = std::make_shared<CachedCells>(*cells);
+  extended->emplace(LowerBoundCell(*extended, delta), delta, value);
+  cells = std::move(extended);
+}
+
+// The one empty T that every component without cuts or cells points to.
+// Never destroyed, so families torn down by other statics' destructors
+// can still drop their references.
+template <typename T>
+const std::shared_ptr<const T>& SharedEmpty() {
+  static const auto* empty =
+      new std::shared_ptr<const T>(std::make_shared<T>());
+  return *empty;
+}
+
 }  // namespace
 
 ExtensionFamily::ExtensionFamily(const Graph& g,
@@ -91,18 +129,25 @@ ExtensionFamily::ExtensionFamily(const Graph& g,
   // Singleton components contribute nothing to any f_Δ; only label ->
   // kept-component-index survivors get a state.
   std::vector<int> kept(num_components, -1);
+  std::vector<std::shared_ptr<ComponentCore>> cores;
   for (int label = 0; label < num_components; ++label) {
     if (sizes[label] < 2) continue;
-    kept[label] = static_cast<int>(components_.size());
-    auto state = std::make_unique<ComponentState>();
-    state->vertices.reserve(static_cast<std::size_t>(sizes[label]));
-    state->f_sf = sizes[label] - 1;  // connected, by construction
-    components_.push_back(std::move(state));
+    kept[label] = static_cast<int>(cores.size());
+    auto core = std::make_shared<ComponentCore>();
+    core->vertices.reserve(static_cast<std::size_t>(sizes[label]));
+    core->f_sf = sizes[label] - 1;  // connected, by construction
+    cores.push_back(std::move(core));
   }
   for (int v = 0; v < g.NumVertices(); ++v) {
     const int index = kept[labels[v]];
     if (index < 0) continue;
-    components_[static_cast<std::size_t>(index)]->vertices.push_back(v);
+    cores[static_cast<std::size_t>(index)]->vertices.push_back(v);
+  }
+  components_.resize(cores.size());
+  for (std::size_t c = 0; c < cores.size(); ++c) {
+    components_[c].core = std::move(cores[c]);
+    components_[c].cut_pool = SharedEmpty<CutPool>();
+    components_[c].cached = SharedEmpty<CachedCells>();
   }
   remaining_inductions_.store(static_cast<int>(components_.size()),
                               std::memory_order_relaxed);
@@ -118,103 +163,123 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
     : num_vertices_(graph.NumVertices()), options_(base.options_) {
   NODEDP_CHECK_EQ(num_vertices_, base.num_vertices_);
 
-  // Reconstruct a dense labeling of the OLD partition from base's vertex
-  // lists: kept component i keeps label i, every remaining vertex is its
-  // own singleton label. No graph traversal — the partition is the data.
+  // The old partition, restricted to the batch's endpoints: kept component
+  // c keeps label c, and each singleton endpoint gets its own label past
+  // them. An endpoint's old component is found by a search in `graph` that
+  // skips the batch's edges — a search in base's graph — and then by its
+  // smallest vertex in base's order. So beyond one n-byte clear, this costs
+  // the touched components' size. Base's components_ and cores are fixed
+  // at its construction, so none of this needs its lock.
   const int num_kept = static_cast<int>(base.components_.size());
-  std::vector<int> labels(static_cast<std::size_t>(num_vertices_), -1);
-  for (int c = 0; c < num_kept; ++c) {
-    for (int v : base.components_[static_cast<std::size_t>(c)]->vertices) {
-      labels[static_cast<std::size_t>(v)] = c;
-    }
+  NODEDP_DCHECK(std::is_sorted(inserts.begin(), inserts.end()));
+  std::vector<int> endpoints;
+  endpoints.reserve(2 * inserts.size());
+  for (const Edge& e : inserts) {
+    endpoints.push_back(e.u);
+    endpoints.push_back(e.v);
   }
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  const auto endpoint_index = [&endpoints](int v) {
+    const auto it = std::lower_bound(endpoints.begin(), endpoints.end(), v);
+    return it != endpoints.end() && *it == v
+               ? static_cast<int>(it - endpoints.begin())
+               : -1;
+  };
+  std::vector<int> endpoint_labels(endpoints.size(), -1);
   std::vector<int> singleton_vertex;  // label - num_kept -> vertex id
-  for (int v = 0; v < num_vertices_; ++v) {
-    if (labels[static_cast<std::size_t>(v)] < 0) {
-      labels[static_cast<std::size_t>(v)] =
-          num_kept + static_cast<int>(singleton_vertex.size());
-      singleton_vertex.push_back(v);
+  std::vector<char> reached(static_cast<std::size_t>(num_vertices_), 0);
+  std::vector<int> frontier;
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    if (endpoint_labels[i] >= 0) continue;  // found by an earlier search
+    frontier.assign(1, endpoints[i]);
+    reached[static_cast<std::size_t>(endpoints[i])] = 1;
+    int smallest = endpoints[i];
+    for (std::size_t next = 0; next < frontier.size(); ++next) {
+      const int x = frontier[next];
+      for (int y : graph.Neighbors(x)) {
+        if (reached[static_cast<std::size_t>(y)] != 0 ||
+            std::binary_search(inserts.begin(), inserts.end(),
+                               Edge{std::min(x, y), std::max(x, y)})) {
+          continue;
+        }
+        reached[static_cast<std::size_t>(y)] = 1;
+        smallest = std::min(smallest, y);
+        frontier.push_back(y);
+      }
+    }
+    int label = num_kept + static_cast<int>(singleton_vertex.size());
+    if (frontier.size() == 1) {
+      singleton_vertex.push_back(endpoints[i]);
+    } else {
+      label = LowerBoundBySmallestVertex(base.components_, smallest);
+      NODEDP_DCHECK(base.components_[static_cast<std::size_t>(label)]
+                        .core->vertices.size() == frontier.size());
+    }
+    for (int x : frontier) {
+      const int index = endpoint_index(x);
+      if (index >= 0) endpoint_labels[static_cast<std::size_t>(index)] = label;
     }
   }
-  const int num_old =
-      num_kept + static_cast<int>(singleton_vertex.size());
-
+  std::vector<Edge> local_inserts;
+  local_inserts.reserve(inserts.size());
+  for (const Edge& e : inserts) {
+    local_inserts.push_back(Edge{endpoint_index(e.u), endpoint_index(e.v)});
+  }
+  const int num_old = num_kept + static_cast<int>(singleton_vertex.size());
   const ComponentDeltaAnalysis delta =
-      AnalyzeEdgeDelta(labels, num_old, inserts);
+      AnalyzeEdgeDelta(endpoint_labels, num_old, local_inserts);
   std::vector<bool> touched(static_cast<std::size_t>(num_old), false);
   for (int label : delta.touched) {
     touched[static_cast<std::size_t>(label)] = true;
   }
+  // Each merge joins two components into one and adds one spanning-forest
+  // edge.
+  f_sf_total_ = base.f_sf_total_ + (num_old - delta.num_new_components);
 
-  // New partition = adopted old components + one rebuilt component per
-  // fused group, ordered (like ComponentLabels) by smallest vertex so the
-  // per-Δ totals sum in the same order as a cold rebuild — bit-identical
-  // floating-point results, not merely equal sets.
-  struct Pending {
-    int min_vertex;
-    std::unique_ptr<ComponentState> state;
+  // One rebuilt component per fused group, in smallest-vertex order, each
+  // with its insertion point in base's order.
+  struct Rebuilt {
+    int position;  // index in base.components_ it goes before
+    ComponentState state;
   };
-  std::vector<Pending> pending;
-  pending.reserve(base.components_.size() + delta.groups.size());
+  std::vector<Rebuilt> rebuilt;
+  rebuilt.reserve(delta.groups.size());
   int to_induce = 0;
   {
     // Base may be serving queries or warming concurrently: its cache,
-    // watermark, fast-path floor, and cut pool mutate only under its
-    // mutex, so one lock makes the whole adoption (and the merged groups'
-    // pool seeding below) a consistent snapshot.
+    // watermark, fast-path floor, and cut pool mutate only under its mutex,
+    // so one lock makes the whole adoption (and the merged groups' pool
+    // seeding) a consistent snapshot.
     std::lock_guard<std::mutex> base_lock(base.mu_);
-    for (int c = 0; c < num_kept; ++c) {
-      if (touched[static_cast<std::size_t>(c)]) continue;
-      const ComponentState& from =
-          *base.components_[static_cast<std::size_t>(c)];
-      auto state = std::make_unique<ComponentState>();
-      state->vertices = from.vertices;
-      state->f_sf = from.f_sf;
-      state->exact_from = from.exact_from;
-      state->fast_path_failed_at = from.fast_path_failed_at;
-      state->cut_pool = from.cut_pool;
-      state->cached = from.cached;
-      if (from.induced.load(std::memory_order_acquire)) {
-        // The untouched component's induced subgraph is identical in the
-        // new host (same vertex set, same edges, same relabeling).
-        state->graph = from.graph;
-        state->induced.store(true, std::memory_order_release);
-      } else {
-        // Base had not induced it yet (mid-warm adoption): leave it lazy;
-        // inducing from the new host yields the identical graph.
-        ++to_induce;
-      }
-      ++components_adopted_;
-      pending.push_back(Pending{state->vertices[0], std::move(state)});
-    }
     for (const std::vector<int>& group : delta.groups) {
-      // One rebuilt component per fused group: merge the members' sorted
-      // vertex lists (kept components + absorbed singletons). Connected by
-      // construction — each member was connected and the batch's edges are
-      // what fused them — so f_sf = |C| - 1 holds, and EnsureInduced
-      // re-derives it in Debug builds.
-      auto state = std::make_unique<ComponentState>();
+      // Merge the members' sorted vertex lists (kept components + absorbed
+      // singletons). Connected by construction — each member was connected
+      // and the batch's edges are what fused them — so f_sf = |C| - 1 holds,
+      // and EnsureInduced re-derives it in Debug builds.
+      auto core = std::make_shared<ComponentCore>();
+      std::vector<int>& vertices = core->vertices;
       std::size_t size = 0;
       for (int label : group) {
         size += label < num_kept
                     ? base.components_[static_cast<std::size_t>(label)]
-                          ->vertices.size()
+                          .core->vertices.size()
                     : 1;
       }
-      state->vertices.reserve(size);
+      vertices.reserve(size);
       for (int label : group) {
         if (label < num_kept) {
           const std::vector<int>& members =
-              base.components_[static_cast<std::size_t>(label)]->vertices;
-          state->vertices.insert(state->vertices.end(), members.begin(),
-                                 members.end());
+              base.components_[static_cast<std::size_t>(label)].core->vertices;
+          vertices.insert(vertices.end(), members.begin(), members.end());
         } else {
-          state->vertices.push_back(
+          vertices.push_back(
               singleton_vertex[static_cast<std::size_t>(label - num_kept)]);
         }
       }
-      std::sort(state->vertices.begin(), state->vertices.end());
-      state->f_sf = static_cast<double>(state->vertices.size()) - 1.0;
+      std::sort(vertices.begin(), vertices.end());
+      core->f_sf = static_cast<double>(vertices.size()) - 1.0;
       // Seed the merged component's cut pool from its members' pools. A
       // subtour constraint is valid for ANY vertex subset, so a member's
       // pooled cuts stay valid (and typically still binding) after the
@@ -223,38 +288,80 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
       // id -> host id -> merged-local id; each map is strictly increasing,
       // so sorted cuts stay sorted, and members are vertex-disjoint, so no
       // cross-member duplicates can arise.
+      CutPool pool;
       for (int label : group) {
         if (label >= num_kept) continue;  // singletons carry no pool
         const ComponentState& member =
-            *base.components_[static_cast<std::size_t>(label)];
-        for (const std::vector<int>& cut : member.cut_pool) {
+            base.components_[static_cast<std::size_t>(label)];
+        for (const std::vector<int>& cut : *member.cut_pool) {
           std::vector<int> remapped;
           remapped.reserve(cut.size());
           for (int local : cut) {
             const int host =
-                member.vertices[static_cast<std::size_t>(local)];
+                member.core->vertices[static_cast<std::size_t>(local)];
             remapped.push_back(static_cast<int>(
-                std::lower_bound(state->vertices.begin(),
-                                 state->vertices.end(), host) -
-                state->vertices.begin()));
+                std::lower_bound(vertices.begin(), vertices.end(), host) -
+                vertices.begin()));
           }
-          state->cut_pool.push_back(std::move(remapped));
+          pool.push_back(std::move(remapped));
         }
       }
+      Rebuilt entry;
+      entry.position = LowerBoundBySmallestVertex(base.components_, vertices[0]);
+      entry.state.core = std::move(core);
+      entry.state.cut_pool =
+          pool.empty() ? SharedEmpty<CutPool>()
+                       : std::make_shared<CutPool>(std::move(pool));
+      entry.state.cached = SharedEmpty<CachedCells>();
       ++components_invalidated_;
       ++to_induce;
-      pending.push_back(Pending{state->vertices[0], std::move(state)});
+      rebuilt.push_back(std::move(entry));
     }
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const Pending& a, const Pending& b) {
-              return a.min_vertex < b.min_vertex;
-            });
-  components_.reserve(pending.size());
-  f_sf_total_ = 0.0;
-  for (Pending& p : pending) {
-    f_sf_total_ += p.state->f_sf;
-    components_.push_back(std::move(p.state));
+    std::sort(rebuilt.begin(), rebuilt.end(),
+              [](const Rebuilt& a, const Rebuilt& b) {
+                return a.state.core->vertices[0] < b.state.core->vertices[0];
+              });
+
+    // New partition = base's untouched components, in base's order, with
+    // the rebuilt ones merged in at their insertion points: smallest-vertex
+    // order (as ComponentLabels gives), so the per-Δ totals sum in the same
+    // order as a cold rebuild — bit-identical floating-point results, not
+    // merely equal sets.
+    components_.reserve(static_cast<std::size_t>(num_kept) + rebuilt.size() +
+                        singleton_vertex.size() - delta.touched.size());
+    auto next_rebuilt = rebuilt.begin();
+    for (int c = 0; c <= num_kept; ++c) {
+      for (; next_rebuilt != rebuilt.end() && next_rebuilt->position == c;
+           ++next_rebuilt) {
+        components_.push_back(std::move(next_rebuilt->state));
+      }
+      if (c == num_kept || touched[static_cast<std::size_t>(c)]) continue;
+      const ComponentState& from =
+          base.components_[static_cast<std::size_t>(c)];
+      components_.emplace_back();
+      ComponentState& state = components_.back();
+      if (from.core->induced.load(std::memory_order_acquire)) {
+        // The untouched component's induced subgraph is identical in the new
+        // host (same vertex set, same edges, same relabeling), and an
+        // induced core never changes again: share it.
+        state.core = from.core;
+      } else {
+        // Base had not induced it yet (mid-warm adoption): a core of our
+        // own, left lazy; inducing from the new host yields the identical
+        // graph. Sharing it would let base's induction write a core this
+        // family reads, and leave our countdown short of zero.
+        auto core = std::make_shared<ComponentCore>();
+        core->vertices = from.core->vertices;
+        core->f_sf = from.core->f_sf;
+        state.core = std::move(core);
+        ++to_induce;
+      }
+      state.exact_from = from.exact_from;
+      state.fast_path_failed_at = from.fast_path_failed_at;
+      state.cut_pool = from.cut_pool;
+      state.cached = from.cached;
+      ++components_adopted_;
+    }
   }
   NODEDP_DCHECK(static_cast<int>(f_sf_total_) == SpanningForestSize(graph));
 
@@ -265,18 +372,30 @@ ExtensionFamily::ExtensionFamily(const Graph& graph,
   }
 }
 
-void ExtensionFamily::EnsureInduced(ComponentState& component) {
-  if (component.induced.load(std::memory_order_acquire)) return;
-  std::call_once(component.induce_once, [this, &component] {
+int ExtensionFamily::LowerBoundBySmallestVertex(
+    const std::vector<ComponentState>& components, int vertex) {
+  return static_cast<int>(
+      std::lower_bound(components.begin(), components.end(), vertex,
+                       [](const ComponentState& component, int v) {
+                         return component.core->vertices[0] < v;
+                       }) -
+      components.begin());
+}
+
+void ExtensionFamily::EnsureInduced(const ComponentCore& core) {
+  if (core.induced.load(std::memory_order_acquire)) return;
+  // Only this family holds an uninduced core (adoption shares induced cores
+  // only), so host_graph_ is the graph it partitions.
+  std::call_once(core.induce_once, [this, &core] {
     const auto started = std::chrono::steady_clock::now();
-    component.graph = InduceSortedGraph(host_graph_, component.vertices);
+    core.graph = InduceSortedGraph(host_graph_, core.vertices);
     // The invariant that replaced the per-component spanning-forest pass:
     // a connected component's spanning forest has exactly |C| - 1 edges.
-    NODEDP_DCHECK(SpanningForestSize(component.graph) ==
-                  static_cast<int>(component.f_sf));
+    NODEDP_DCHECK(SpanningForestSize(core.graph) ==
+                  static_cast<int>(core.f_sf));
     InductionNsHistogram()->Observe(
         static_cast<double>(ElapsedNs(started)));
-    component.induced.store(true, std::memory_order_release);
+    core.induced.store(true, std::memory_order_release);
     remaining_inductions_.fetch_sub(1, std::memory_order_acq_rel);
   });
 }
@@ -296,22 +415,24 @@ std::size_t ExtensionFamily::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
   if (!host_released_) total += host_graph_.MemoryBytes();
-  total += components_.capacity() * sizeof(components_[0]);
-  for (const auto& component : components_) {
-    total += sizeof(ComponentState);
-    total += component->vertices.capacity() * sizeof(int);
-    if (component->induced.load(std::memory_order_acquire)) {
-      total += component->graph.MemoryBytes();
+  total += components_.capacity() * sizeof(ComponentState);
+  for (const ComponentState& component : components_) {
+    // Shared parts count here in full, as in every other family holding
+    // them.
+    const ComponentCore& core = *component.core;
+    total += sizeof(ComponentCore);
+    total += core.vertices.capacity() * sizeof(int);
+    if (core.induced.load(std::memory_order_acquire)) {
+      total += core.graph.MemoryBytes();
     }
-    total += component->cut_pool.capacity() * sizeof(std::vector<int>);
-    for (const std::vector<int>& cut : component->cut_pool) {
+    total += sizeof(CutPool) +
+             component.cut_pool->capacity() * sizeof(std::vector<int>);
+    for (const std::vector<int>& cut : *component.cut_pool) {
       total += cut.capacity() * sizeof(int);
     }
-    total += component->inflight_deltas.capacity() * sizeof(double);
-    // Rough std::map node cost: payload + left/right/parent pointers and
-    // color, as allocators typically lay it out.
-    total += component->cached.size() *
-             (sizeof(std::pair<const double, double>) + 4 * sizeof(void*));
+    total += component.inflight_deltas.capacity() * sizeof(double);
+    total += sizeof(CachedCells) +
+             component.cached->capacity() * sizeof((*component.cached)[0]);
   }
   total += settled_.capacity() * sizeof(SettledTotal);
   return total;
@@ -378,12 +499,12 @@ Result<std::vector<double>> ExtensionFamily::Values(
       std::vector<std::set<double>> queued(components_.size());
       for (double delta : deltas) {
         for (std::size_t c = 0; c < components_.size(); ++c) {
-          ComponentState& component = *components_[c];
+          ComponentState& component = components_[c];
           if (delta >= component.exact_from) {
             if (count_settled_stats) ++stats_.watermark_hits;
             continue;
           }
-          if (component.cached.count(delta) > 0 ||
+          if (FindCached(*component.cached, delta) != nullptr ||
               !queued[c].insert(delta).second) {
             if (count_settled_stats) ++stats_.cache_hits;
             continue;
@@ -421,11 +542,12 @@ Result<std::vector<double>> ExtensionFamily::Values(
     std::chrono::steady_clock::time_point prev_finish;
     std::chrono::steady_clock::time_point last_finish;
     ParallelFor(static_cast<std::int64_t>(cells.size()), [&](std::int64_t i) {
-      CellTask& cell = cells[static_cast<std::size_t>(i)];
-      ComponentState& component =
-          *components_[static_cast<std::size_t>(cell.component)];
-      EnsureInduced(component);
-      outcomes[static_cast<std::size_t>(i)] = EvaluateCell(component, cell);
+      const CellTask& cell = cells[static_cast<std::size_t>(i)];
+      // The core pointer is fixed at construction, so it reads unlocked.
+      const ComponentCore& core =
+          *components_[static_cast<std::size_t>(cell.component)].core;
+      EnsureInduced(core);
+      outcomes[static_cast<std::size_t>(i)] = EvaluateCell(core, cell);
       std::lock_guard<std::mutex> publish_lock(mu_);
       PublishCellLocked(cell, outcomes[static_cast<std::size_t>(i)]);
       if (--cells_left[static_cast<std::size_t>(cell.component)] == 0) {
@@ -455,18 +577,19 @@ Result<std::vector<double>> ExtensionFamily::Values(
     // watermarks, and claim releases already happened per cell in
     // PublishCellLocked; nothing a waiter blocks on is left here, but the
     // cut pool must still grow in planning order so the post-call family
-    // state is bit-identical at any width. The dedup
-    // set over a component's cut pool is built at most once per component,
-    // on first use.
+    // state is bit-identical at any width. A component's dedup set and its
+    // extended pool are built at most once per batch, on first use, and the
+    // extended pool replaces the shared one after the loop.
     std::unique_lock<std::mutex> lock(mu_);
-    std::vector<std::optional<std::set<std::vector<int>>>> pooled_by_component(
-        components_.size());
+    struct PoolMerge {
+      std::set<std::vector<int>> pooled;
+      std::shared_ptr<CutPool> extended;
+    };
+    std::vector<std::optional<PoolMerge>> merges(components_.size());
     Status first_error = Status::OK();
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellTask& cell = cells[i];
       const CellOutcome& outcome = outcomes[i];
-      ComponentState& component =
-          *components_[static_cast<std::size_t>(cell.component)];
       stats_.cut_rounds += outcome.cut_rounds;
       stats_.cuts_added += outcome.cuts_added;
       stats_.simplex_iterations += outcome.simplex_iterations;
@@ -483,14 +606,26 @@ Result<std::vector<double>> ExtensionFamily::Values(
       }
       ++stats_.lp_evaluations;
       if (!outcome.new_cuts.empty()) {
-        std::optional<std::set<std::vector<int>>>& pooled =
-            pooled_by_component[static_cast<std::size_t>(cell.component)];
-        if (!pooled.has_value()) {
-          pooled.emplace(component.cut_pool.begin(), component.cut_pool.end());
+        std::optional<PoolMerge>& merge =
+            merges[static_cast<std::size_t>(cell.component)];
+        if (!merge.has_value()) {
+          const CutPool& pool =
+              *components_[static_cast<std::size_t>(cell.component)].cut_pool;
+          merge.emplace();
+          merge->pooled.insert(pool.begin(), pool.end());
+          merge->extended = std::make_shared<CutPool>(pool);
         }
         for (const std::vector<int>& cut : outcome.new_cuts) {
-          if (pooled->insert(cut).second) component.cut_pool.push_back(cut);
+          if (merge->pooled.insert(cut).second) {
+            merge->extended->push_back(cut);
+          }
         }
+      }
+    }
+    for (std::size_t c = 0; c < merges.size(); ++c) {
+      if (merges[c].has_value() &&
+          merges[c]->extended->size() > components_[c].cut_pool->size()) {
+        components_[c].cut_pool = std::move(merges[c]->extended);
       }
     }
     MaybeReleaseHostGraphLocked();
@@ -505,7 +640,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
         for (const std::pair<int, double>& id : awaited) {
           if (SortedContains(
                   components_[static_cast<std::size_t>(id.first)]
-                      ->inflight_deltas,
+                      .inflight_deltas,
                   id.second)) {
             return false;
           }
@@ -520,9 +655,9 @@ Result<std::vector<double>> ExtensionFamily::Values(
       // the uncontended path.
       bool all_settled = true;
       for (double delta : deltas) {
-        for (const auto& component : components_) {
-          if (delta >= component->exact_from) continue;
-          if (component->cached.count(delta) > 0) continue;
+        for (const ComponentState& component : components_) {
+          if (delta >= component.exact_from) continue;
+          if (FindCached(*component.cached, delta) != nullptr) continue;
           all_settled = false;
           break;
         }
@@ -538,18 +673,17 @@ Result<std::vector<double>> ExtensionFamily::Values(
     totals.reserve(deltas.size());
     for (double delta : deltas) {
       SettledTotal settled{delta, 0.0, 0, 0};
-      for (const auto& component : components_) {
-        if (delta >= component->exact_from) {
+      for (const ComponentState& component : components_) {
+        if (delta >= component.exact_from) {
           ++settled.watermark_hits;
         } else {
           ++settled.cache_hits;
         }
-        const auto cached = component->cached.find(delta);
-        if (cached != component->cached.end()) {
-          settled.total += cached->second;
+        if (const double* cached = FindCached(*component.cached, delta)) {
+          settled.total += *cached;
         } else {
-          NODEDP_CHECK_GE(delta, component->exact_from);
-          settled.total += component->f_sf;
+          NODEDP_CHECK_GE(delta, component.exact_from);
+          settled.total += component.core->f_sf;
         }
       }
       totals.push_back(settled.total);
@@ -573,7 +707,7 @@ void ExtensionFamily::PublishCellLocked(const CellTask& cell,
   // watermark hit) or add a cached value, so every memoized total is stale.
   settled_.clear();
   ComponentState& component =
-      *components_[static_cast<std::size_t>(cell.component)];
+      components_[static_cast<std::size_t>(cell.component)];
   component.fast_path_failed_at =
       std::max(component.fast_path_failed_at, outcome.fast_path_failed_at);
   if (outcome.ok) {
@@ -581,8 +715,8 @@ void ExtensionFamily::PublishCellLocked(const CellTask& cell,
       component.exact_from =
           std::min(component.exact_from, std::floor(cell.delta));
     } else {
-      component.cached.emplace(cell.delta, outcome.value);
-      if (std::fabs(outcome.value - component.f_sf) < 1e-9) {
+      InsertCached(component.cached, cell.delta, outcome.value);
+      if (std::fabs(outcome.value - component.core->f_sf) < 1e-9) {
         component.exact_from = std::min(component.exact_from, cell.delta);
       }
     }
@@ -596,7 +730,7 @@ void ExtensionFamily::PublishCellLocked(const CellTask& cell,
 }
 
 ExtensionFamily::CellOutcome ExtensionFamily::EvaluateCell(
-    const ComponentState& component, CellTask& task) const {
+    const ComponentCore& core, const CellTask& task) const {
   const double delta = task.delta;
   CellOutcome outcome;
   if (options_.use_repair_fast_path) {
@@ -604,25 +738,24 @@ ExtensionFamily::CellOutcome ExtensionFamily::EvaluateCell(
     if (degree_cap >= 1 && degree_cap > task.fast_path_failed_at) {
       // A component is connected, so the leaf bound rules out probes that
       // cannot succeed; a skipped probe is recorded as a failed one.
-      if (LeafCountAllowsSpanningTree(component.graph, degree_cap) &&
-          FindSpanningForestOfDegree(component.graph, degree_cap)
-              .has_value()) {
+      if (LeafCountAllowsSpanningTree(core.graph, degree_cap) &&
+          FindSpanningForestOfDegree(core.graph, degree_cap).has_value()) {
         outcome.fast_certificate = true;
-        outcome.value = component.f_sf;
+        outcome.value = core.f_sf;
         return outcome;
       }
       outcome.fast_path_failed_at = degree_cap;
     }
   }
-  // Work on the task's private snapshot of the cut pool; cuts this cell
+  // Work on a private copy of the task's cut-pool snapshot; cuts this cell
   // separates are appended to it and handed back for the merge.
-  std::vector<std::vector<int>>& pool = task.pool;
+  CutPool pool = *task.pool;
   const std::size_t pool_snapshot_size = pool.size();
   ForestPolytopeOptions polytope = options_.polytope;
   polytope.cut_pool = &pool;
   const auto lp_started = std::chrono::steady_clock::now();
   const ForestPolytopeResult lp =
-      MaximizeOverForestPolytope(component.graph, delta, polytope);
+      MaximizeOverForestPolytope(core.graph, delta, polytope);
   LpSolveNsHistogram()->Observe(static_cast<double>(ElapsedNs(lp_started)));
   outcome.cut_rounds = lp.cut_rounds;
   outcome.cuts_added = lp.cuts_added;

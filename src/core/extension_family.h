@@ -44,7 +44,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -82,11 +81,14 @@ class ExtensionFamily {
 
   // Incremental (streaming-update) constructor: builds the family for
   // `graph`, which MUST be `base`'s graph with exactly `inserts` applied —
-  // normalized u < v edges that are actually new, i.e. the `added` list of
-  // Graph::ApplyEdgeDelta. Components the batch does not touch adopt
-  // base's state wholesale (induced subgraph, value cache, monotone
-  // watermark, cut pool): an insert-only delta never changes an untouched
-  // component's vertex or edge set, so the adopted cells stay exact.
+  // sorted, normalized u < v edges that are actually new, i.e. the `added`
+  // list of Graph::ApplyEdgeDelta. Components the batch does not touch adopt
+  // base's state (value cache, monotone watermark, cut pool): an
+  // insert-only delta never changes an untouched component's vertex or
+  // edge set, so the adopted cells stay exact. An adopted component that
+  // base has induced shares base's core, cut pool and value cache by
+  // pointer, so adoption copies three pointers and two scalars per
+  // component.
   // Components the batch merges or edits are rebuilt cold, with lazy
   // induction from `graph` — a following Warm(grid) therefore re-solves
   // exactly the invalidated (component, Δ) cells and hits cache on every
@@ -153,8 +155,11 @@ class ExtensionFamily {
 
   // Heap footprint: component graphs (plus the host-graph copy while lazy
   // induction still needs it), partition vertex lists, cut pools, and the
-  // per-Δ value caches. Safe to call while queries are in flight; feeds
-  // the serving layer's cache-eviction policy.
+  // per-Δ value caches. Parts shared with another family (adopted cores,
+  // cut pools and value caches) count in full in every family that holds
+  // them, so the sum over a base and its derived family overstates the
+  // bytes while both are alive. Safe to call while queries are in flight;
+  // feeds the serving layer's cache-eviction policy.
   std::size_t MemoryBytes() const;
 
   // Cumulative work statistics across all Value() calls.
@@ -179,7 +184,12 @@ class ExtensionFamily {
   }
 
  private:
-  struct ComponentState {
+  // The part of a component that never changes once induced. Shared by
+  // pointer between a family and the families derived from it by the
+  // incremental constructor, which adopts a component only after it is
+  // induced: the induction below therefore runs at most once, inside the
+  // family that built the core, and a shared core is read-only.
+  struct ComponentCore {
     // Host-graph ids of this component, sorted ascending. The lazy
     // induction input; retained afterwards so MemoryBytes() never races an
     // in-flight induction.
@@ -188,28 +198,46 @@ class ExtensionFamily {
     double f_sf = 0.0;
     // The induced subgraph. Written once, inside `induce_once`; readable
     // once `induced` is true (acquire/release pairing).
-    Graph graph;
-    std::once_flag induce_once;
-    std::atomic<bool> induced{false};
+    mutable Graph graph;
+    mutable std::once_flag induce_once;
+    mutable std::atomic<bool> induced{false};
+  };
+
+  using CutPool = std::vector<std::vector<int>>;
+
+  // One component's solved state in this family; guarded by mu_. The cut
+  // pool and the value cache are copy-on-write: an update installs an
+  // extended copy and never writes in place, because other families (and,
+  // for the pool, in-flight cells) may hold the old pointer.
+  struct ComponentState {
+    std::shared_ptr<const ComponentCore> core;
     // Smallest Δ known to satisfy f_Δ = f_sf (monotone watermark).
     double exact_from = std::numeric_limits<double>::infinity();
     // Largest integer cap where the fast-path forest search already failed
     // (skip re-running the heuristic below it; purely an optimization).
     int fast_path_failed_at = 0;
-    std::vector<std::vector<int>> cut_pool;
-    std::map<double, double> cached;
+    // Never null; shared with the base family and cell snapshots.
+    std::shared_ptr<const CutPool> cut_pool;
+    // Solved (Δ, f_Δ) cells, sorted by Δ: a handful of grid Δs. Never
+    // null; copy-on-write and shared like the cut pool.
+    std::shared_ptr<const std::vector<std::pair<double, double>>> cached;
     // Δs of this component currently being evaluated by some Values()
-    // batch, sorted ascending (guarded by mu_). A concurrent caller that
-    // needs one waits on cells_cv_ instead of duplicating the solve. Kept
-    // per component — a handful of grid Δs at most — so claim/release is
-    // allocation-free on the warm path.
+    // batch, sorted ascending. A concurrent caller that needs one waits on
+    // cells_cv_ instead of duplicating the solve. Kept per component — a
+    // handful of grid Δs at most — so claim/release is allocation-free on
+    // the warm path.
     std::vector<double> inflight_deltas;
   };
 
-  // Induces `component` from host_graph_, exactly once across all threads
+  // Induces `core` from host_graph_, exactly once across all threads
   // (later callers return immediately, or wait for the one in-flight
   // induction). Debug builds CHECK the |C| - 1 invariant.
-  void EnsureInduced(ComponentState& component);
+  void EnsureInduced(const ComponentCore& core);
+
+  // Index of the first of `components` (in smallest-vertex order) whose
+  // smallest vertex is not below `vertex`.
+  static int LowerBoundBySmallestVertex(
+      const std::vector<ComponentState>& components, int vertex);
 
   // Drops the host-graph copy once every component has been induced.
   // Requires mu_; safe against concurrent inductions because the atomic
@@ -222,8 +250,8 @@ class ExtensionFamily {
   struct CellTask {
     int component;
     double delta;
-    int fast_path_failed_at;               // snapshot
-    std::vector<std::vector<int>> pool;    // snapshot of the cut pool
+    int fast_path_failed_at;              // snapshot
+    std::shared_ptr<const CutPool> pool;  // snapshot of the cut pool
   };
 
   // The cell's result. Mutations are returned for the deterministic merge
@@ -242,9 +270,9 @@ class ExtensionFamily {
   };
 
   // Runs outside the lock: touches only the task's snapshots and the
-  // component fields that are immutable after induction (graph, f_sf).
-  CellOutcome EvaluateCell(const ComponentState& component,
-                           CellTask& task) const;
+  // component's induced core.
+  CellOutcome EvaluateCell(const ComponentCore& core,
+                           const CellTask& task) const;
 
   // Publishes one settled cell under mu_ — value cache, watermark,
   // fast-path floor — and releases its in-flight claim so awaiting callers
@@ -279,8 +307,9 @@ class ExtensionFamily {
 
   mutable std::mutex mu_;
   bool host_released_ = true;  // guarded by mu_
-  // unique_ptr elements because ComponentState holds a std::once_flag.
-  std::vector<std::unique_ptr<ComponentState>> components_;
+  // In smallest-vertex order; sized once at construction, so element
+  // addresses are stable while cells run.
+  std::vector<ComponentState> components_;
   // Signaled whenever a batch releases its in-flight cells (see
   // ComponentState::inflight_deltas).
   std::condition_variable cells_cv_;

@@ -100,7 +100,15 @@ void Graph::AdoptHeapStorage(std::shared_ptr<const HeapStorage> storage) {
   storage_ = std::move(storage);
 }
 
-Graph::Graph() { AdoptHeapStorage(std::make_shared<HeapStorage>()); }
+Graph::Graph() {
+  // Every empty graph shares one backing, so a default-constructed Graph
+  // (an uninduced component, a released host graph) allocates nothing.
+  // Never destroyed, so graphs torn down by other statics' destructors
+  // can still drop their references.
+  static const auto* empty = new std::shared_ptr<const HeapStorage>(
+      std::make_shared<HeapStorage>());
+  AdoptHeapStorage(*empty);
+}
 
 Graph::Graph(int num_vertices, std::vector<std::pair<int, int>> edge_pairs) {
   NODEDP_CHECK_GE(num_vertices, 0);

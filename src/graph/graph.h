@@ -77,7 +77,8 @@ class Graph {
   static constexpr std::int64_t kMaxVertices = 2147483647;  // INT32_MAX
   static constexpr std::int64_t kMaxEdges = 2147483647;     // INT32_MAX
 
-  // Empty graph with zero vertices.
+  // Empty graph with zero vertices. Allocates nothing: every empty graph
+  // shares one backing.
   Graph();
 
   // Builds a graph on `num_vertices` vertices from an edge list. Endpoints

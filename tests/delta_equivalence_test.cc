@@ -3,10 +3,14 @@
 // ones) must be indistinguishable from a cold rebuild on the patched graph
 // — bit-identical Values() tables at any pool width, with queries racing
 // the incremental re-warm served exactly (this file runs under TSan in CI).
+// Adopted components are shared with the base family by pointer, so the
+// sharing tests check that neither family's work changes what the other
+// serves, and that shared parts outlive the family that built them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -265,6 +269,129 @@ TEST(DeltaEquivalenceTest, WholeGraphEvaluationMatchesIncrementalFamily) {
         MaximizeOverForestPolytope(delta->graph, grid[i]);
     ASSERT_EQ(whole.status, LpStatus::kOptimal);
     EXPECT_NEAR(values[i], whole.value, kTol) << "delta " << grid[i];
+  }
+}
+
+void ExpectSameStats(const ExtensionFamily::Stats& got,
+                     const ExtensionFamily::Stats& want) {
+  EXPECT_EQ(got.lp_evaluations, want.lp_evaluations);
+  EXPECT_EQ(got.fast_certificates, want.fast_certificates);
+  EXPECT_EQ(got.watermark_hits, want.watermark_hits);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cut_rounds, want.cut_rounds);
+  EXPECT_EQ(got.cuts_added, want.cuts_added);
+  EXPECT_EQ(got.simplex_iterations, want.simplex_iterations);
+  EXPECT_EQ(got.cold_restarts, want.cold_restarts);
+}
+
+TEST(DeltaEquivalenceTest, ChildWarmLeavesBaseUntouched) {
+  // The child shares base's induced components and cut pools by pointer.
+  // Its cut-pool merges and cell publications must copy, never write
+  // through. Base warms only Δ = 8, where a bounded-degree spanning tree
+  // settles every component without an LP, so its pools stay empty. The
+  // child's smaller Δs then run LPs on adopted components, merge the new
+  // cuts into their pools, and publish cells base never solved. Base's
+  // values, counters and footprint must be exactly as before.
+  Rng rng(8700);
+  std::vector<Graph> parts;
+  for (int i = 0; i < 6; ++i) {
+    parts.push_back(gen::ErdosRenyi(24, 0.15, rng));
+  }
+  const Graph g = gen::DisjointUnion(parts);
+  const Result<Graph::EdgeDelta> delta = g.ApplyEdgeDelta({{5, 30}});
+  ASSERT_TRUE(delta.ok());
+  ASSERT_EQ(delta->added.size(), 1u);
+
+  ExtensionFamily base(g);
+  const std::vector<double> base_grid = {8.0};
+  const std::vector<double> base_values = base.Values(base_grid).value();
+  const ExtensionFamily::Stats base_stats = base.stats();
+  ASSERT_EQ(base_stats.lp_evaluations, 0);
+  const std::size_t base_bytes = base.MemoryBytes();
+
+  ExtensionFamily child(delta->graph, base, delta->added);
+  EXPECT_GT(child.components_adopted(), 0);
+  const std::vector<double> child_grid = {1.5, 2.0, 3.0, 8.0};
+  const std::vector<double> child_values = child.Values(child_grid).value();
+  // The child really did grow adopted pools; otherwise nothing was tested.
+  ASSERT_GT(child.stats().cuts_added, 0);
+
+  ExpectSameStats(base.stats(), base_stats);
+  EXPECT_EQ(base.MemoryBytes(), base_bytes);
+  EXPECT_EQ(base.Values(base_grid).value(), base_values);
+
+  ExtensionFamily cold(delta->graph);
+  EXPECT_EQ(child_values, cold.Values(child_grid).value());
+}
+
+TEST(DeltaEquivalenceTest, BaseDestroyedBeforeChildWarmIsExact) {
+  // What the child shares with base must outlive base: destroy base right
+  // after building the child, then warm the child. Warmed and unwarmed
+  // bases alternate, so shared and child-owned lazy components both occur.
+  Rng rng(8800);
+  const std::vector<double> grid = {1.0, 2.0, 4.0, 8.0};
+  for (int trial = 0; trial < 20; ++trial) {
+    const Graph g = RandomMultiComponentGraph(rng);
+    const Result<Graph::EdgeDelta> delta =
+        g.ApplyEdgeDelta(RandomBatch(g, rng));
+    ASSERT_TRUE(delta.ok());
+
+    auto base = std::make_unique<ExtensionFamily>(g);
+    if (trial % 2 == 0) {
+      ASSERT_TRUE(base->Warm(grid).ok()) << "trial " << trial;
+    }
+    ExtensionFamily child(delta->graph, *base, delta->added);
+    base.reset();
+    ASSERT_TRUE(child.Warm(grid).ok()) << "trial " << trial;
+
+    ExtensionFamily cold(delta->graph);
+    EXPECT_EQ(child.Values(grid).value(), cold.Values(grid).value())
+        << "trial " << trial;
+  }
+}
+
+TEST(DeltaEquivalenceTest, FiftyDeltaChainMatchesColdAtEveryStep) {
+  // A long chain on a many-component graph, as a streaming server runs it:
+  // each family is derived from the previous one, which is then dropped,
+  // so shared components outlive the families that built them. Each step
+  // adds one or two random edges (most of them merge two blocks) and must
+  // match a cold build of the same graph.
+  Rng rng(8900);
+  std::vector<Graph> parts;
+  for (int i = 0; i < 200; ++i) {
+    parts.push_back(gen::ErdosRenyi(6, 0.4, rng));
+  }
+  Graph current = gen::DisjointUnion(parts);
+  const std::vector<double> grid = {1.0, 2.0, 4.0};
+  auto family = std::make_unique<ExtensionFamily>(current);
+  ASSERT_TRUE(family->Warm(grid).ok());
+  const int n = current.NumVertices();
+  for (int step = 0; step < 50; ++step) {
+    std::vector<std::pair<int, int>> batch;
+    const int size = 1 + static_cast<int>(rng.NextUint64(2));
+    while (static_cast<int>(batch.size()) < size) {
+      const int u = static_cast<int>(rng.NextUint64(static_cast<uint64_t>(n)));
+      const int v = static_cast<int>(rng.NextUint64(static_cast<uint64_t>(n)));
+      if (u != v) batch.emplace_back(u, v);
+    }
+    const Result<Graph::EdgeDelta> delta = current.ApplyEdgeDelta(batch);
+    ASSERT_TRUE(delta.ok()) << "step " << step;
+    family = std::make_unique<ExtensionFamily>(delta->graph, *family,
+                                               delta->added);
+    EXPECT_EQ(family->components_adopted() + family->components_invalidated(),
+              family->num_components())
+        << "step " << step;
+    ASSERT_TRUE(family->Warm(grid).ok()) << "step " << step;
+    current = delta->graph;
+
+    ExtensionFamily cold(current);
+    EXPECT_EQ(family->num_components(), cold.num_components())
+        << "step " << step;
+    EXPECT_EQ(family->SpanningForestSizeValue(),
+              cold.SpanningForestSizeValue())
+        << "step " << step;
+    EXPECT_EQ(family->Values(grid).value(), cold.Values(grid).value())
+        << "step " << step;
   }
 }
 
