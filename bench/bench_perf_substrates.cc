@@ -1,8 +1,8 @@
 // P1 — google-benchmark timings of the substrates: simplex pivots, Dinic
 // max-flow, the exact separation oracle, full cutting-plane solves, the
 // repair/local-search certificate, s(G), end-to-end Algorithm 1, the
-// warm serving reads (exact, sweep of 3, approx), and the one-edge
-// streaming update.
+// warm serving reads (exact, sweep of 3, approx), the one-edge
+// streaming update, and its graph splice (ApplyEdgeDelta) alone.
 // These are the cost drivers behind every experiment table; regressions
 // here would silently blow up E1-E8 runtimes.
 //
@@ -13,8 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/degree_improve.h"
@@ -251,15 +253,35 @@ BENCHMARK(BM_ApproxReadFresh);
 // component is rebuilt; the rest are adopted.
 // --------------------------------------------------------------------------
 
-void BM_AddEdgesOneEdge(benchmark::State& state) {
-  const int blocks = static_cast<int>(state.range(0));
-  constexpr int kBlockSize = 20;
-  Rng rng(14);
+constexpr int kMixedBlockSize = 20;
+
+Graph MixedShapeGraph(int blocks, Rng& rng) {
   std::vector<Graph> parts;
   for (int b = 0; b < blocks; ++b) {
-    parts.push_back(gen::ErdosRenyi(kBlockSize, 2.5 / (kBlockSize - 1), rng));
+    parts.push_back(
+        gen::ErdosRenyi(kMixedBlockSize, 2.5 / (kMixedBlockSize - 1), rng));
   }
-  auto graph = std::make_unique<Graph>(gen::DisjointUnion(parts));
+  return gen::DisjointUnion(parts);
+}
+
+// A random edge inside a random block that `g` does not have yet.
+std::pair<int, int> NewInBlockEdge(const Graph& g, int blocks, Rng& rng) {
+  int u = 0;
+  int v = 0;
+  do {
+    const int base =
+        static_cast<int>(rng.NextUint64(static_cast<uint64_t>(blocks))) *
+        kMixedBlockSize;
+    u = base + static_cast<int>(rng.NextUint64(kMixedBlockSize));
+    v = base + static_cast<int>(rng.NextUint64(kMixedBlockSize));
+  } while (u == v || g.HasEdge(u, v));
+  return {u, v};
+}
+
+void BM_AddEdgesOneEdge(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  Rng rng(14);
+  auto graph = std::make_unique<Graph>(MixedShapeGraph(blocks, rng));
   PrivateCcOptions options;
   options.delta_max = 8;
   const std::vector<double> grid =
@@ -272,16 +294,8 @@ void BM_AddEdgesOneEdge(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    int u = 0;
-    int v = 0;
-    do {
-      const int base =
-          static_cast<int>(rng.NextUint64(static_cast<uint64_t>(blocks))) *
-          kBlockSize;
-      u = base + static_cast<int>(rng.NextUint64(kBlockSize));
-      v = base + static_cast<int>(rng.NextUint64(kBlockSize));
-    } while (u == v || graph->HasEdge(u, v));
-    Result<Graph::EdgeDelta> delta = graph->ApplyEdgeDelta({{u, v}});
+    Result<Graph::EdgeDelta> delta =
+        graph->ApplyEdgeDelta({NewInBlockEdge(*graph, blocks, rng)});
     auto next_graph = std::make_unique<Graph>(std::move(delta->graph));
     auto next = std::make_unique<ExtensionFamily>(*next_graph, *family,
                                                   delta->added);
@@ -295,6 +309,52 @@ void BM_AddEdgesOneEdge(benchmark::State& state) {
   if (blocks == 500) state.counters["target_ns"] = 1270000;
 }
 BENCHMARK(BM_AddEdgesOneEdge)->Arg(500)->Arg(5000)->UseRealTime();
+
+// Graph::ApplyEdgeDelta alone, on BM_AddEdgesOneEdge's graphs: each
+// iteration adds one new in-block edge to the same base graph. Only the
+// call is timed (manual time), not picking the edge or freeing the
+// patched graph.
+void BM_ApplyEdgeDelta(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  Rng rng(14);
+  const Graph graph = MixedShapeGraph(blocks, rng);
+  for (auto _ : state) {
+    const std::vector<std::pair<int, int>> batch = {
+        NewInBlockEdge(graph, blocks, rng)};
+    const auto started = std::chrono::steady_clock::now();
+    Result<Graph::EdgeDelta> delta = graph.ApplyEdgeDelta(batch);
+    const auto finished = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(delta);
+    state.SetIterationTime(
+        std::chrono::duration<double>(finished - started).count());
+  }
+  if (blocks == 500) state.counters["target_ns"] = 73000;
+}
+BENCHMARK(BM_ApplyEdgeDelta)->Arg(500)->Arg(5000)->UseManualTime();
+
+// The same call with a large batch: 10% of m random new edges anywhere in
+// the graph, a fresh batch per iteration, only the call timed.
+void BM_ApplyEdgeDeltaBatch(benchmark::State& state) {
+  const int blocks = static_cast<int>(state.range(0));
+  Rng rng(15);
+  const Graph graph = MixedShapeGraph(blocks, rng);
+  const int n = graph.NumVertices();
+  for (auto _ : state) {
+    std::vector<std::pair<int, int>> batch;
+    while (batch.size() * 10 < static_cast<std::size_t>(graph.NumEdges())) {
+      const int u = static_cast<int>(rng.NextUint64(n));
+      const int v = static_cast<int>(rng.NextUint64(n));
+      if (u != v && !graph.HasEdge(u, v)) batch.emplace_back(u, v);
+    }
+    const auto started = std::chrono::steady_clock::now();
+    Result<Graph::EdgeDelta> delta = graph.ApplyEdgeDelta(batch);
+    const auto finished = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(delta);
+    state.SetIterationTime(
+        std::chrono::duration<double>(finished - started).count());
+  }
+}
+BENCHMARK(BM_ApplyEdgeDeltaBatch)->Arg(500)->UseManualTime();
 
 // --------------------------------------------------------------------------
 // Thread sweep: the same work at explicit pool widths. Speedup at width t

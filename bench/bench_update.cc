@@ -10,7 +10,7 @@
 // Measures:
 //   base_warm           lazy family construction + full-grid warm on
 //                       the pre-update graph (context, not the comparison)
-//   delta_apply         Graph::ApplyEdgeDelta — sorted merge + CSR rebuild
+//   delta_apply         Graph::ApplyEdgeDelta — splice into the CSR arrays
 //   incremental_rewarm  incremental ExtensionFamily from the warmed base +
 //                       re-warm of the invalidated cells only
 //   cold_rebuild        lazy family + full-grid warm on the patched
@@ -155,7 +155,7 @@ int main() {
                 {"edges", graph.NumEdges()}});
   }
 
-  // --- delta apply: sorted merge + CSR rebuild ------------------------------
+  // --- delta apply: splice into the CSR arrays ------------------------------
   const auto apply_start = Clock::now();
   const Result<Graph::EdgeDelta> delta = graph.ApplyEdgeDelta(batch);
   const double apply_ns = ElapsedNs(apply_start);

@@ -482,6 +482,21 @@ Result<std::vector<double>> ExtensionFamily::Values(
     }
   }
 
+  // Each distinct Δ once, in request order, with how often it was
+  // requested. A repeat finds every unsettled pair already queued by its
+  // first request, so it counts as a cache hit there.
+  std::vector<std::pair<double, int>> distinct;
+  for (double delta : deltas) {
+    const auto seen = std::find_if(
+        distinct.begin(), distinct.end(),
+        [delta](const std::pair<double, int>& d) { return d.first == delta; });
+    if (seen == distinct.end()) {
+      distinct.emplace_back(delta, 1);
+    } else {
+      ++seen->second;
+    }
+  }
+
   // Settled pairs are counted once, on the first planning pass, so the
   // stats match a sequential sweep; retry passes (only reached when a
   // concurrent caller's cell failed) must not recount them.
@@ -496,19 +511,18 @@ Result<std::vector<double>> ExtensionFamily::Values(
     std::vector<std::pair<int, double>> awaited;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      std::vector<std::set<double>> queued(components_.size());
-      for (double delta : deltas) {
+      for (const auto& [delta, requests] : distinct) {
         for (std::size_t c = 0; c < components_.size(); ++c) {
           ComponentState& component = components_[c];
           if (delta >= component.exact_from) {
-            if (count_settled_stats) ++stats_.watermark_hits;
+            if (count_settled_stats) stats_.watermark_hits += requests;
             continue;
           }
-          if (FindCached(*component.cached, delta) != nullptr ||
-              !queued[c].insert(delta).second) {
-            if (count_settled_stats) ++stats_.cache_hits;
+          if (FindCached(*component.cached, delta) != nullptr) {
+            if (count_settled_stats) stats_.cache_hits += requests;
             continue;
           }
+          if (count_settled_stats) stats_.cache_hits += requests - 1;
           if (SortedContains(component.inflight_deltas, delta)) {
             awaited.emplace_back(static_cast<int>(c), delta);
             continue;
@@ -534,10 +548,28 @@ Result<std::vector<double>> ExtensionFamily::Values(
     // batch; the publication also records when each component finishes its
     // last cell, feeding the straggler histogram.
     std::vector<CellOutcome> outcomes(cells.size());
-    std::vector<int> cells_left(components_.size(), 0);
+    // The components that have cells, ascending, and each cell's index
+    // into them: the per-component scratch below is sized to the batch,
+    // not to the family.
+    std::vector<int> cell_components;
+    cell_components.reserve(cells.size());
     for (const CellTask& cell : cells) {
-      ++cells_left[static_cast<std::size_t>(cell.component)];
+      cell_components.push_back(cell.component);
     }
+    std::sort(cell_components.begin(), cell_components.end());
+    cell_components.erase(
+        std::unique(cell_components.begin(), cell_components.end()),
+        cell_components.end());
+    std::vector<std::size_t> slot;
+    slot.reserve(cells.size());
+    for (const CellTask& cell : cells) {
+      slot.push_back(static_cast<std::size_t>(
+          std::lower_bound(cell_components.begin(), cell_components.end(),
+                           cell.component) -
+          cell_components.begin()));
+    }
+    std::vector<int> cells_left(cell_components.size(), 0);
+    for (const std::size_t s : slot) ++cells_left[s];
     int components_finished = 0;
     std::chrono::steady_clock::time_point prev_finish;
     std::chrono::steady_clock::time_point last_finish;
@@ -550,7 +582,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
       outcomes[static_cast<std::size_t>(i)] = EvaluateCell(core, cell);
       std::lock_guard<std::mutex> publish_lock(mu_);
       PublishCellLocked(cell, outcomes[static_cast<std::size_t>(i)]);
-      if (--cells_left[static_cast<std::size_t>(cell.component)] == 0) {
+      if (--cells_left[slot[static_cast<std::size_t>(i)]] == 0) {
         // Publications are serialized under mu_, so each finish observed
         // here is the latest so far. The clock read lives in this branch
         // (once per component, not per cell) — a warm on a many-tiny-
@@ -585,7 +617,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
       std::set<std::vector<int>> pooled;
       std::shared_ptr<CutPool> extended;
     };
-    std::vector<std::optional<PoolMerge>> merges(components_.size());
+    std::vector<std::optional<PoolMerge>> merges(cell_components.size());
     Status first_error = Status::OK();
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellTask& cell = cells[i];
@@ -606,8 +638,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
       }
       ++stats_.lp_evaluations;
       if (!outcome.new_cuts.empty()) {
-        std::optional<PoolMerge>& merge =
-            merges[static_cast<std::size_t>(cell.component)];
+        std::optional<PoolMerge>& merge = merges[slot[i]];
         if (!merge.has_value()) {
           const CutPool& pool =
               *components_[static_cast<std::size_t>(cell.component)].cut_pool;
@@ -622,10 +653,12 @@ Result<std::vector<double>> ExtensionFamily::Values(
         }
       }
     }
-    for (std::size_t c = 0; c < merges.size(); ++c) {
-      if (merges[c].has_value() &&
-          merges[c]->extended->size() > components_[c].cut_pool->size()) {
-        components_[c].cut_pool = std::move(merges[c]->extended);
+    for (std::size_t s = 0; s < merges.size(); ++s) {
+      ComponentState& component =
+          components_[static_cast<std::size_t>(cell_components[s])];
+      if (merges[s].has_value() &&
+          merges[s]->extended->size() > component.cut_pool->size()) {
+        component.cut_pool = std::move(merges[s]->extended);
       }
     }
     MaybeReleaseHostGraphLocked();

@@ -170,9 +170,15 @@ class Graph {
   // are counted in `duplicates` and otherwise ignored. Self-loops and
   // out-of-range endpoints reject the whole batch with InvalidArgument —
   // this is a data-plane entry point (serve/add_edges), so bad input must
-  // refuse, not CHECK. The merge is one pass over the two sorted edge
-  // lists plus the usual CSR build: O(n + m + |batch| log |batch|). The
-  // patched graph is always heap-backed, whatever this graph's backing.
+  // refuse, not CHECK. The new edges are spliced into copies of this
+  // graph's arrays rather than rebuilt from scratch: untouched runs of the
+  // edge list and of the neighbor slices are copied in bulk, incident ids
+  // are shifted past the new edges in front of them, and only the touched
+  // vertices' slices are merged. The result is the same four arrays a
+  // from-scratch build of the merged edge list makes, at O(n + m + b) for
+  // a batch of b edges (radix-sorted), mostly memory-bandwidth copies.
+  // The patched graph is always heap-backed, whatever this graph's
+  // backing.
   Result<EdgeDelta> ApplyEdgeDelta(
       const std::vector<std::pair<int, int>>& inserts) const;
 

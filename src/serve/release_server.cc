@@ -261,21 +261,12 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
   Result<std::shared_ptr<Entry>> found = Find(name);
   if (!found.ok()) return found.status();
   const std::shared_ptr<Entry> entry = *found;
-  // One update at a time per graph, held across the incremental build and
-  // re-warm (outermost in the lock order; queries never take it, so they
-  // are not blocked).
-  std::lock_guard<std::mutex> update_lock(entry->update_mu);
-  std::shared_ptr<const Graph> old_graph;
-  {
-    std::lock_guard<std::mutex> entry_lock(entry->mu);
-    if (entry->retired) {
-      return Status::NotFound("graph '" + name + "' was unloaded");
-    }
-    old_graph = entry->graph;
-  }
 
   static Counter* updates_total = MetricsRegistry::Default().GetCounter(
       "nodedp_updates_total", "Edge-delta batches applied via UpdateGraph");
+  static Histogram* wait_ns = UpdateStageHistogram(
+      "nodedp_update_wait_ns",
+      "Wall-ns waiting for the graph's update lock (an earlier update)");
   static Histogram* graph_ns = UpdateStageHistogram(
       "nodedp_update_graph_ns",
       "Wall-ns building the patched graph (ApplyEdgeDelta)");
@@ -288,6 +279,27 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
   static Histogram* rewarm_ns = UpdateStageHistogram(
       "nodedp_update_rewarm_ns",
       "Wall-ns re-warming the invalidated cells after an update");
+  static Histogram* release_ns = UpdateStageHistogram(
+      "nodedp_update_release_ns",
+      "Wall-ns dropping the old family and graph after an update");
+
+  // One update at a time per graph, held across the incremental build and
+  // re-warm (outermost in the lock order; queries never take it, so they
+  // are not blocked).
+  std::unique_lock<std::mutex> update_lock(entry->update_mu, std::defer_lock);
+  {
+    TimedStage wait_stage("update_wait", wait_ns);
+    update_lock.lock();
+  }
+  std::shared_ptr<const Graph> old_graph;
+  {
+    std::lock_guard<std::mutex> entry_lock(entry->mu);
+    if (entry->retired) {
+      return Status::NotFound("graph '" + name + "' was unloaded");
+    }
+    old_graph = entry->graph;
+  }
+
   updates_total->Increment();
 
   Result<Graph::EdgeDelta> delta = [&] {
@@ -310,7 +322,7 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
   // warming base is fine: cells it has not solved yet re-solve here). With
   // no resident family there is nothing to maintain; the next query
   // rebuilds cold from the patched graph.
-  const std::shared_ptr<ExtensionFamily> old_family =
+  std::shared_ptr<ExtensionFamily> old_family =
       families_.Get(entry->cache_key);
   std::shared_ptr<ExtensionFamily> family;
   if (old_family != nullptr) {
@@ -359,6 +371,13 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
     }
     families_.Promote(entry->cache_key, family);
     report.family_rewarmed = true;
+  }
+  {
+    // Ours may be the last references: dropping them frees whatever the
+    // patched family and graph do not share.
+    TimedStage release_stage("update_release", release_ns);
+    old_family.reset();
+    old_graph.reset();
   }
   return report;
 }

@@ -279,6 +279,38 @@ TEST(ExtensionFamilyTest, SettledReadsMatchAFreshWalk) {
   }
 }
 
+TEST(ExtensionFamilyTest, RepeatedDeltasInOneRequestCountAsHits) {
+  // A Δ repeated in one request plans no second cell: each repeat counts
+  // one hit per component, a watermark hit where the first planning of
+  // that Δ found one and a cache hit elsewhere (the pair is queued).
+  const Graph g = PinnedGraph();
+  const PrivateCcOptions options;
+  for (int width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedThreadPool scope(&pool);
+    ExtensionFamily once(g, options.extension);
+    ExtensionFamily alone(g, options.extension);
+    ExtensionFamily repeated(g, options.extension);
+    const std::vector<double> once_values = once.Values({2.0, 4.0}).value();
+    ASSERT_TRUE(alone.Values({2.0}).ok());
+    const std::vector<double> repeated_values =
+        repeated.Values({2.0, 4.0, 2.0, 2.0}).value();
+    EXPECT_EQ(repeated_values, (std::vector<double>{once_values[0],
+                                                    once_values[1],
+                                                    once_values[0],
+                                                    once_values[0]}));
+    const long long watermarked = alone.stats().watermark_hits;
+    const long long components = once.num_components();
+    std::vector<long long> expected =
+        StatsDelta(ExtensionFamily::Stats{}, once.stats());
+    expected[2] += 2 * watermarked;
+    expected[3] += 2 * (components - watermarked);
+    EXPECT_EQ(StatsDelta(ExtensionFamily::Stats{}, repeated.stats()),
+              expected)
+        << "width=" << width;
+  }
+}
+
 TEST(ExtensionFamilyTest, HitCountersDoNotWrap) {
   // 20,000 two-vertex components, all settled at Δ = 1 by a certificate:
   // every later grid read adds one watermark hit per (component, Δ) pair.

@@ -13,6 +13,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "obs/metrics.h"
 #include "serve/budget_ledger.h"
 #include "serve/family_cache.h"
 #include "serve/protocol.h"
@@ -637,6 +638,31 @@ TEST(ReleaseServerTest, UpdateGraphAdoptsUntouchedComponents) {
   EXPECT_GT(report->components_adopted, 0);
   EXPECT_GT(report->components_invalidated, 0);
   EXPECT_TRUE(server.ReleaseCc("g", 0.5).ok());
+}
+
+// Observations so far in the update-stage histogram `stage` (0 before
+// the first update registers it).
+long long UpdateStageSamples(const std::string& stage) {
+  const std::string name = "nodedp_update_" + stage + "_ns_count";
+  for (const MetricsRegistry::Sample& sample :
+       MetricsRegistry::Default().Samples()) {
+    if (sample.name == name) return static_cast<long long>(sample.value);
+  }
+  return 0;
+}
+
+TEST(ReleaseServerTest, UpdateGraphTimesTheLockWaitAndTheRelease) {
+  ReleaseServer server(3);
+  ASSERT_TRUE(server.Load("g", TestGraph(60, 1.0, 8), SmallConfig(10.0)).ok());
+  const long long waits = UpdateStageSamples("wait");
+  const long long releases = UpdateStageSamples("release");
+  ASSERT_TRUE(server.UpdateGraph("g", {{0, 1}, {2, 3}}).ok());
+  EXPECT_EQ(UpdateStageSamples("wait"), waits + 1);
+  EXPECT_EQ(UpdateStageSamples("release"), releases + 1);
+  // A pure-duplicate batch waits for the lock but releases nothing.
+  ASSERT_TRUE(server.UpdateGraph("g", {{1, 0}}).ok());
+  EXPECT_EQ(UpdateStageSamples("wait"), waits + 2);
+  EXPECT_EQ(UpdateStageSamples("release"), releases + 1);
 }
 
 TEST(ReleaseServerTest, ApproxReadsRaceUpdatesSafely) {
