@@ -1,11 +1,14 @@
 #include "serve/release_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
@@ -91,7 +94,34 @@ Histogram* UpdateStageHistogram(const char* name, const char* help) {
       name, help, MetricsRegistry::LatencyBucketsNs());
 }
 
+// Family lookup outcomes (docs/OBSERVABILITY.md): `hit` is a warmed
+// family, `warm_wait` a resident-but-still-warming one (the caller may
+// block on the cells it needs), `miss` a cold build.
+Counter* CacheEventCounter(const char* event) {
+  return MetricsRegistry::Default().GetCounter(
+      "nodedp_family_cache_events_total", {{"event", event}},
+      "Family lookup outcomes by kind");
+}
+
+std::size_t ByteCapFromEnv() {
+  const char* env = std::getenv("NODEDP_FAMILY_CACHE_BYTES");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(env, &end, 10);
+  if (end == env || *end != '\0') return 0;
+  return static_cast<std::size_t>(parsed);
+}
+
+// The Δ grid a family is warmed with (the Algorithm 1 access pattern).
+std::vector<double> WarmGrid(const Graph& graph,
+                             const ServeGraphConfig& config) {
+  return AlgorithmOneDeltaGrid(graph.NumVertices(), config.release);
+}
+
 }  // namespace
+
+ReleaseServer::ReleaseServer(std::uint64_t seed)
+    : rng_(seed), byte_cap_(ByteCapFromEnv()) {}
 
 Status ReleaseServer::EnableDurableLedgers(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -118,14 +148,12 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
         "total_epsilon must be finite and > 0, got " +
         std::to_string(config.total_epsilon));
   }
-  std::string cache_key;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (registry_.count(name) != 0) {
       return Status::InvalidArgument("graph '" + name +
                                      "' is already loaded; evict it first");
     }
-    cache_key = name + "#" + std::to_string(next_load_id_++);
   }
   // Durable-ledger adoption: a name with restored state keeps its original
   // budget promise — the restored total (never the config's: a reload must
@@ -143,8 +171,7 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
       if (!recorded.ok()) return recorded;
     }
   }
-  auto entry =
-      std::make_shared<Entry>(std::move(g), effective, std::move(cache_key));
+  auto entry = std::make_shared<Entry>(std::move(g), effective);
   if (restored.has_value()) {
     Status adopted = entry->ledger.Restore(
         restored->spent, restored->num_charges, restored->num_refusals);
@@ -161,9 +188,9 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
   }
   if (config.prewarm) {
     // Registered first, warmed second: queries issued while this pipelined
-    // build+warm runs resolve the same warming family through the cache
-    // and block only on the cells they need.
-    const auto family = FamilyFor(*entry);
+    // build+warm runs take the same warming family from the entry and
+    // block only on the cells they need.
+    const auto family = BuildFamily(*entry);
     if (!family.ok()) {
       // Roll back the registration — but never a ledger that has admitted
       // charges: releases already emitted mid-warm must stay accounted, or
@@ -177,6 +204,8 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
           keep = true;
         } else {
           entry->retired = true;
+          entry->family = nullptr;
+          entry->family_warmed = false;
         }
       }
       if (!keep) {
@@ -186,7 +215,6 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
           if (it != registry_.end() && it->second == entry) {
             registry_.erase(it);
           }
-          families_.Evict(entry->cache_key);
         }
         // A fresh registration's durable record is rolled back with it
         // (nothing was charged), so a retried load can pick a new budget.
@@ -233,17 +261,26 @@ Status ReleaseServer::Save(const std::string& name, const std::string& path,
 }
 
 Status ReleaseServer::Evict(const std::string& name) {
-  std::string cache_key;
+  std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = registry_.find(name);
     if (it == registry_.end()) {
       return Status::NotFound("no graph named '" + name + "'");
     }
-    cache_key = it->second->cache_key;
+    entry = std::move(it->second);
     registry_.erase(it);
   }
-  families_.Evict(cache_key);
+  {
+    // Retired before the durable evict record: an admission that found
+    // this entry either charged under entry.mu before this point (into the
+    // ledger being ended) or is refused after it, so it can never charge a
+    // later load's durable ledger under the same name.
+    std::lock_guard<std::mutex> entry_lock(entry->mu);
+    entry->retired = true;
+    entry->family = nullptr;
+    entry->family_warmed = false;
+  }
   if (wal_ != nullptr) {
     // Eviction is the operator action that ends this name's durable
     // ledger; a later load starts a fresh budget. If the record cannot be
@@ -273,31 +310,33 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
   static Histogram* apply_ns = UpdateStageHistogram(
       "nodedp_update_apply_ns",
       "Wall-ns building the incremental family");
-  static Histogram* publish_ns = UpdateStageHistogram(
-      "nodedp_update_publish_ns",
-      "Wall-ns publishing the patched family and swapping the graph");
   static Histogram* rewarm_ns = UpdateStageHistogram(
       "nodedp_update_rewarm_ns",
-      "Wall-ns re-warming the invalidated cells after an update");
+      "Wall-ns re-warming the invalidated cells of the patched family");
+  static Histogram* publish_ns = UpdateStageHistogram(
+      "nodedp_update_publish_ns",
+      "Wall-ns swapping in the patched graph and its warmed family");
   static Histogram* release_ns = UpdateStageHistogram(
       "nodedp_update_release_ns",
       "Wall-ns dropping the old family and graph after an update");
 
-  // One update at a time per graph, held across the incremental build and
-  // re-warm (outermost in the lock order; queries never take it, so they
-  // are not blocked).
+  // One writer of the entry's family at a time, held across the
+  // incremental build and re-warm (outermost in the lock order). Queries
+  // with a resident family never take it, so they are not blocked.
   std::unique_lock<std::mutex> update_lock(entry->update_mu, std::defer_lock);
   {
     TimedStage wait_stage("update_wait", wait_ns);
     update_lock.lock();
   }
   std::shared_ptr<const Graph> old_graph;
+  std::shared_ptr<ExtensionFamily> old_family;
   {
     std::lock_guard<std::mutex> entry_lock(entry->mu);
     if (entry->retired) {
       return Status::NotFound("graph '" + name + "' was unloaded");
     }
     old_graph = entry->graph;
+    old_family = entry->family;
   }
 
   updates_total->Increment();
@@ -318,59 +357,48 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
   }
   const auto patched = std::make_shared<const Graph>(std::move(delta->graph));
 
-  // Patch the warmed family if one is resident (warmed or warming — a
-  // warming base is fine: cells it has not solved yet re-solve here). With
+  // Patch the family if one is resident (warmed or warming — a warming
+  // base is fine: cells it has not solved yet re-solve here) and warm the
+  // patch off to the side; queries keep answering from the old pair. With
   // no resident family there is nothing to maintain; the next query
-  // rebuilds cold from the patched graph.
-  std::shared_ptr<ExtensionFamily> old_family =
-      families_.Get(entry->cache_key);
+  // builds cold from the patched graph.
   std::shared_ptr<ExtensionFamily> family;
+  Status warmed = Status::OK();
   if (old_family != nullptr) {
-    // `update_apply` times the incremental family constructor only; the
-    // graph apply is `update_graph` above.
-    TimedStage apply_stage("update_apply", apply_ns);
-    family = std::make_shared<ExtensionFamily>(*patched, *old_family,
-                                               delta->added);
+    {
+      // `update_apply` times the incremental family constructor only; the
+      // graph apply is `update_graph` above.
+      TimedStage apply_stage("update_apply", apply_ns);
+      family = std::make_shared<ExtensionFamily>(*patched, *old_family,
+                                                 delta->added);
+    }
     report.components_adopted = family->components_adopted();
     report.components_invalidated = family->components_invalidated();
+    TimedStage rewarm_stage("update_rewarm", rewarm_ns);
+    warmed = family->Warm(WarmGrid(*patched, entry->config));
   }
 
   {
     TimedStage publish_stage("update_publish", publish_ns);
-    // Publish-then-warm, mirroring Load's register-before-warm: the
-    // patched family and graph become visible first, so queries arriving
-    // mid-re-warm resolve the patched family and block only on the
-    // invalidated cells. Queries that resolved the old family before this
-    // point finish against it — their shared_ptr keeps it alive.
-    if (family != nullptr) families_.Replace(entry->cache_key, family);
     std::lock_guard<std::mutex> entry_lock(entry->mu);
-    entry->graph = patched;
-  }
-
-  // Evict race: if the graph was unregistered between Find and the swap,
-  // the Replace above may have resurrected a slot Evict already dropped.
-  // Drop it again — cache keys are unique per load, so this can never hit
-  // a newer registration's family.
-  {
-    Result<std::shared_ptr<Entry>> current = Find(name);
-    if (!current.ok() || *current != entry) {
-      families_.Evict(entry->cache_key);
+    if (entry->retired) {
       return Status::NotFound("graph '" + name + "' was unloaded");
     }
-  }
-
-  if (family != nullptr) {
-    TimedStage rewarm_stage("update_rewarm", rewarm_ns);
-    const Status warmed = family->Warm(WarmGrid(*patched, entry->config));
-    if (!warmed.ok()) {
-      // Drop the half-warmed slot so the next query rebuilds cold from the
-      // patched graph. The graph swap stands: the update itself succeeded
-      // and callers that saw the new edge count must keep seeing them.
-      families_.Evict(entry->cache_key);
-      return warmed;
+    // The graph swap stands even when the re-warm failed: the update
+    // itself succeeded and callers that saw the new edge count must keep
+    // seeing it. The failed family is not published; the next query
+    // rebuilds cold from the patched graph.
+    entry->graph = patched;
+    if (family != nullptr) {
+      entry->family = warmed.ok() ? family : nullptr;
+      entry->family_warmed = warmed.ok();
+      entry->family_used = ++use_tick_;
     }
-    families_.Promote(entry->cache_key, family);
+  }
+  if (!warmed.ok()) return warmed;
+  if (family != nullptr) {
     report.family_rewarmed = true;
+    EnforceByteCap(entry.get());
   }
   {
     // Ours may be the last references: dropping them frees whatever the
@@ -400,30 +428,130 @@ Result<std::shared_ptr<ReleaseServer::Entry>> ReleaseServer::Find(
   return it->second;
 }
 
-std::vector<double> ReleaseServer::WarmGrid(const Graph& graph,
-                                            const ServeGraphConfig& config) {
-  return AlgorithmOneDeltaGrid(graph.NumVertices(), config.release);
-}
-
 std::shared_ptr<const Graph> ReleaseServer::GraphSnapshot(Entry& entry) {
   std::lock_guard<std::mutex> entry_lock(entry.mu);
   return entry.graph;
 }
 
-Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::FamilyFor(
+void ReleaseServer::TouchFamilyLocked(Entry& entry) {
+  ++hits_;
+  if (entry.family_warmed) {
+    static Counter* hit_events = CacheEventCounter("hit");
+    hit_events->Increment();
+  } else {
+    static Counter* warm_wait_events = CacheEventCounter("warm_wait");
+    warm_wait_events->Increment();
+  }
+  entry.family_used = ++use_tick_;
+}
+
+Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     Entry& entry) {
-  // Resolved through the cache on every query (a resident family is one
-  // map lookup away): the entry never pins the family, so a byte-cap
-  // eviction frees real memory and the next query rebuilds and re-warms.
-  // The build+warm runs outside every server lock; FamilyCache serializes
-  // same-key builders and hands mid-warm callers the warming family, so a
-  // query racing the prewarm blocks on each needed cell only until that
-  // cell publishes, not until the warm ends. The snapshot pins the graph
-  // across the build in case an update swaps it.
-  const std::shared_ptr<const Graph> graph = GraphSnapshot(entry);
-  return families_.GetOrCreate(entry.cache_key, *graph,
-                               WarmGrid(*graph, entry.config),
-                               entry.config.release.extension);
+  std::shared_ptr<ExtensionFamily> family;
+  std::shared_ptr<const Graph> graph;
+  {
+    // One builder per entry: the lock an update holds while it writes the
+    // family. A caller that waited here behind another builder (or an
+    // update) takes what that one published.
+    std::lock_guard<std::mutex> update_lock(entry.update_mu);
+    {
+      std::lock_guard<std::mutex> entry_lock(entry.mu);
+      if (entry.family != nullptr) {
+        TouchFamilyLocked(entry);
+        return entry.family;
+      }
+      graph = entry.graph;
+    }
+    ++misses_;
+    static Counter* miss_events = CacheEventCounter("miss");
+    miss_events->Increment();
+    // Construct (cheap: one O(n+m) partition pass, no induction) and
+    // publish as warming, so concurrent queries share it mid-warm. A
+    // retired entry's builder keeps the family to itself: it answers the
+    // query that was admitted before the retirement, and nothing else.
+    family = std::make_shared<ExtensionFamily>(*graph,
+                                               entry.config.release.extension);
+    std::lock_guard<std::mutex> entry_lock(entry.mu);
+    if (!entry.retired) {
+      entry.family = family;
+      entry.family_used = ++use_tick_;
+    }
+  }
+
+  // The pipelined warm runs outside every lock; the graph snapshot pins
+  // the graph across it in case an update swaps the entry's.
+  const Status warmed = family->Warm(WarmGrid(*graph, entry.config));
+  {
+    std::lock_guard<std::mutex> entry_lock(entry.mu);
+    if (entry.family == family) {
+      if (warmed.ok()) {
+        entry.family_warmed = true;
+        entry.family_used = ++use_tick_;
+      } else {
+        // Unpublish so the next query starts clean. Concurrent queries
+        // that took the family mid-warm hit the same LP failure on their
+        // own cells.
+        entry.family = nullptr;
+      }
+    }
+  }
+  if (!warmed.ok()) return warmed;
+  EnforceByteCap(&entry);
+  return family;
+}
+
+void ReleaseServer::SetFamilyCacheByteCap(std::size_t bytes) {
+  byte_cap_ = bytes;
+  EnforceByteCap(nullptr);
+}
+
+void ReleaseServer::EnforceByteCap(const Entry* keep) {
+  const std::size_t cap = byte_cap_;
+  if (cap == 0) return;
+  const std::vector<std::shared_ptr<Entry>> entries = Entries();
+  // Size every resident family exactly once (MemoryBytes walks the whole
+  // family, so it runs outside entry.mu), then drop in last-used order
+  // until the total fits.
+  struct Victim {
+    Entry* entry;
+    std::shared_ptr<ExtensionFamily> family;
+    std::size_t bytes;
+    long long used;
+  };
+  std::size_t bytes = 0;
+  std::vector<Victim> victims;
+  for (const std::shared_ptr<Entry>& entry : entries) {
+    Victim victim{entry.get(), nullptr, 0, 0};
+    bool warmed = false;
+    {
+      std::lock_guard<std::mutex> entry_lock(entry->mu);
+      victim.family = entry->family;
+      victim.used = entry->family_used;
+      warmed = entry->family_warmed;
+    }
+    if (victim.family == nullptr) continue;
+    victim.bytes = victim.family->MemoryBytes();
+    bytes += victim.bytes;
+    // Warming families and the one just warmed are pinned, so the cap is
+    // a soft target a single oversized family may exceed.
+    if (entry.get() != keep && warmed) victims.push_back(std::move(victim));
+  }
+  if (bytes <= cap) return;
+  std::sort(victims.begin(), victims.end(),
+            [](const Victim& a, const Victim& b) { return a.used < b.used; });
+  for (const Victim& victim : victims) {
+    if (bytes <= cap) break;
+    std::lock_guard<std::mutex> entry_lock(victim.entry->mu);
+    // An update may have swapped in a newer family since the sizing pass;
+    // that one is fresh, not a victim.
+    if (victim.entry->family != victim.family) continue;
+    victim.entry->family = nullptr;
+    victim.entry->family_warmed = false;
+    bytes -= victim.bytes;
+    ++evictions_;
+  }
+  // `victims` goes out of scope here, outside every lock: for a family no
+  // query holds, that frees it.
 }
 
 Rng ReleaseServer::SplitRng() {
@@ -444,8 +572,10 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
     Entry& entry = *admitted.entry;
     std::lock_guard<std::mutex> entry_lock(entry.mu);
     if (entry.retired) {
-      // A failed prewarm rolled this registration back between our Find
-      // and now; refuse before charging the discarded ledger.
+      // Evict, or a failed prewarm's rollback, removed this registration
+      // between our Find and now; refuse before charging its ledger (and
+      // before recording into the durable ledger of a later load of the
+      // same name).
       return Status::NotFound("graph '" + name + "' was unloaded");
     }
     if (!entry.ledger.CanCharge(epsilon_total)) {
@@ -477,11 +607,15 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
     // Split atomically with the charge (entry.mu -> mu_, per the lock
     // order), so the k-th ledger entry always carries the k-th stream.
     admitted.child = SplitRng();
+    if (need_family && entry.family != nullptr) {
+      TouchFamilyLocked(entry);
+      admitted.family = entry.family;
+    }
   }
-  if (need_family) {
+  if (need_family && admitted.family == nullptr) {
     ScopedSpan family_span("family");
     Result<std::shared_ptr<ExtensionFamily>> family =
-        FamilyFor(*admitted.entry);
+        BuildFamily(*admitted.entry);
     if (!family.ok()) {
       RecordOutcome(*admitted.entry, /*ok=*/false, 0);
       return family.status();
@@ -605,24 +739,27 @@ Result<ServeGraphStats> ReleaseServer::Stats(const std::string& name) const {
   Result<std::shared_ptr<Entry>> found = Find(name);
   if (!found.ok()) return found.status();
   Entry& entry = **found;
-  // Resolve the family outside entry.mu (the cache has its own lock and
-  // never takes entry mutexes, so there is no order to violate).
-  const std::shared_ptr<ExtensionFamily> family =
-      families_.Get(entry.cache_key);
-  std::lock_guard<std::mutex> entry_lock(entry.mu);
+  std::shared_ptr<ExtensionFamily> family;
   ServeGraphStats stats;
-  stats.num_vertices = entry.graph->NumVertices();
-  stats.num_edges = entry.graph->NumEdges();
-  stats.graph_memory_bytes = entry.graph->MemoryBytes();
-  stats.graph_mapped_bytes = entry.graph->MappedBytes();
+  {
+    std::lock_guard<std::mutex> entry_lock(entry.mu);
+    family = entry.family;
+    stats.num_vertices = entry.graph->NumVertices();
+    stats.num_edges = entry.graph->NumEdges();
+    stats.graph_memory_bytes = entry.graph->MemoryBytes();
+    stats.graph_mapped_bytes = entry.graph->MappedBytes();
+    stats.queries_answered = entry.queries_answered;
+    stats.queries_failed = entry.queries_failed;
+    stats.budget.total = entry.ledger.total();
+    stats.budget.spent = entry.ledger.spent();
+    stats.budget.remaining = entry.ledger.remaining();
+    stats.budget.num_charges = entry.ledger.num_charges();
+    stats.budget.num_refusals = entry.ledger.num_refusals();
+  }
+  // The family's own snapshots take its mutex (held by warms and queries
+  // only around planning and merging, never across LP solves), outside
+  // entry.mu so admissions never queue behind a MemoryBytes walk.
   stats.family_warmed = family != nullptr;
-  stats.queries_answered = entry.queries_answered;
-  stats.queries_failed = entry.queries_failed;
-  stats.budget.total = entry.ledger.total();
-  stats.budget.spent = entry.ledger.spent();
-  stats.budget.remaining = entry.ledger.remaining();
-  stats.budget.num_charges = entry.ledger.num_charges();
-  stats.budget.num_refusals = entry.ledger.num_refusals();
   if (family != nullptr) {
     stats.family = family->stats();
     stats.family_memory_bytes = family->MemoryBytes();
@@ -630,26 +767,39 @@ Result<ServeGraphStats> ReleaseServer::Stats(const std::string& name) const {
   return stats;
 }
 
-ReleaseServer::Summary ReleaseServer::GetSummary() const {
-  // Snapshot the registry first, then visit entries without holding the
-  // server mutex (lock order forbids mu_ -> entry.mu). Graphs evicted
-  // between the snapshot and the visit still count — a summary is a
-  // point-in-time aggregate, not a transaction.
+std::vector<std::shared_ptr<ReleaseServer::Entry>> ReleaseServer::Entries()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<Entry>> entries;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries.reserve(registry_.size());
-    for (const auto& [name, entry] : registry_) entries.push_back(entry);
-  }
+  entries.reserve(registry_.size());
+  for (const auto& [name, entry] : registry_) entries.push_back(entry);
+  return entries;
+}
+
+ReleaseServer::Summary ReleaseServer::GetSummary() const {
+  // Visit a registry snapshot without holding the server mutex (lock
+  // order forbids mu_ -> entry.mu). Graphs evicted between the snapshot
+  // and the visit still count — a summary is a point-in-time aggregate,
+  // not a transaction.
+  const std::vector<std::shared_ptr<Entry>> entries = Entries();
   Summary summary;
   summary.graphs = entries.size();
   for (const std::shared_ptr<Entry>& entry : entries) {
-    std::lock_guard<std::mutex> entry_lock(entry->mu);
-    summary.memory_bytes += entry->graph->MemoryBytes();
-    summary.mapped_bytes += entry->graph->MappedBytes();
-    summary.refusals += entry->ledger.num_refusals();
+    std::shared_ptr<ExtensionFamily> family;
+    {
+      std::lock_guard<std::mutex> entry_lock(entry->mu);
+      summary.memory_bytes += entry->graph->MemoryBytes();
+      summary.mapped_bytes += entry->graph->MappedBytes();
+      summary.refusals += entry->ledger.num_refusals();
+      family = entry->family;
+      if (entry->family_warmed) ++summary.cache.entries;
+    }
+    if (family != nullptr) summary.cache.bytes += family->MemoryBytes();
   }
-  summary.cache = families_.stats();
+  summary.cache.hits = hits_;
+  summary.cache.misses = misses_;
+  summary.cache.evictions = evictions_;
+  summary.cache.byte_cap = byte_cap_;
   return summary;
 }
 

@@ -8,27 +8,29 @@
 //     query is admitted against a configured total ε and refused with
 //     ResourceExhausted once the budget is exhausted (Lemma 2.4: answering
 //     queries ε_1..ε_t on the same graph costs Σ ε_i);
-//   * a warmed-family cache (serve/family_cache.h) — the ε-independent
-//     LP-grid work of Algorithm 1 is done once per graph at load time, so
+//   * a per-graph warmed family — the ε-independent LP-grid work of
+//     Algorithm 1 is done once per graph version at load time and held by
+//     the graph's registry entry next to the graph it was built from, so
 //     single releases, repeated queries, and whole ε sweeps are all served
 //     from one ExtensionFamily. The load-time warm is pipelined (component
-//     induction overlaps fast-path probes and LP solves) and the graph is
-//     registered before it runs, so queries arriving mid-warm are served by
-//     the warming family and block only on the grid cells they need. The
-//     cache evicts least-recently-used families under a global byte cap
-//     (NODEDP_FAMILY_CACHE_BYTES / SetFamilyCacheByteCap); an evicted
-//     graph's next query transparently rebuilds and re-warms.
+//     induction overlaps fast-path probes and LP solves) and the family is
+//     published on the entry before it runs, so queries arriving mid-warm
+//     are served by the warming family and block only on the grid cells
+//     they need. Families are dropped least-recently-used under a global
+//     byte cap (NODEDP_FAMILY_CACHE_BYTES / SetFamilyCacheByteCap); such a
+//     graph stays registered and its next query rebuilds and re-warms.
 //
 // Concurrency: all entry points are safe to call from multiple threads.
 // The registry map and the server Rng sit behind one mutex, each entry's
-// ledger/counters behind another (lock order: entry update mutex, then
-// entry mutex, then server mutex; never the reverse), and the heavy work —
-// family construction, grid evaluation, noise sampling — runs outside
-// both, riding the internally synchronized ExtensionFamily on the
-// util/parallel.h pool. Eviction during an in-flight query is safe:
+// ledger/counters/family pointer behind another (lock order: entry update
+// mutex, then entry mutex, then server mutex; never the reverse), and the
+// heavy work — family construction, grid evaluation, noise sampling — runs
+// outside all of them, riding the internally synchronized ExtensionFamily
+// on the util/parallel.h pool. Eviction during an in-flight query is safe:
 // entries, graphs, and families are shared_ptr-held, so the query finishes
-// against its own reference. Streaming updates (UpdateGraph) swap the
-// graph pointer and the cached family without blocking queries.
+// against its own reference. Streaming updates (UpdateGraph) warm the
+// patched family beside the old one and then swap the (graph, family) pair
+// in one entry-mutex critical section, so queries never wait on them.
 //
 // Determinism: every admitted query atomically (under its graph's entry
 // mutex) charges the ledger and splits a child Rng off the server stream,
@@ -41,6 +43,7 @@
 #ifndef NODEDP_SERVE_RELEASE_SERVER_H_
 #define NODEDP_SERVE_RELEASE_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,7 +54,6 @@
 #include "core/private_cc.h"
 #include "core/sublinear_cc.h"
 #include "serve/budget_ledger.h"
-#include "serve/family_cache.h"
 #include "serve/ledger_wal.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -108,7 +110,7 @@ struct ServeGraphStats {
   std::size_t graph_memory_bytes = 0;  // resident heap bytes
   // Bytes of the NDPG v2 file mmap-backing the graph; 0 when heap-loaded.
   std::size_t graph_mapped_bytes = 0;
-  bool family_warmed = false;  // family resident in the cache (or warming)
+  bool family_warmed = false;  // family resident on the entry (or warming)
   std::size_t family_memory_bytes = 0;  // 0 until the family is resident
   long long queries_answered = 0;
   long long queries_failed = 0;  // admitted but failed internally
@@ -118,7 +120,7 @@ struct ServeGraphStats {
 
 class ReleaseServer {
  public:
-  explicit ReleaseServer(std::uint64_t seed = 1) : rng_(seed) {}
+  explicit ReleaseServer(std::uint64_t seed = 1);
 
   ReleaseServer(const ReleaseServer&) = delete;
   ReleaseServer& operator=(const ReleaseServer&) = delete;
@@ -144,9 +146,10 @@ class ReleaseServer {
 
   // Registers `g` under `name`. Fails with InvalidArgument if the name is
   // empty, already registered, or the config is invalid; with the family
-  // warm-up error if prewarm fails. The graph is registered *before* the
-  // prewarm runs, so queries arriving mid-warm are served by the warming
-  // family (blocking only on the grid cells they need). If the warm fails
+  // warm-up error if prewarm fails. The graph is registered, and its
+  // family constructed and published on the entry, *before* the prewarm
+  // runs, so queries arriving mid-warm are served by the warming family
+  // (blocking only on the grid cells they need). If the warm fails
   // and no query has charged the ledger, the registration is rolled back
   // (nothing stays registered); if a mid-warm query *did* spend budget,
   // the graph stays registered with its ledger intact — accounting for
@@ -180,31 +183,33 @@ class ReleaseServer {
   Status Save(const std::string& name, const std::string& path,
               GraphFileFormat format = GraphFileFormat::kV2) const;
 
-  // Unregisters the graph and drops its cached family. In-flight queries
-  // against it finish normally.
+  // Unregisters the graph and drops its family. In-flight queries against
+  // it finish normally; an admission that found the graph before the
+  // evict but had not yet charged is refused with NotFound, so it can
+  // never charge a later load's ledger under the same name.
   Status Evict(const std::string& name);
 
   // Applies an insert-only edge batch to a registered graph — the
   // streaming-update path. This is a *data* operation, not a release: it
-  // charges no budget and returns no private value; the graph's ledger,
-  // name, and cache key are unchanged.
+  // charges no budget and returns no private value; the graph's ledger
+  // and name are unchanged.
   //
-  // The update is atomic and non-blocking for queries. The patched graph
-  // is built beside the old one (Graph::ApplyEdgeDelta; invalid batches —
-  // self-loops, out-of-range endpoints — refuse with InvalidArgument and
-  // change nothing). If a warmed family is resident, an incremental family
-  // is derived from it: components the batch does not touch adopt the old
-  // family's solved state, merged components are rebuilt. The patched
-  // family is then published (FamilyCache::Replace) and the graph swapped
-  // *before* the invalidated cells re-warm — mirroring Load's
-  // register-before-warm — so queries arriving mid-re-warm are served by
-  // the patched family and block only on the invalidated cells; queries
-  // that resolved the old family before the swap finish against it (it
-  // stays alive through their shared_ptr). If the re-warm fails, the slot
-  // is dropped (the next query rebuilds cold from the patched graph), the
-  // graph swap stands, and the error is returned. Concurrent updates to
-  // the same graph are serialized. With no resident family only the graph
-  // swaps (family_rewarmed = false).
+  // Warm, then publish. The patched graph is built beside the old one
+  // (Graph::ApplyEdgeDelta; invalid batches — self-loops, out-of-range
+  // endpoints — refuse with InvalidArgument and change nothing). If a
+  // family is resident, an incremental family is derived from it
+  // (components the batch does not touch adopt the old family's solved
+  // state, merged components are rebuilt) and re-warmed off to the side.
+  // Only then are the graph and family swapped together under the entry
+  // mutex. Until the swap every query answers from the old (graph, family)
+  // pair — a consistent snapshot of a graph the server held, released at
+  // the same privacy cost — so reads never wait on a re-warm; queries that
+  // took the old pair finish against it (their shared_ptrs keep it alive).
+  // If the re-warm fails, the graph swap still stands, the entry is left
+  // with no family (the next query rebuilds cold from the patched graph),
+  // and the error is returned. Concurrent updates to the same graph are
+  // serialized. With no resident family only the graph swaps
+  // (family_rewarmed = false).
   Result<UpdateReport> UpdateGraph(
       const std::string& name,
       const std::vector<std::pair<int, int>>& inserts);
@@ -249,6 +254,17 @@ class ReleaseServer {
   // safe to read while queries are in flight.
   Result<ServeGraphStats> Stats(const std::string& name) const;
 
+  // The families resident on registry entries, lookup counters since
+  // construction, and the byte cap.
+  struct CacheStats {
+    int entries = 0;  // fully warmed families resident on their entries
+    long long hits = 0;  // queries that found a family (warmed or warming)
+    long long misses = 0;  // cold builds
+    long long evictions = 0;  // byte-cap LRU drops (Evict() not counted)
+    std::size_t bytes = 0;  // MemoryBytes over resident families
+    std::size_t byte_cap = 0;  // 0 = unlimited
+  };
+
   // Registry-wide aggregate backing the no-name `stats` verb: totals only,
   // independent of registry iteration order, so the wire line is stable as
   // graphs come and go (exact format documented in docs/SERVING.md).
@@ -256,53 +272,53 @@ class ReleaseServer {
     std::size_t graphs = 0;
     std::size_t memory_bytes = 0;  // resident heap bytes across all graphs
     std::size_t mapped_bytes = 0;  // mmap-backed bytes across all graphs
-    FamilyCache::CacheStats cache;
+    CacheStats cache;
     long long refusals = 0;  // Σ ledger refusals across registered graphs
   };
   Summary GetSummary() const;
 
-  FamilyCache::CacheStats family_cache_stats() const {
-    return families_.stats();
-  }
+  CacheStats family_cache_stats() const { return GetSummary().cache; }
 
-  // Global cap on resident family bytes; least-recently-used families are
-  // evicted to fit (their graphs stay registered; the next query rebuilds).
-  // 0 = unlimited. Also settable via NODEDP_FAMILY_CACHE_BYTES.
-  void SetFamilyCacheByteCap(std::size_t bytes) {
-    families_.SetByteCap(bytes);
-  }
+  // Global cap on resident family bytes; least-recently-used fully warmed
+  // families are dropped to fit (their graphs stay registered; the next
+  // query rebuilds). 0 = unlimited. Also settable via
+  // NODEDP_FAMILY_CACHE_BYTES (read at construction). The cap is a soft
+  // target: warming families and the family just warmed are never
+  // dropped, so one oversized family can exceed it.
+  void SetFamilyCacheByteCap(std::size_t bytes);
 
  private:
   struct Entry {
-    Entry(Graph graph_in, const ServeGraphConfig& config_in,
-          std::string cache_key_in)
+    Entry(Graph graph_in, const ServeGraphConfig& config_in)
         : graph(std::make_shared<const Graph>(std::move(graph_in))),
           config(config_in),
-          cache_key(std::move(cache_key_in)),
           ledger(config_in.total_epsilon) {}
 
-    // The resident graph. A shared_ptr so UpdateGraph can swap in the
-    // patched graph atomically (write under mu) while readers — queries,
-    // Save, Stats — keep serving the snapshot they took; the edge-update
-    // path is the only writer.
+    // The resident graph and the family built from it. shared_ptrs so
+    // UpdateGraph can swap in the patched pair atomically (write under mu)
+    // while readers — queries, Save, Stats — keep serving the snapshot
+    // they took.
     std::shared_ptr<const Graph> graph;  // guarded by mu; never null
+    // Null until built, after a byte-cap drop or a failed warm, and once
+    // the entry is retired. Only a holder of update_mu installs a non-null
+    // family, so there is one builder per entry.
+    std::shared_ptr<ExtensionFamily> family;  // guarded by mu
+    // Guarded by mu; the family's warm has finished (false while null).
+    bool family_warmed = false;
+    long long family_used = 0;   // guarded by mu; LRU tick of the last use
     const ServeGraphConfig config;
-    // Family-cache key: unique per load (name + load id), so re-loading a
-    // name after eviction can never alias the evicted graph's family. The
-    // entry deliberately holds no family pointer of its own: every query
-    // resolves through the FamilyCache, so a byte-cap eviction actually
-    // frees the memory and the next query rebuilds. Updates keep the key:
-    // the patched family replaces the old one in the same slot.
-    const std::string cache_key;
-    // Serializes UpdateGraph calls on this graph; outermost (taken before
-    // mu, held across the incremental build + re-warm). Query paths never
-    // touch it.
+    // Serializes the writers of `family` — UpdateGraph calls and cold
+    // builds — on this graph; outermost (taken before mu). An update holds
+    // it across its incremental build and re-warm; a cold build only
+    // across construction (the warm runs after it is released). Queries
+    // take it only when no family is resident.
     std::mutex update_mu;
-    std::mutex mu;  // guards graph (the pointer), ledger, counters, retired
+    std::mutex mu;  // guards graph, family fields, ledger, counters, retired
     BudgetLedger ledger;
-    // Set (under mu) when a failed prewarm rolls this registration back:
-    // queries that raced the rollback are refused at admission instead of
-    // charging a ledger that is about to be discarded.
+    // Set (under mu) when Evict or a failed prewarm's rollback removes this
+    // registration: queries that raced it are refused at admission instead
+    // of charging a ledger that is gone, and an update that raced it
+    // publishes nothing.
     bool retired = false;
     long long queries_answered = 0;
     long long queries_failed = 0;
@@ -318,28 +334,41 @@ class ReleaseServer {
 
   Result<std::shared_ptr<Entry>> Find(const std::string& name) const;
 
+  // Snapshot of the registered entries (brief mu_ critical section), for
+  // walks that then take each entry.mu with no server lock held.
+  std::vector<std::shared_ptr<Entry>> Entries() const;
+
   // The shared front half of every query: find the graph, charge
   // `epsilon_total` under `label` (refusing on budget exhaustion), split
-  // the child stream atomically with the charge, then resolve the warmed
-  // family (built on first use, outside all server locks). The approx
-  // tier passes need_family = false: it runs on the graph alone, so
-  // admission never triggers (or waits on) a family build.
+  // the child stream and take the resident family atomically with the
+  // charge; with none resident, build it (BuildFamily). The approx tier
+  // passes need_family = false: it runs on the graph alone, so admission
+  // never triggers (or waits on) a family build.
   Result<Admitted> Admit(const std::string& name, double epsilon_total,
                          const std::string& label, bool need_family = true);
-
-  // The Δ grid the family is warmed with (the Algorithm 1 access pattern).
-  static std::vector<double> WarmGrid(const Graph& graph,
-                                      const ServeGraphConfig& config);
 
   // Snapshot of the entry's graph pointer (brief entry.mu critical
   // section). Callers hold the snapshot across any use of the graph so an
   // UpdateGraph swap cannot free it from under them.
   static std::shared_ptr<const Graph> GraphSnapshot(Entry& entry);
 
-  // Resolves the entry's family through the cache: a map-lookup hit when
-  // resident (warmed or warming), a pipelined build+warm on first use or
-  // after a byte-cap eviction. Never takes entry.mu or the server mutex.
-  Result<std::shared_ptr<ExtensionFamily>> FamilyFor(Entry& entry);
+  // Resolves the entry's family when none was resident at admission: under
+  // update_mu, either finds one a concurrent builder published meanwhile
+  // (a hit) or constructs one from the current graph, publishes it on the
+  // entry (unless retired) while it is still warming, releases update_mu
+  // and warms the Algorithm 1 Δ grid outside every lock. A query racing
+  // the warm blocks on each needed cell only until that cell publishes. A
+  // failed warm is returned and unpublished, so a later query starts clean.
+  Result<std::shared_ptr<ExtensionFamily>> BuildFamily(Entry& entry);
+
+  // Counts a query that found `entry`'s family (a warmed `hit` or a
+  // `warm_wait`) and marks it used. Requires entry.mu.
+  void TouchFamilyLocked(Entry& entry);
+
+  // Drops least-recently-used fully warmed families (never `keep`'s) until
+  // the resident families fit the byte cap. Walks a registry snapshot,
+  // taking one entry.mu at a time and never mu_ with it.
+  void EnforceByteCap(const Entry* keep);
 
   // Splits a child stream off the server Rng (serialized by mu_; callers
   // may hold entry.mu, per the lock order above).
@@ -347,11 +376,14 @@ class ReleaseServer {
 
   void RecordOutcome(Entry& entry, bool ok, long long answered);
 
-  mutable std::mutex mu_;  // guards registry_, rng_, and next_load_id_
+  mutable std::mutex mu_;  // guards registry_ and rng_
   std::map<std::string, std::shared_ptr<Entry>> registry_;
-  FamilyCache families_;
   Rng rng_;
-  long long next_load_id_ = 0;
+  std::atomic<std::size_t> byte_cap_;
+  std::atomic<long long> use_tick_{0};
+  std::atomic<long long> hits_{0};
+  std::atomic<long long> misses_{0};
+  std::atomic<long long> evictions_{0};
   // Durable ledger store; set once by EnableDurableLedgers before any
   // Load, read-only afterwards (LedgerWal is internally synchronized and
   // its mutex is a leaf: taken after entry.mu / mu_, holding neither).

@@ -197,10 +197,11 @@ TEST(DeltaEquivalenceTest, ChainedDeltasStayExact) {
 }
 
 TEST(DeltaEquivalenceTest, QueriesDuringIncrementalRewarmAreExact) {
-  // The serving guarantee behind publish-then-warm: queries racing the
-  // incremental re-warm block only on invalidated cells and return exactly
-  // the patched graph's values. Run under TSan in CI, this is the
-  // update-while-querying proof at the family level.
+  // Queries racing the incremental re-warm of a family block only on
+  // invalidated cells and return exactly the patched graph's values (a
+  // server publishes the family only after its re-warm, but a family
+  // shared mid-warm must still be exact). Run under TSan in CI, this is
+  // the update-while-querying proof at the family level.
   Rng rng(8500);
   std::vector<Graph> parts;
   for (int i = 0; i < 5; ++i) {

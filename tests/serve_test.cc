@@ -1,5 +1,6 @@
 // Tests for the serve/ subsystem: budget ledger refusal semantics, the
-// warmed-family cache, and the ReleaseServer registry + query surface.
+// per-graph warmed families and their byte cap, and the ReleaseServer
+// registry + query surface.
 
 #include "serve/release_server.h"
 
@@ -7,6 +8,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +18,7 @@
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "serve/budget_ledger.h"
-#include "serve/family_cache.h"
+#include "serve/ledger_wal.h"
 #include "serve/protocol.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -108,72 +111,6 @@ TEST(BudgetLedgerTest, NonPositiveChargeIsInvalid) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.num_charges(), 0);
   EXPECT_EQ(ledger.num_refusals(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// FamilyCache
-// ---------------------------------------------------------------------------
-
-TEST(FamilyCacheTest, SecondGetIsAHit) {
-  FamilyCache cache;
-  const Graph g = TestGraph(60);
-  const std::vector<double> grid = {1.0, 2.0, 4.0};
-  const auto first = cache.GetOrCreate("k", g, grid, {});
-  ASSERT_TRUE(first.ok());
-  const auto second = cache.GetOrCreate("k", g, grid, {});
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->get(), second->get());
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-}
-
-TEST(FamilyCacheTest, EvictedEntrySurvivesForHolders) {
-  FamilyCache cache;
-  const Graph g = TestGraph(60);
-  const auto family = cache.GetOrCreate("k", g, {1.0}, {});
-  ASSERT_TRUE(family.ok());
-  cache.Evict("k");
-  EXPECT_EQ(cache.Get("k"), nullptr);
-  // The handed-out shared_ptr still answers queries.
-  const Result<double> value = (*family)->Value(1.0);
-  EXPECT_TRUE(value.ok());
-}
-
-TEST(FamilyCacheTest, ByteCapEvictsLeastRecentlyUsed) {
-  FamilyCache cache;
-  EXPECT_EQ(cache.byte_cap(), 0u);  // unlimited unless configured
-  const std::vector<double> grid = {1.0, 2.0, 4.0};
-  const Graph ga = TestGraph(200, 1.5, 1);
-  const Graph gb = TestGraph(200, 1.5, 2);
-  const auto fa = cache.GetOrCreate("a", ga, grid, {});
-  const auto fb = cache.GetOrCreate("b", gb, grid, {});
-  ASSERT_TRUE(fa.ok());
-  ASSERT_TRUE(fb.ok());
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_GE(cache.stats().bytes, (*fa)->MemoryBytes());
-
-  // Touch "a" so "b" becomes least recently used, then cap below the pair:
-  // exactly "b" must go.
-  ASSERT_TRUE(cache.GetOrCreate("a", ga, grid, {}).ok());
-  cache.SetByteCap((*fa)->MemoryBytes() + (*fb)->MemoryBytes() / 2);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_LE(stats.bytes, stats.byte_cap);
-
-  // The evicted family survives for in-flight holders, and a rebuild under
-  // the same key re-enters the cache (the newest entry is never evicted,
-  // even when it alone exceeds the cap).
-  EXPECT_TRUE((*fb)->Value(1.0).ok());
-  cache.SetByteCap(1);
-  const auto rebuilt = cache.GetOrCreate("b", gb, grid, {});
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_NE(cache.Get("b"), nullptr);
-  EXPECT_GE(cache.stats().evictions, 2);  // "a" went to make room
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +405,30 @@ TEST(ReleaseServerTest, FamilyByteCapEvictsAndRebuilds) {
   EXPECT_EQ(cache.entries, 2);
   EXPECT_GT(cache.bytes, 0u);
   EXPECT_GT(server.Stats("g1")->family_memory_bytes, 0u);
+  EXPECT_EQ(cache.byte_cap, 0u);  // unlimited unless configured
+
+  // The loads built both families; a query finds its graph's resident
+  // family, every time.
+  EXPECT_EQ(cache.misses, 2);
+  EXPECT_EQ(cache.hits, 0);
+  ASSERT_TRUE(server.ReleaseCc("g1", 0.5).ok());
+  ASSERT_TRUE(server.ReleaseCc("g1", 0.5).ok());
+  cache = server.family_cache_stats();
+  EXPECT_EQ(cache.misses, 2);
+  EXPECT_EQ(cache.hits, 2);
+
+  // g1 was used after g2 was loaded, so under a cap that fits one family
+  // the least recently used, g2, is the one dropped.
+  const std::size_t g1_bytes = server.Stats("g1")->family_memory_bytes;
+  const std::size_t g2_bytes = server.Stats("g2")->family_memory_bytes;
+  server.SetFamilyCacheByteCap(g1_bytes + g2_bytes / 2);
+  EXPECT_TRUE(server.Stats("g1")->family_warmed);
+  EXPECT_FALSE(server.Stats("g2")->family_warmed);
+  cache = server.family_cache_stats();
+  EXPECT_EQ(cache.entries, 1);
+  EXPECT_EQ(cache.evictions, 1);
+  EXPECT_EQ(cache.bytes, g1_bytes);
+  EXPECT_LE(cache.bytes, cache.byte_cap);
 
   server.SetFamilyCacheByteCap(1);  // evict everything evictable
   cache = server.family_cache_stats();
@@ -483,12 +444,104 @@ TEST(ReleaseServerTest, FamilyByteCapEvictsAndRebuilds) {
   ASSERT_TRUE(server.ReleaseCc("g2", 0.5).ok());
   cache = server.family_cache_stats();
   EXPECT_EQ(cache.misses, misses_before + 2);
+  // The family just warmed is pinned even though it alone exceeds the cap;
+  // g1's made room for it.
+  EXPECT_TRUE(server.Stats("g2")->family_warmed);
+  EXPECT_FALSE(server.Stats("g1")->family_warmed);
+  EXPECT_EQ(server.family_cache_stats().evictions, 3);
 
   // With the cap lifted, the next query's rebuild stays resident again.
   server.SetFamilyCacheByteCap(0);
   ASSERT_TRUE(server.ReleaseCc("g2", 0.5).ok());
   EXPECT_TRUE(server.Stats("g2")->family_warmed);
   EXPECT_GT(server.Stats("g2")->family_memory_bytes, 0u);
+}
+
+TEST(ReleaseServerTest, EvictedFamilyServesItsInFlightQuery) {
+  // The first query builds the family; the graph is evicted while that
+  // build is in flight. The query keeps its own reference and is answered
+  // (ASan in CI catches a family freed from under it), and the retired
+  // entry publishes nothing.
+  ServeGraphConfig config = SmallConfig(1e6);
+  config.prewarm = false;
+  ReleaseServer server(19);
+  ASSERT_TRUE(server.Load("g", TestGraph(2000, 1.5, 33), config).ok());
+  std::atomic<bool> done{false};
+  Result<ConnectedComponentsRelease> release =
+      Status::Internal("not answered");
+  std::thread reader([&] {
+    release = server.ReleaseCc("g", 0.5);
+    done.store(true);
+  });
+  while (server.family_cache_stats().misses == 0 && !done.load()) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(server.Evict("g").ok());
+  reader.join();
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  EXPECT_TRUE(std::isfinite(release->estimate));
+  const auto cache = server.family_cache_stats();
+  EXPECT_EQ(cache.entries, 0);
+  EXPECT_EQ(cache.bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ReleaseServer: durable ledgers
+// ---------------------------------------------------------------------------
+
+TEST(ReleaseServerTest, StaleAdmissionsNeverChargeAReloadedLedger) {
+  // Readers race an Evict + Load cycle on one name. An admission that
+  // found the evicted entry must be refused, not record its charge into
+  // the reloaded name's fresh durable ledger: the durable spent sum has to
+  // stay bitwise equal to the live one, or a restart would restore a
+  // ledger that overspends its own total.
+  char templ[] = "/tmp/nodedp_serve_evict_XXXXXX";
+  ASSERT_NE(::mkdtemp(templ), nullptr);
+  const std::string dir = templ;
+  ServeGraphConfig config = SmallConfig(1e6);
+  config.prewarm = false;
+  const Graph g = TestGraph(60, 1.5, 4);
+  double live_spent = 0.0;
+  {
+    ReleaseServer server(5);
+    ASSERT_TRUE(server.EnableDurableLedgers(dir).ok());
+    ASSERT_TRUE(server.Load("g", g, config).ok());
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+      readers.emplace_back([&server, &stop] {
+        while (!stop.load()) {
+          const auto release = server.ReleaseCc("g", 0.125);
+          if (!release.ok()) {
+            EXPECT_EQ(release.status().code(), StatusCode::kNotFound)
+                << release.status().ToString();
+          }
+        }
+      });
+    }
+    for (int cycle = 0; cycle < 40; ++cycle) {
+      ASSERT_TRUE(server.Evict("g").ok());
+      ASSERT_TRUE(server.Load("g", g, config).ok());
+      std::this_thread::yield();
+    }
+    stop.store(true);
+    for (std::thread& reader : readers) reader.join();
+    live_spent = server.Budget("g")->spent;
+  }
+  {
+    auto wal = LedgerWal::Open(dir);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const std::optional<PersistedLedger> restored = (*wal)->Restored("g");
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ(restored->spent, live_spent);
+  }
+  ReleaseServer restarted(5);
+  ASSERT_TRUE(restarted.EnableDurableLedgers(dir).ok());
+  const Status reloaded = restarted.Load("g", g, config);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+  EXPECT_EQ(restarted.Budget("g")->spent, live_spent);
+  const std::string cleanup = "rm -rf '" + dir + "'";
+  (void)!std::system(cleanup.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -702,6 +755,60 @@ TEST(ReleaseServerTest, ApproxReadsRaceUpdatesSafely) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->queries_answered, kReaders * kReads);
   EXPECT_EQ(stats->queries_failed, 0);
+}
+
+TEST(ReleaseServerTest, ExactReadsRaceUpdatesSafely) {
+  // Exact readers race a writer whose every update merges components, so
+  // each re-warm solves new LP cells. Reads answer from whichever
+  // (graph, family) pair is published: every one succeeds, no reader ever
+  // sees the edge count go back, and no read builds a family (the update
+  // warms its family before publishing it). Run under TSan in CI, this is
+  // the proof that the family swap races neither admissions nor stats.
+  ReleaseServer server(29);
+  ASSERT_TRUE(
+      server.Load("g", TestGraph(1000, 1.5, 9), SmallConfig(1e6)).ok());
+  const long long misses_after_load = server.family_cache_stats().misses;
+  constexpr int kReaders = 3;
+  constexpr int kReads = 20;
+  constexpr int kUpdates = 20;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&server, t]() {
+      int last_edges = 0;
+      for (int i = 0; i < kReads; ++i) {
+        if ((t + i) % 2 == 0) {
+          const auto release = server.ReleaseCc("g", 0.5);
+          ASSERT_TRUE(release.ok()) << release.status().ToString();
+          EXPECT_TRUE(std::isfinite(release->estimate));
+        } else {
+          const auto sweep = server.SweepCc("g", {0.25, 0.5});
+          ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+        }
+        const auto stats = server.Stats("g");
+        ASSERT_TRUE(stats.ok());
+        EXPECT_GE(stats->num_edges, last_edges);
+        last_edges = stats->num_edges;
+      }
+    });
+  }
+  threads.emplace_back([&server]() {
+    // Random edges of a sparse G(n, 1.5/n) with endpoints in its two
+    // halves: most join two components, so the re-warm runs the LP on the
+    // merged one.
+    Rng rng(31);
+    for (int i = 0; i < kUpdates; ++i) {
+      const int u = static_cast<int>(rng.NextUint64(500));
+      const int v = 500 + static_cast<int>(rng.NextUint64(500));
+      const auto report = server.UpdateGraph("g", {{u, v}});
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  const auto stats = server.Stats("g");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->queries_failed, 0);
+  EXPECT_TRUE(stats->family_warmed);
+  EXPECT_EQ(server.family_cache_stats().misses, misses_after_load);
 }
 
 // ---------------------------------------------------------------------------
