@@ -1,8 +1,9 @@
 // P1 — google-benchmark timings of the substrates: simplex pivots, Dinic
 // max-flow, the exact separation oracle, full cutting-plane solves, the
 // repair/local-search certificate, s(G), end-to-end Algorithm 1, the
-// warm serving reads (exact, sweep of 3, approx), the one-edge
-// streaming update, and its graph splice (ApplyEdgeDelta) alone.
+// warm serving reads (exact, sweep of 3, approx, and the exact read
+// through the line protocol), the one-edge streaming update, and its
+// graph splice (ApplyEdgeDelta) alone.
 // These are the cost drivers behind every experiment table; regressions
 // here would silently blow up E1-E8 runtimes.
 //
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,9 @@
 #include "graph/generators.h"
 #include "graph/star.h"
 #include "lp/simplex.h"
+#include "serve/protocol.h"
+#include "serve/release_server.h"
+#include "util/check.h"
 #include "util/parallel.h"
 #include "util/random.h"
 
@@ -243,6 +248,43 @@ void BM_ApproxReadFresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproxReadFresh);
+
+// --------------------------------------------------------------------------
+// BM_WarmExactRead's read with the serving envelope around it: the line
+// `release_cc w<t> 0.1` through HandleRequestLine (tokenize, dispatch,
+// trace, admission and ledger, the mechanism, the reply line). Four
+// warmed graphs of the warm shape; thread t reads graph t. The 4-thread
+// record's real_ns is wall time per read across all threads, so reads
+// that scale perfectly across graphs show a quarter of the 1-thread
+// figure.
+// --------------------------------------------------------------------------
+
+ReleaseServer& ServeShapeServer() {
+  static ReleaseServer* const server = [] {
+    auto* built = new ReleaseServer(14);
+    ServeGraphConfig config;
+    config.total_epsilon = 1e15;  // never exhausted by a benchmark run
+    config.release = WarmShapeOptions();
+    const Graph g = WarmShapeGraph();
+    for (int t = 0; t < 4; ++t) {
+      const Status loaded = built->Load("w" + std::to_string(t), g, config);
+      NODEDP_CHECK_MSG(loaded.ok(), loaded.ToString());
+    }
+    return built;
+  }();
+  return *server;
+}
+
+void BM_ServeExactRead(benchmark::State& state) {
+  ReleaseServer& server = ServeShapeServer();
+  const std::string line =
+      "release_cc w" + std::to_string(state.thread_index()) + " 0.1";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HandleRequestLine(server, line));
+  }
+  if (state.threads() == 1) state.counters["target_ns"] = 15000;
+}
+BENCHMARK(BM_ServeExactRead)->Threads(1)->Threads(4)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // One-edge add_edges on perfbench mixed's shape: `blocks` G(20, 2.5/19)

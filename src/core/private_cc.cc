@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "dp/composition.h"
 #include "dp/laplace.h"
@@ -34,7 +36,17 @@ Result<SpanningForestRelease> PrivateSpanningForestSize(
 Result<SpanningForestRelease> PrivateSpanningForestSize(
     ExtensionFamily& family, double epsilon, Rng& rng,
     const PrivateCcOptions& options) {
+  return PrivateSpanningForestSize(
+      family, AlgorithmOneDeltaGrid(family.num_vertices(), options), epsilon,
+      rng, options);
+}
+
+Result<SpanningForestRelease> PrivateSpanningForestSize(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    double epsilon, Rng& rng, const PrivateCcOptions& options) {
   NODEDP_CHECK_GT(epsilon, 0.0);
+  NODEDP_DCHECK(grid_deltas ==
+                AlgorithmOneDeltaGrid(family.num_vertices(), options));
   PrivacyAccountant accountant(epsilon);
   const double gem_epsilon = accountant.Spend(epsilon / 2.0, "gem");
   const double laplace_epsilon =
@@ -44,8 +56,7 @@ Result<SpanningForestRelease> PrivateSpanningForestSize(
   release.beta = options.beta > 0.0 ? options.beta
                                     : DefaultBeta(family.num_vertices());
 
-  const std::vector<double> grid_deltas =
-      AlgorithmOneDeltaGrid(family.num_vertices(), options);
+  release.grid.reserve(grid_deltas.size());
   for (double delta : grid_deltas) {
     release.grid.push_back(static_cast<int>(delta));
   }
@@ -66,10 +77,10 @@ Result<SpanningForestRelease> PrivateSpanningForestSize(
     candidate.q = (f_sf - extension_values[i]) + release.grid[i] / gem_epsilon;
     candidates.push_back(candidate);
   }
-  release.candidates = candidates;
 
   // Step 1 of Algorithm 1: GEM at ε/2.
   const GemResult gem = GemSelect(candidates, gem_epsilon, release.beta, rng);
+  release.candidates = std::move(candidates);
   release.selected_delta = release.grid[gem.selected_index];
 
   // Steps 2-3: release f_Δ̂ via the Laplace mechanism at ε/2; f_Δ̂ is
@@ -92,6 +103,14 @@ Result<ConnectedComponentsRelease> PrivateConnectedComponents(
 Result<ConnectedComponentsRelease> PrivateConnectedComponents(
     ExtensionFamily& family, double epsilon, Rng& rng,
     const PrivateCcOptions& options) {
+  return PrivateConnectedComponents(
+      family, AlgorithmOneDeltaGrid(family.num_vertices(), options), epsilon,
+      rng, options);
+}
+
+Result<ConnectedComponentsRelease> PrivateConnectedComponents(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    double epsilon, Rng& rng, const PrivateCcOptions& options) {
   NODEDP_CHECK_GT(epsilon, 0.0);
   NODEDP_CHECK_GT(options.node_count_budget_fraction, 0.0);
   NODEDP_CHECK_LT(options.node_count_budget_fraction, 1.0);
@@ -106,8 +125,8 @@ Result<ConnectedComponentsRelease> PrivateConnectedComponents(
   release.node_count_estimate = LaplaceMechanism(
       family.num_vertices(), /*sensitivity=*/1.0, count_epsilon, rng);
 
-  Result<SpanningForestRelease> forest =
-      PrivateSpanningForestSize(family, forest_epsilon, rng, options);
+  Result<SpanningForestRelease> forest = PrivateSpanningForestSize(
+      family, grid_deltas, forest_epsilon, rng, options);
   if (!forest.ok()) return forest.status();
   release.forest = std::move(forest).value();
 
@@ -124,10 +143,10 @@ namespace {
 // releases could not have succeeded either.
 template <typename ReleaseType, typename ReleaseFn>
 std::vector<Result<ReleaseType>> AnswerSweep(
-    ExtensionFamily& family, const std::vector<double>& epsilons, Rng& rng,
-    const PrivateCcOptions& options, const ReleaseFn& release) {
-  const Result<std::vector<double>> warm =
-      family.Values(AlgorithmOneDeltaGrid(family.num_vertices(), options));
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    const std::vector<double>& epsilons, Rng& rng,
+    const ReleaseFn& release) {
+  const Result<std::vector<double>> warm = family.Values(grid_deltas);
   if (!warm.ok()) {
     return std::vector<Result<ReleaseType>>(epsilons.size(), warm.status());
   }
@@ -149,18 +168,31 @@ std::vector<Result<ReleaseType>> AnswerSweep(
 std::vector<Result<SpanningForestRelease>> SweepSpanningForest(
     ExtensionFamily& family, const std::vector<double>& epsilons, Rng& rng,
     const PrivateCcOptions& options) {
+  const std::vector<double> grid =
+      AlgorithmOneDeltaGrid(family.num_vertices(), options);
   return AnswerSweep<SpanningForestRelease>(
-      family, epsilons, rng, options, [&](double epsilon, Rng& child) {
-        return PrivateSpanningForestSize(family, epsilon, child, options);
+      family, grid, epsilons, rng, [&](double epsilon, Rng& child) {
+        return PrivateSpanningForestSize(family, grid, epsilon, child,
+                                         options);
       });
 }
 
 std::vector<Result<ConnectedComponentsRelease>> SweepConnectedComponents(
     ExtensionFamily& family, const std::vector<double>& epsilons, Rng& rng,
     const PrivateCcOptions& options) {
+  return SweepConnectedComponents(
+      family, AlgorithmOneDeltaGrid(family.num_vertices(), options), epsilons,
+      rng, options);
+}
+
+std::vector<Result<ConnectedComponentsRelease>> SweepConnectedComponents(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    const std::vector<double>& epsilons, Rng& rng,
+    const PrivateCcOptions& options) {
   return AnswerSweep<ConnectedComponentsRelease>(
-      family, epsilons, rng, options, [&](double epsilon, Rng& child) {
-        return PrivateConnectedComponents(family, epsilon, child, options);
+      family, grid_deltas, epsilons, rng, [&](double epsilon, Rng& child) {
+        return PrivateConnectedComponents(family, grid_deltas, epsilon, child,
+                                          options);
       });
 }
 

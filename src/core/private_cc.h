@@ -84,6 +84,17 @@ Result<ConnectedComponentsRelease> PrivateConnectedComponents(
     ExtensionFamily& family, double epsilon, Rng& rng,
     const PrivateCcOptions& options = {});
 
+// The two family releases above with the Δ grid passed in: `grid_deltas`
+// must equal AlgorithmOneDeltaGrid(family.num_vertices(), options). A
+// caller that reads one family many times (serve/ReleaseServer) computes
+// the grid once instead of per read. Same values, GEM choices and noise.
+Result<SpanningForestRelease> PrivateSpanningForestSize(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    double epsilon, Rng& rng, const PrivateCcOptions& options);
+Result<ConnectedComponentsRelease> PrivateConnectedComponents(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    double epsilon, Rng& rng, const PrivateCcOptions& options);
+
 // The β the paper uses, 1/ln(ln n), clamped for small n.
 double DefaultBeta(int num_vertices);
 
@@ -121,6 +132,12 @@ std::vector<Result<SpanningForestRelease>> SweepSpanningForest(
 std::vector<Result<ConnectedComponentsRelease>> SweepConnectedComponents(
     ExtensionFamily& family, const std::vector<double>& epsilons, Rng& rng,
     const PrivateCcOptions& options = {});
+
+// The same sweep with the Δ grid passed in, as for the releases above.
+std::vector<Result<ConnectedComponentsRelease>> SweepConnectedComponents(
+    ExtensionFamily& family, const std::vector<double>& grid_deltas,
+    const std::vector<double>& epsilons, Rng& rng,
+    const PrivateCcOptions& options);
 
 }  // namespace nodedp
 

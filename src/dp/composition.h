@@ -11,7 +11,7 @@
 #ifndef NODEDP_DP_COMPOSITION_H_
 #define NODEDP_DP_COMPOSITION_H_
 
-#include <string>
+#include <string_view>
 
 #include "util/check.h"
 
@@ -34,7 +34,7 @@ class PrivacyAccountant {
 
   // Reserves `epsilon` of budget for the named mechanism. CHECK-fails if the
   // total would be exceeded.
-  double Spend(double epsilon, const std::string& label) {
+  double Spend(double epsilon, std::string_view label) {
     NODEDP_CHECK_GT(epsilon, 0.0);
     NODEDP_CHECK_MSG(CanSpend(epsilon),
                      "privacy budget exceeded by '" << label << "': spent "

@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace nodedp {
 
@@ -62,7 +63,7 @@ class QueryTrace {
 
   // Names the object the query touched (graph name). Stored by value;
   // safe to pass a transient string_view's contents.
-  void set_target(const std::string& target) { target_ = target; }
+  void set_target(std::string_view target) { target_.assign(target); }
 
   // Adds `ns` to the stage's accumulated time. Same-name spans merge;
   // beyond kMaxStages distinct names, further stages are counted in an

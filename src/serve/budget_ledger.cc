@@ -8,7 +8,7 @@ namespace nodedp {
 BudgetLedger::BudgetLedger(double total_epsilon)
     : accountant_(total_epsilon) {}
 
-Status BudgetLedger::TryCharge(double epsilon, const std::string& label) {
+Status BudgetLedger::TryCharge(double epsilon, std::string_view label) {
   if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
     return Status::InvalidArgument(
         "charge epsilon must be finite and > 0, got " +
@@ -19,7 +19,7 @@ Status BudgetLedger::TryCharge(double epsilon, const std::string& label) {
   if (!accountant_.CanSpend(epsilon)) {
     ++num_refusals_;
     return Status::ResourceExhausted(
-        "privacy budget exhausted: '" + label + "' needs " +
+        "privacy budget exhausted: '" + std::string(label) + "' needs " +
         std::to_string(epsilon) + " but only " +
         std::to_string(accountant_.remaining()) + " of " +
         std::to_string(accountant_.total()) + " remains");

@@ -24,7 +24,7 @@
 #ifndef NODEDP_SERVE_BUDGET_LEDGER_H_
 #define NODEDP_SERVE_BUDGET_LEDGER_H_
 
-#include <string>
+#include <string_view>
 
 #include "dp/composition.h"
 #include "util/status.h"
@@ -41,7 +41,7 @@ class BudgetLedger {
   // refuses with ResourceExhausted (leaving the ledger untouched) when the
   // charge would exceed the total. A non-finite or non-positive epsilon is
   // refused with InvalidArgument.
-  Status TryCharge(double epsilon, const std::string& label);
+  Status TryCharge(double epsilon, std::string_view label);
 
   // Whether TryCharge(epsilon, ...) would be admitted right now. Lets the
   // durable-ledger path (serve/ledger_wal.h) order the admission decision

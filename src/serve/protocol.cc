@@ -1,12 +1,14 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <sstream>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,22 +21,29 @@ namespace nodedp {
 
 namespace {
 
-// Canonical verb names for metric labels and trace contexts. Unknown
-// commands fold into "other" so a client typo cannot mint unbounded
-// label values (Prometheus cardinality hygiene).
+// The verbs, indexing kVerbs. Unknown commands fold into kOther so a
+// client typo cannot mint unbounded label values (Prometheus cardinality
+// hygiene).
+enum Verb : std::size_t {
+  kQuit, kLoad, kLoadMmap, kGen, kSave, kReleaseCc, kReleaseSf, kSweep,
+  kAddEdges, kBudget, kStats, kEvict, kMetrics, kOther
+};
+
+// Canonical verb names for metric labels and trace contexts.
 constexpr const char* kVerbs[] = {
     "quit", "load", "load_mmap", "gen", "save", "release_cc", "release_sf",
-    "sweep", "add_edges", "budget", "stats", "evict", "metrics"};
+    "sweep", "add_edges", "budget", "stats", "evict", "metrics", "other"};
+static_assert(std::size(kVerbs) == kOther + 1);
 
-const char* CanonicalVerb(const std::string& command) {
-  for (const char* verb : kVerbs) {
-    if (command == verb) return verb;
+Verb CanonicalVerb(std::string_view command) {
+  for (std::size_t verb = 0; verb < kOther; ++verb) {
+    if (command == kVerbs[verb]) return static_cast<Verb>(verb);
   }
-  return "other";
+  return kOther;
 }
 
 // Per-verb request accounting. The table is built once, on first
-// dispatch, so the hot path is one read-only map lookup plus lock-free
+// dispatch, so the hot path is one array index plus lock-free
 // increments/observes.
 struct VerbMetrics {
   Counter* requests;
@@ -42,14 +51,13 @@ struct VerbMetrics {
   Histogram* latency;
 };
 
-const VerbMetrics& MetricsForVerb(const char* verb) {
-  static const std::map<std::string, VerbMetrics>* table = [] {
-    auto* t = new std::map<std::string, VerbMetrics>();
+const VerbMetrics& MetricsForVerb(Verb verb) {
+  static const std::array<VerbMetrics, std::size(kVerbs)> table = [] {
+    std::array<VerbMetrics, std::size(kVerbs)> t;
     MetricsRegistry& registry = MetricsRegistry::Default();
-    std::vector<const char*> verbs(std::begin(kVerbs), std::end(kVerbs));
-    verbs.push_back("other");
-    for (const char* verb : verbs) {
-      VerbMetrics metrics;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const char* verb = kVerbs[i];
+      VerbMetrics& metrics = t[i];
       metrics.requests = registry.GetCounter(
           "nodedp_requests_total", {{"verb", verb}},
           "Requests dispatched through the line protocol");
@@ -60,11 +68,10 @@ const VerbMetrics& MetricsForVerb(const char* verb) {
           "nodedp_request_ns", {{"verb", verb}},
           "End-to-end request latency (parse to response) in wall-ns",
           MetricsRegistry::LatencyBucketsNs());
-      t->emplace(verb, metrics);
     }
     return t;
   }();
-  return table->at(verb);
+  return table[verb];
 }
 
 // printf-style append; responses are built in memory so every transport
@@ -90,13 +97,58 @@ void Appendf(std::string* out, const char* format, ...) {
   out->append(big.data(), static_cast<std::size_t>(n));
 }
 
+// The read verbs' numbers go through std::to_chars, which gives exactly
+// printf's bytes for the same conversion — `fixed, 3` is %.3f, `general, 6`
+// is %.6g, the integer overload is %d/%lld/%zu — without interpreting a
+// format string.
+template <typename T, typename... Format>
+void AppendNumber(std::string* out, T value, Format... format) {
+  // %.3f of the largest double is 314 characters.
+  char buffer[320];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value, format...);
+  out->append(buffer, result.ptr);
+}
+
+void AppendFixed3(std::string* out, double value) {
+  AppendNumber(out, value, std::chars_format::fixed, 3);
+}
+
+void AppendGeneral6(std::string* out, double value) {
+  AppendNumber(out, value, std::chars_format::general, 6);
+}
+
+// Room for any read reply but one carrying an enormous %.3f estimate,
+// which grows the string once more.
+constexpr std::size_t kReadReplyBytes = 128;
+
+// strtod and strtoll read a NUL-terminated string, and a token is a view
+// into the request line. Copies the token into `buffer` when it fits (any
+// ordinary number does) and into `heap` otherwise; returns the copy. An
+// embedded NUL ends the copy's C string, exactly as it ended the old
+// std::string token's c_str().
+const char* TerminatedCopy(std::string_view token, char (&buffer)[64],
+                           std::string* heap) {
+  if (token.size() < sizeof(buffer)) {
+    std::memcpy(buffer, token.data(), token.size());
+    buffer[token.size()] = '\0';
+    return buffer;
+  }
+  heap->assign(token);
+  return heap->c_str();
+}
+
 // Parses a strictly positive finite double, returning false on garbage.
 // Subnormals are refused too: halving one for a mechanism's budget split
-// can round to 0, which the accountant CHECK-fails on.
-bool ParsePositiveDouble(const std::string& token, double* out) {
+// can round to 0, which the accountant CHECK-fails on. strtod, not
+// from_chars: it also accepts a leading '+' and hex floats.
+bool ParsePositiveDouble(std::string_view token, double* out) {
+  char buffer[64];
+  std::string heap;
+  const char* text = TerminatedCopy(token, buffer, &heap);
   char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || !(value > 0.0) ||
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(value > 0.0) ||
       !std::isnormal(value)) {
     return false;
   }
@@ -104,16 +156,20 @@ bool ParsePositiveDouble(const std::string& token, double* out) {
   return true;
 }
 
-bool ParseNonNegativeInt(const std::string& token, long long* out) {
+bool ParseNonNegativeInt(std::string_view token, long long* out) {
+  char buffer[64];
+  std::string heap;
+  const char* text = TerminatedCopy(token, buffer, &heap);
   char* end = nullptr;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0' || value < 0) return false;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || value < 0) return false;
   *out = value;
   return true;
 }
 
 // `load`/`gen` share the trailing [budget] [delta_max] arguments.
-bool ParseConfigTail(const std::vector<std::string>& args, std::size_t from,
+bool ParseConfigTail(const std::vector<std::string_view>& args,
+                     std::size_t from,
                      ServeGraphConfig* config, std::string* error) {
   if (args.size() > from) {
     if (!ParsePositiveDouble(args[from], &config->total_epsilon)) {
@@ -133,30 +189,20 @@ bool ParseConfigTail(const std::vector<std::string>& args, std::size_t from,
   return true;
 }
 
-std::string BudgetResponse(const BudgetReport& budget) {
-  std::string out;
-  Appendf(&out,
-          "ok total=%.6g spent=%.6g remaining=%.6g charges=%lld refusals=%lld",
-          budget.total, budget.spent, budget.remaining, budget.num_charges,
-          budget.num_refusals);
-  return out;
-}
-
 // Executes one parsed request. `args` is non-empty; args[0] is the
-// command word.
-ProtocolReply DispatchCommand(ReleaseServer& server,
-                              const std::vector<std::string>& args) {
+// command word, `verb` its index.
+ProtocolReply DispatchCommand(ReleaseServer& server, Verb verb,
+                              const std::vector<std::string_view>& args) {
   ProtocolReply reply;
-  const std::string& command = args[0];
   std::string& out = reply.response;
 
-  if (command == "quit") {
+  if (verb == kQuit) {
     out = "ok bye";
     reply.quit = true;
     return reply;
   }
 
-  if (command == "load") {
+  if (verb == kLoad) {
     if (args.size() < 3 || args.size() > 5) {
       out = "err usage: load <name> <path> [budget] [delta_max]";
       return reply;
@@ -167,16 +213,18 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       out = "err " + error;
       return reply;
     }
-    const Status loaded = server.LoadFromFile(args[1], args[2], config);
+    const std::string name(args[1]);
+    const Status loaded =
+        server.LoadFromFile(name, std::string(args[2]), config);
     if (!loaded.ok()) {
       out = "err " + loaded.ToString();
       return reply;
     }
-    const auto stats = server.Stats(args[1]);
+    const auto stats = server.Stats(name);
     Appendf(&out, "ok loaded %s n=%d m=%d budget=%.6g warmed=%d",
-            args[1].c_str(), stats->num_vertices, stats->num_edges,
+            name.c_str(), stats->num_vertices, stats->num_edges,
             stats->budget.total, stats->family_warmed ? 1 : 0);
-  } else if (command == "load_mmap") {
+  } else if (verb == kLoadMmap) {
     // Zero-copy registration of an NDPG v2 file: one validation pass, no
     // heap copy. No prewarm — the point is that the graph is servable
     // right after the open (approx tier touches only the pages it walks);
@@ -192,16 +240,17 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       out = "err " + error;
       return reply;
     }
-    const Status loaded = server.LoadMmap(args[1], args[2], config);
+    const std::string name(args[1]);
+    const Status loaded = server.LoadMmap(name, std::string(args[2]), config);
     if (!loaded.ok()) {
       out = "err " + loaded.ToString();
       return reply;
     }
-    const auto stats = server.Stats(args[1]);
+    const auto stats = server.Stats(name);
     Appendf(&out, "ok mapped %s n=%d m=%d budget=%.6g mapped_bytes=%zu",
-            args[1].c_str(), stats->num_vertices, stats->num_edges,
+            name.c_str(), stats->num_vertices, stats->num_edges,
             stats->budget.total, stats->graph_mapped_bytes);
-  } else if (command == "gen") {
+  } else if (verb == kGen) {
     if (args.size() < 6 || args.size() > 8 || args[2] != "gnp") {
       out =
           "err usage: gen <name> gnp <n> <avg_deg> <seed> [budget] "
@@ -228,45 +277,48 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
                               avg_deg / static_cast<double>(n), rng);
     const int num_vertices = g.NumVertices();
     const int num_edges = g.NumEdges();
-    const Status loaded = server.Load(args[1], std::move(g), config);
+    const std::string name(args[1]);
+    const Status loaded = server.Load(name, std::move(g), config);
     if (!loaded.ok()) {
       out = "err " + loaded.ToString();
       return reply;
     }
     // Report the budget the server actually adopted: with durable ledgers
     // a reload inherits the restored total, not the config's.
-    const auto budget = server.Budget(args[1]);
-    Appendf(&out, "ok generated %s n=%d m=%d budget=%.6g", args[1].c_str(),
+    const auto budget = server.Budget(name);
+    Appendf(&out, "ok generated %s n=%d m=%d budget=%.6g", name.c_str(),
             num_vertices, num_edges,
             budget.ok() ? budget->total : config.total_epsilon);
-  } else if (command == "save") {
-    const std::string format = args.size() == 4 ? args[3] : "v2";
+  } else if (verb == kSave) {
+    const std::string_view format = args.size() == 4 ? args[3] : "v2";
     if (args.size() < 3 || args.size() > 4 ||
         (format != "text" && format != "v2")) {
       out = "err usage: save <name> <path> [text|v2]";
       return reply;
     }
+    const std::string name(args[1]);
     const Status saved =
-        server.Save(args[1], args[2],
+        server.Save(name, std::string(args[2]),
                     format == "text" ? GraphFileFormat::kText
                                      : GraphFileFormat::kV2);
     if (!saved.ok()) {
       out = "err " + saved.ToString();
       return reply;
     }
-    Appendf(&out, "ok saved %s %s", args[1].c_str(), format.c_str());
-  } else if (command == "release_cc" || command == "release_sf") {
+    Appendf(&out, "ok saved %s %s", name.c_str(),
+            std::string(format).c_str());
+  } else if (verb == kReleaseCc || verb == kReleaseSf) {
     // release_cc takes an optional serving tier: `tier=exact` (default)
     // answers from the warmed Algorithm 1 family; `tier=approx` answers
     // from the sampled sublinear estimator — no family; O(s * cutoff)
     // BFS work on a graph's first approx read, then mostly O(s) lookups
     // in its component-size memo; its own (larger) noise, reported with
     // public error bounds.
-    const bool is_cc = command == "release_cc";
-    std::string tier = "exact";
+    const bool is_cc = verb == kReleaseCc;
+    bool approx = false;
     if (is_cc && args.size() == 4) {
       if (args[3] == "tier=approx" || args[3] == "tier=exact") {
-        tier = args[3].substr(5);
+        approx = args[3] == "tier=approx";
       } else {
         out = "err release_cc: tier must be tier=approx or tier=exact";
         return reply;
@@ -282,36 +334,31 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       out = "err epsilon must be a finite positive number";
       return reply;
     }
-    if (is_cc && tier == "approx") {
+    if (approx) {
       const auto release = server.ReleaseCcApprox(args[1], epsilon);
       if (!release.ok()) {
         out = "err " + release.status().ToString();
         return reply;
       }
-      Appendf(&out,
-              "ok cc=%.3f eps=%.6g tier=approx samples=%d cutoff=%d "
-              "noise=%.6g bias_le=%.6g",
-              release->estimate, epsilon, release->num_samples,
-              release->bfs_cutoff, release->laplace_scale,
-              release->truncation_bias_bound);
+      out = ApproxReleaseReply(*release, epsilon);
     } else if (is_cc) {
       const auto release = server.ReleaseCc(args[1], epsilon);
       if (!release.ok()) {
         out = "err " + release.status().ToString();
         return reply;
       }
-      Appendf(&out, "ok cc=%.3f eps=%.6g delta=%d", release->estimate,
-              epsilon, release->forest.selected_delta);
+      out = ExactReleaseReply("cc", release->estimate, epsilon,
+                              release->forest.selected_delta);
     } else {
       const auto release = server.ReleaseSf(args[1], epsilon);
       if (!release.ok()) {
         out = "err " + release.status().ToString();
         return reply;
       }
-      Appendf(&out, "ok sf=%.3f eps=%.6g delta=%d", release->estimate,
-              epsilon, release->selected_delta);
+      out = ExactReleaseReply("sf", release->estimate, epsilon,
+                              release->selected_delta);
     }
-  } else if (command == "sweep") {
+  } else if (verb == kSweep) {
     if (args.size() < 3) {
       out = "err usage: sweep <name> <eps1> <eps2> ...";
       return reply;
@@ -330,11 +377,8 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       out = "err " + releases.status().ToString();
       return reply;
     }
-    Appendf(&out, "ok sweep k=%zu", releases->size());
-    for (std::size_t i = 0; i < releases->size(); ++i) {
-      Appendf(&out, " %.6g:%.3f", epsilons[i], (*releases)[i].estimate);
-    }
-  } else if (command == "add_edges") {
+    out = SweepReply(epsilons, *releases);
+  } else if (verb == kAddEdges) {
     // Data operation, not a release: charges no budget. The server applies
     // the batch atomically and incrementally re-warms only the components
     // the batch touched (see ReleaseServer::UpdateGraph).
@@ -355,7 +399,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       }
       inserts.emplace_back(static_cast<int>(u), static_cast<int>(v));
     }
-    const auto updated = server.UpdateGraph(args[1], inserts);
+    const auto updated = server.UpdateGraph(std::string(args[1]), inserts);
     if (!updated.ok()) {
       out = "err " + updated.status().ToString();
       return reply;
@@ -365,7 +409,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
             updated->edges_added, updated->duplicates, updated->num_edges,
             updated->components_invalidated, updated->components_adopted,
             updated->family_rewarmed ? 1 : 0);
-  } else if (command == "budget") {
+  } else if (verb == kBudget) {
     if (args.size() != 2) {
       out = "err usage: budget <name>";
       return reply;
@@ -375,8 +419,8 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
       out = "err " + budget.status().ToString();
       return reply;
     }
-    out = BudgetResponse(*budget);
-  } else if (command == "stats") {
+    out = BudgetReply(*budget);
+  } else if (verb == kStats) {
     if (args.size() == 1) {
       // Registry-wide summary: totals only, independent of map order, so
       // the line is stable as graphs come and go. Format documented in
@@ -391,7 +435,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
               summary.cache.bytes, summary.cache.byte_cap,
               summary.cache.evictions, summary.refusals);
     } else if (args.size() == 2) {
-      const auto stats = server.Stats(args[1]);
+      const auto stats = server.Stats(std::string(args[1]));
       if (!stats.ok()) {
         out = "err " + stats.status().ToString();
         return reply;
@@ -410,18 +454,19 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
     } else {
       out = "err usage: stats [<name>]";
     }
-  } else if (command == "evict") {
+  } else if (verb == kEvict) {
     if (args.size() != 2) {
       out = "err usage: evict <name>";
       return reply;
     }
-    const Status evicted = server.Evict(args[1]);
+    const std::string name(args[1]);
+    const Status evicted = server.Evict(name);
     if (!evicted.ok()) {
       out = "err " + evicted.ToString();
       return reply;
     }
-    Appendf(&out, "ok evicted %s", args[1].c_str());
-  } else if (command == "metrics") {
+    Appendf(&out, "ok evicted %s", name.c_str());
+  } else if (verb == kMetrics) {
     // Prometheus text exposition of the process-wide registry
     // (docs/OBSERVABILITY.md). The body rides ProtocolReply::payload; the
     // response line announces its exact line count so request/response
@@ -435,32 +480,114 @@ ProtocolReply DispatchCommand(ReleaseServer& server,
         std::count(reply.payload.begin(), reply.payload.end(), '\n'));
     Appendf(&out, "ok metrics lines=%zu", lines);
   } else {
-    out = "err unknown command '" + command + "'";
+    out = "err unknown command '" + std::string(args[0]) + "'";
   }
   return reply;
 }
 
 }  // namespace
 
+std::string ExactReleaseReply(const char* value_name, double estimate,
+                              double epsilon, int delta) {
+  std::string out;
+  out.reserve(kReadReplyBytes);
+  out += "ok ";
+  out += value_name;
+  out += '=';
+  AppendFixed3(&out, estimate);
+  out += " eps=";
+  AppendGeneral6(&out, epsilon);
+  out += " delta=";
+  AppendNumber(&out, delta);
+  return out;
+}
+
+std::string ApproxReleaseReply(const SublinearCcRelease& release,
+                               double epsilon) {
+  std::string out;
+  out.reserve(kReadReplyBytes);
+  out += "ok cc=";
+  AppendFixed3(&out, release.estimate);
+  out += " eps=";
+  AppendGeneral6(&out, epsilon);
+  out += " tier=approx samples=";
+  AppendNumber(&out, release.num_samples);
+  out += " cutoff=";
+  AppendNumber(&out, release.bfs_cutoff);
+  out += " noise=";
+  AppendGeneral6(&out, release.laplace_scale);
+  out += " bias_le=";
+  AppendGeneral6(&out, release.truncation_bias_bound);
+  return out;
+}
+
+std::string SweepReply(
+    const std::vector<double>& epsilons,
+    const std::vector<ConnectedComponentsRelease>& releases) {
+  std::string out;
+  out.reserve(kReadReplyBytes);
+  out += "ok sweep k=";
+  AppendNumber(&out, releases.size());
+  for (std::size_t i = 0; i < releases.size(); ++i) {
+    out += ' ';
+    AppendGeneral6(&out, epsilons[i]);
+    out += ':';
+    AppendFixed3(&out, releases[i].estimate);
+  }
+  return out;
+}
+
+std::string BudgetReply(const BudgetReport& budget) {
+  std::string out;
+  out.reserve(kReadReplyBytes);
+  out += "ok total=";
+  AppendGeneral6(&out, budget.total);
+  out += " spent=";
+  AppendGeneral6(&out, budget.spent);
+  out += " remaining=";
+  AppendGeneral6(&out, budget.remaining);
+  out += " charges=";
+  AppendNumber(&out, budget.num_charges);
+  out += " refusals=";
+  AppendNumber(&out, budget.num_refusals);
+  return out;
+}
+
+std::vector<std::string_view> SplitRequestTokens(std::string_view line) {
+  const auto separator = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  };
+  std::vector<std::string_view> tokens;
+  tokens.reserve(8);  // one allocation for every read verb's line
+  std::size_t at = 0;
+  while (at < line.size()) {
+    if (separator(line[at])) {
+      ++at;
+      continue;
+    }
+    const std::size_t start = at;
+    while (at < line.size() && !separator(line[at])) ++at;
+    tokens.push_back(line.substr(start, at - start));
+  }
+  return tokens;
+}
+
 ProtocolReply HandleRequestLine(ReleaseServer& server, std::string_view line) {
-  // Tolerate CRLF transports.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  std::istringstream stream{std::string(line)};
-  std::vector<std::string> args;
-  std::string token;
-  while (stream >> token) args.push_back(token);
-  if (args.empty() || args[0][0] == '#') return {};
+  // CRLF transports need nothing special: '\r' is a separator.
+  const std::vector<std::string_view> args = SplitRequestTokens(line);
+  if (args.empty() || args[0].front() == '#') return {};
 
   // Every dispatched request runs under a QueryTrace: deeper layers
   // (admission, family resolution, mechanisms, updates) attach spans to
   // it, and crossing NODEDP_SLOW_QUERY_NS logs the breakdown on the way
   // out. The latency histogram is observed before the trace destructs so
   // its verb label and the slow-query log describe the same request.
-  const char* verb = CanonicalVerb(args[0]);
+  const Verb verb = CanonicalVerb(args[0]);
   const VerbMetrics& metrics = MetricsForVerb(verb);
-  QueryTrace trace(verb);
+  QueryTrace trace(kVerbs[verb]);
   if (args.size() >= 2) trace.set_target(args[1]);
-  ProtocolReply reply = DispatchCommand(server, args);
+  ProtocolReply reply = DispatchCommand(server, verb, args);
   metrics.latency->Observe(static_cast<double>(trace.TotalNs()));
   metrics.requests->Increment();
   if (reply.response.compare(0, 4, "err ") == 0) metrics.errors->Increment();

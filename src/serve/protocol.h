@@ -20,6 +20,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "serve/release_server.h"
 
@@ -44,6 +45,33 @@ struct ProtocolReply {
 
 // Parses and executes one request line against `server`.
 ProtocolReply HandleRequestLine(ReleaseServer& server, std::string_view line);
+
+// The read verbs' reply lines. Numbers go through std::to_chars, which
+// gives printf's bytes for the same conversion; each line is byte for byte
+// the printf format beside it.
+//
+// release_cc / release_sf, `value_name` "cc" or "sf":
+//   "ok <value_name>=%.3f eps=%.6g delta=%d"
+std::string ExactReleaseReply(const char* value_name, double estimate,
+                              double epsilon, int delta);
+// release_cc ... tier=approx: "ok cc=%.3f eps=%.6g tier=approx samples=%d
+//   cutoff=%d noise=%.6g bias_le=%.6g" (estimate, ε, num_samples,
+//   bfs_cutoff, laplace_scale, truncation_bias_bound)
+std::string ApproxReleaseReply(const SublinearCcRelease& release,
+                               double epsilon);
+// sweep: "ok sweep k=%zu", then " %.6g:%.3f" (ε, estimate) per release.
+std::string SweepReply(
+    const std::vector<double>& epsilons,
+    const std::vector<ConnectedComponentsRelease>& releases);
+// budget: "ok total=%.6g spent=%.6g remaining=%.6g charges=%lld
+//   refusals=%lld"
+std::string BudgetReply(const BudgetReport& budget);
+
+// The request tokenizer: the maximal runs of bytes that are not one of the
+// six ASCII whitespace bytes (space, \t, \n, \v, \f, \r) — the C-locale
+// isspace set that `operator>>` splits a stream on. Every other byte,
+// NUL included, belongs to a token. The views point into `line`.
+std::vector<std::string_view> SplitRequestTokens(std::string_view line);
 
 }  // namespace nodedp
 

@@ -112,12 +112,6 @@ std::size_t ByteCapFromEnv() {
   return static_cast<std::size_t>(parsed);
 }
 
-// The Δ grid a family is warmed with (the Algorithm 1 access pattern).
-std::vector<double> WarmGrid(const Graph& graph,
-                             const ServeGraphConfig& config) {
-  return AlgorithmOneDeltaGrid(graph.NumVertices(), config.release);
-}
-
 }  // namespace
 
 ReleaseServer::ReleaseServer(std::uint64_t seed)
@@ -148,43 +142,40 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
         "total_epsilon must be finite and > 0, got " +
         std::to_string(config.total_epsilon));
   }
+  std::shared_ptr<Entry> entry;
+  std::optional<PersistedLedger> restored;
   {
+    // Durable-ledger adoption and registration are one mu_ critical
+    // section, the one Evict writes its durable record and unregisters
+    // under, so a load never adopts a durable ledger that an eviction of
+    // the same name is about to end.
     std::lock_guard<std::mutex> lock(mu_);
     if (registry_.count(name) != 0) {
       return Status::InvalidArgument("graph '" + name +
                                      "' is already loaded; evict it first");
     }
-  }
-  // Durable-ledger adoption: a name with restored state keeps its original
-  // budget promise — the restored total (never the config's: a reload must
-  // not mint fresh budget for the same data), its spent sum, its charge
-  // count and its refusal count. A fresh name's registration is
-  // recorded before it can admit any charge.
-  std::optional<PersistedLedger> restored;
-  ServeGraphConfig effective = config;
-  if (wal_ != nullptr) {
-    restored = wal_->Restored(name);
+    // A name with restored state keeps its original budget promise — the
+    // restored total (never the config's: a reload must not mint fresh
+    // budget for the same data), its spent sum, its charge count and its
+    // refusal count. A fresh name's registration is recorded before it
+    // can admit any charge.
+    ServeGraphConfig effective = config;
+    if (wal_ != nullptr) {
+      restored = wal_->Restored(name);
+      if (restored.has_value()) {
+        effective.total_epsilon = restored->total_epsilon;
+      } else {
+        Status recorded = wal_->RecordLoad(name, config.total_epsilon);
+        if (!recorded.ok()) return recorded;
+      }
+    }
+    entry = std::make_shared<Entry>(std::move(g), effective);
     if (restored.has_value()) {
-      effective.total_epsilon = restored->total_epsilon;
-    } else {
-      Status recorded = wal_->RecordLoad(name, config.total_epsilon);
-      if (!recorded.ok()) return recorded;
+      Status adopted = entry->ledger.Restore(
+          restored->spent, restored->num_charges, restored->num_refusals);
+      if (!adopted.ok()) return adopted;
     }
-  }
-  auto entry = std::make_shared<Entry>(std::move(g), effective);
-  if (restored.has_value()) {
-    Status adopted = entry->ledger.Restore(
-        restored->spent, restored->num_charges, restored->num_refusals);
-    if (!adopted.ok()) return adopted;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool inserted = registry_.emplace(name, entry).second;
-    if (!inserted) {
-      // Lost a race with a concurrent Load of the same name.
-      return Status::InvalidArgument("graph '" + name +
-                                     "' is already loaded; evict it first");
-    }
+    registry_.emplace(name, entry);
   }
   if (config.prewarm) {
     // Registered first, warmed second: queries issued while this pipelined
@@ -209,19 +200,18 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
         }
       }
       if (!keep) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          auto it = registry_.find(name);
-          if (it != registry_.end() && it->second == entry) {
-            registry_.erase(it);
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = registry_.find(name);
+        if (it != registry_.end() && it->second == entry) {
+          // A fresh registration's durable record is rolled back with it
+          // (nothing was charged), so a retried load can pick a new
+          // budget; under mu_ and before the name leaves the registry, as
+          // in Evict. A *restored* ledger is never discarded here: the
+          // original promise outlives a failed re-load.
+          if (wal_ != nullptr && !restored.has_value()) {
+            (void)wal_->RecordEvict(name);
           }
-        }
-        // A fresh registration's durable record is rolled back with it
-        // (nothing was charged), so a retried load can pick a new budget.
-        // A *restored* ledger is never discarded here: the original
-        // promise outlives a failed re-load.
-        if (wal_ != nullptr && !restored.has_value()) {
-          (void)wal_->RecordEvict(name);
+          registry_.erase(it);
         }
       }
       return family.status();
@@ -261,16 +251,9 @@ Status ReleaseServer::Save(const std::string& name, const std::string& path,
 }
 
 Status ReleaseServer::Evict(const std::string& name) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = registry_.find(name);
-    if (it == registry_.end()) {
-      return Status::NotFound("no graph named '" + name + "'");
-    }
-    entry = std::move(it->second);
-    registry_.erase(it);
-  }
+  Result<std::shared_ptr<Entry>> found = Find(name);
+  if (!found.ok()) return found.status();
+  const std::shared_ptr<Entry> entry = *found;
   {
     // Retired before the durable evict record: an admission that found
     // this entry either charged under entry.mu before this point (into the
@@ -281,16 +264,26 @@ Status ReleaseServer::Evict(const std::string& name) {
     entry->family = nullptr;
     entry->family_warmed = false;
   }
-  if (wal_ != nullptr) {
-    // Eviction is the operator action that ends this name's durable
-    // ledger; a later load starts a fresh budget. If the record cannot be
-    // made durable the in-memory eviction stands and the error surfaces —
-    // the stale durable state only re-imposes the *old* budget on a
-    // reload, which errs in the conservative direction.
-    Status recorded = wal_->RecordEvict(name);
-    if (!recorded.ok()) return recorded;
+  // The durable record lands before the name leaves the registry, both
+  // under mu_, which Load adopts and registers under: a concurrent load of
+  // the name is refused as already loaded until the record has ended the
+  // old durable ledger, so it starts a fresh one rather than adopting the
+  // old one just before this record deletes it.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = registry_.find(name);
+  if (it == registry_.end() || it->second != entry) {
+    // A concurrent Evict of this registration finished first.
+    return Status::NotFound("no graph named '" + name + "'");
   }
-  return Status::OK();
+  // Eviction is the operator action that ends this name's durable ledger;
+  // a later load starts a fresh budget. If the record cannot be made
+  // durable the in-memory eviction stands and the error surfaces — the
+  // stale durable state only re-imposes the *old* budget on a reload,
+  // which errs in the conservative direction.
+  const Status recorded =
+      wal_ != nullptr ? wal_->RecordEvict(name) : Status::OK();
+  registry_.erase(it);
+  return recorded;
 }
 
 Result<UpdateReport> ReleaseServer::UpdateGraph(
@@ -375,7 +368,7 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
     report.components_adopted = family->components_adopted();
     report.components_invalidated = family->components_invalidated();
     TimedStage rewarm_stage("update_rewarm", rewarm_ns);
-    warmed = family->Warm(WarmGrid(*patched, entry->config));
+    warmed = family->Warm(entry->grid);
   }
 
   {
@@ -419,11 +412,11 @@ std::vector<std::string> ReleaseServer::GraphNames() const {
 }
 
 Result<std::shared_ptr<ReleaseServer::Entry>> ReleaseServer::Find(
-    const std::string& name) const {
+    std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = registry_.find(name);
   if (it == registry_.end()) {
-    return Status::NotFound("no graph named '" + name + "'");
+    return Status::NotFound("no graph named '" + std::string(name) + "'");
   }
   return it->second;
 }
@@ -480,7 +473,7 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
 
   // The pipelined warm runs outside every lock; the graph snapshot pins
   // the graph across it in case an update swaps the entry's.
-  const Status warmed = family->Warm(WarmGrid(*graph, entry.config));
+  const Status warmed = family->Warm(entry.grid);
   {
     std::lock_guard<std::mutex> entry_lock(entry.mu);
     if (entry.family == family) {
@@ -559,9 +552,19 @@ Rng ReleaseServer::SplitRng() {
   return rng_.Split();
 }
 
-Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
-                                                     double epsilon_total,
-                                                     const std::string& label,
+std::string ReleaseServer::Charge::Label() const {
+  std::string label = kind;
+  if (sweep_k > 0) {
+    label += " k=" + std::to_string(sweep_k) + " sum=";
+  } else {
+    label += " eps=";
+  }
+  label += FormatEpsilon(epsilon);
+  return label;
+}
+
+Result<ReleaseServer::Admitted> ReleaseServer::Admit(std::string_view name,
+                                                     const Charge& charge,
                                                      bool need_family) {
   Admitted admitted;
   {
@@ -576,17 +579,18 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
       // between our Find and now; refuse before charging its ledger (and
       // before recording into the durable ledger of a later load of the
       // same name).
-      return Status::NotFound("graph '" + name + "' was unloaded");
+      return Status::NotFound("graph '" + std::string(name) +
+                              "' was unloaded");
     }
-    if (!entry.ledger.CanCharge(epsilon_total)) {
+    if (!entry.ledger.CanCharge(charge.epsilon)) {
       // Refused (or invalid) admissions never touch the durable charge
       // log; the refusal record is telemetry — keeping restored refusal
       // counts exact — and an I/O failure there must not change the
       // refusal the client sees.
-      Status refused = entry.ledger.TryCharge(epsilon_total, label);
+      Status refused = entry.ledger.TryCharge(charge.epsilon, charge.Label());
       if (refused.code() == StatusCode::kResourceExhausted) {
         RefusalCounter()->Increment();
-        if (wal_ != nullptr) (void)wal_->RecordRefusal(name);
+        if (wal_ != nullptr) (void)wal_->RecordRefusal(std::string(name));
       }
       return refused;
     }
@@ -596,14 +600,17 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(const std::string& name,
     // wastes budget; it never leaks it. An unrecordable charge refuses the
     // query with nothing spent on either side.
     if (wal_ != nullptr) {
-      Status recorded = wal_->RecordCharge(name, epsilon_total, label);
+      Status recorded = wal_->RecordCharge(std::string(name), charge.epsilon,
+                                           charge.Label());
       if (!recorded.ok()) return recorded;
     }
-    Status charged = entry.ledger.TryCharge(epsilon_total, label);
+    // CanCharge held, so this charge is admitted and no refusal message
+    // reads a label; the kind alone names it.
+    Status charged = entry.ledger.TryCharge(charge.epsilon, charge.kind);
     if (!charged.ok()) return charged;  // unreachable: CanCharge held
     const TierMetrics& tier = MetricsForTier(need_family);
     tier.admissions->Increment();
-    tier.epsilon_spent->Add(epsilon_total);
+    tier.epsilon_spent->Add(charge.epsilon);
     // Split atomically with the charge (entry.mu -> mu_, per the lock
     // order), so the k-th ledger entry always carries the k-th stream.
     admitted.child = SplitRng();
@@ -635,23 +642,22 @@ void ReleaseServer::RecordOutcome(Entry& entry, bool ok, long long answered) {
 }
 
 Result<ConnectedComponentsRelease> ReleaseServer::ReleaseCc(
-    const std::string& name, double epsilon) {
-  Result<Admitted> admitted =
-      Admit(name, epsilon, "release_cc eps=" + FormatEpsilon(epsilon));
+    std::string_view name, double epsilon) {
+  Result<Admitted> admitted = Admit(name, {"release_cc", epsilon});
   if (!admitted.ok()) return admitted.status();
   ScopedSpan mechanism_span("mechanism");
+  const Entry& entry = *admitted->entry;
   Result<ConnectedComponentsRelease> release = PrivateConnectedComponents(
-      *admitted->family, epsilon, admitted->child,
-      admitted->entry->config.release);
+      *admitted->family, entry.grid, epsilon, admitted->child,
+      entry.config.release);
   RecordOutcome(*admitted->entry, release.ok(), 1);
   return release;
 }
 
 Result<SublinearCcRelease> ReleaseServer::ReleaseCcApprox(
-    const std::string& name, double epsilon) {
+    std::string_view name, double epsilon) {
   Result<Admitted> admitted =
-      Admit(name, epsilon, "release_cc_approx eps=" + FormatEpsilon(epsilon),
-            /*need_family=*/false);
+      Admit(name, {"release_cc_approx", epsilon}, /*need_family=*/false);
   if (!admitted.ok()) return admitted.status();
   // The snapshot pins the graph (possibly its mmap) across the sampling
   // pass even if an update swaps it mid-query.
@@ -669,20 +675,20 @@ Result<SublinearCcRelease> ReleaseServer::ReleaseCcApprox(
 }
 
 Result<SpanningForestRelease> ReleaseServer::ReleaseSf(
-    const std::string& name, double epsilon) {
-  Result<Admitted> admitted =
-      Admit(name, epsilon, "release_sf eps=" + FormatEpsilon(epsilon));
+    std::string_view name, double epsilon) {
+  Result<Admitted> admitted = Admit(name, {"release_sf", epsilon});
   if (!admitted.ok()) return admitted.status();
   ScopedSpan mechanism_span("mechanism");
+  const Entry& entry = *admitted->entry;
   Result<SpanningForestRelease> release = PrivateSpanningForestSize(
-      *admitted->family, epsilon, admitted->child,
-      admitted->entry->config.release);
+      *admitted->family, entry.grid, epsilon, admitted->child,
+      entry.config.release);
   RecordOutcome(*admitted->entry, release.ok(), 1);
   return release;
 }
 
 Result<std::vector<ConnectedComponentsRelease>> ReleaseServer::SweepCc(
-    const std::string& name, const std::vector<double>& epsilons) {
+    std::string_view name, const std::vector<double>& epsilons) {
   if (epsilons.empty()) {
     return Status::InvalidArgument("sweep needs at least one epsilon");
   }
@@ -696,15 +702,14 @@ Result<std::vector<ConnectedComponentsRelease>> ReleaseServer::SweepCc(
   }
   // All-or-nothing admission: one charge of Σ ε_i (Lemma 2.4).
   Result<Admitted> admitted =
-      Admit(name, sum,
-            "sweep_cc k=" + std::to_string(epsilons.size()) +
-                " sum=" + FormatEpsilon(sum));
+      Admit(name, {"sweep_cc", sum, epsilons.size()});
   if (!admitted.ok()) return admitted.status();
 
   ScopedSpan mechanism_span("mechanism");
+  const Entry& entry = *admitted->entry;
   std::vector<Result<ConnectedComponentsRelease>> slots =
-      SweepConnectedComponents(*admitted->family, epsilons, admitted->child,
-                               admitted->entry->config.release);
+      SweepConnectedComponents(*admitted->family, entry.grid, epsilons,
+                               admitted->child, entry.config.release);
   std::vector<ConnectedComponentsRelease> releases;
   releases.reserve(slots.size());
   Status first_error = Status::OK();
@@ -721,7 +726,7 @@ Result<std::vector<ConnectedComponentsRelease>> ReleaseServer::SweepCc(
   return releases;
 }
 
-Result<BudgetReport> ReleaseServer::Budget(const std::string& name) const {
+Result<BudgetReport> ReleaseServer::Budget(std::string_view name) const {
   Result<std::shared_ptr<Entry>> found = Find(name);
   if (!found.ok()) return found.status();
   Entry& entry = **found;

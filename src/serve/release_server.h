@@ -21,7 +21,9 @@
 //     graph stays registered and its next query rebuilds and re-warms.
 //
 // Concurrency: all entry points are safe to call from multiple threads.
-// The registry map and the server Rng sit behind one mutex, each entry's
+// The registry map and the server Rng sit behind one mutex (with durable
+// ledgers, Load and Evict also make their one WAL append under it, so a
+// name's registration and its durable record change together), each entry's
 // ledger/counters/family pointer behind another (lock order: entry update
 // mutex, then entry mutex, then server mutex; never the reverse), and the
 // heavy work — family construction, grid evaluation, noise sampling — runs
@@ -45,10 +47,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/private_cc.h"
@@ -186,7 +190,9 @@ class ReleaseServer {
   // Unregisters the graph and drops its family. In-flight queries against
   // it finish normally; an admission that found the graph before the
   // evict but had not yet charged is refused with NotFound, so it can
-  // never charge a later load's ledger under the same name.
+  // never charge a later load's ledger under the same name. With durable
+  // ledgers the evict record is written before the name leaves the
+  // registry, so a Load of the name that follows starts a fresh ledger.
   Status Evict(const std::string& name);
 
   // Applies an insert-only edge batch to a registered graph — the
@@ -219,11 +225,11 @@ class ReleaseServer {
   // ε-node-private release of the number of connected components (Eq. (1)).
   // Charges `epsilon` to the graph's ledger at admission; refuses with
   // ResourceExhausted (ledger untouched) when the budget cannot cover it.
-  Result<ConnectedComponentsRelease> ReleaseCc(const std::string& name,
+  Result<ConnectedComponentsRelease> ReleaseCc(std::string_view name,
                                                double epsilon);
 
   // Same for the spanning-forest size (Algorithm 1).
-  Result<SpanningForestRelease> ReleaseSf(const std::string& name,
+  Result<SpanningForestRelease> ReleaseSf(std::string_view name,
                                           double epsilon);
 
   // Approx-tier release: the sampled truncated-component-count surrogate
@@ -238,16 +244,16 @@ class ReleaseServer {
   // release reports its own sensitivity and public error bounds;
   // config.approx configures it (delta_max inheriting
   // config.release.delta_max when unset).
-  Result<SublinearCcRelease> ReleaseCcApprox(const std::string& name,
+  Result<SublinearCcRelease> ReleaseCcApprox(std::string_view name,
                                              double epsilon);
 
   // Releases f_cc at every ε in `epsilons` against the one warmed family.
   // Admission is all-or-nothing: one ledger charge of Σ ε_i, refused
   // entirely if the sum does not fit the remaining budget.
   Result<std::vector<ConnectedComponentsRelease>> SweepCc(
-      const std::string& name, const std::vector<double>& epsilons);
+      std::string_view name, const std::vector<double>& epsilons);
 
-  Result<BudgetReport> Budget(const std::string& name) const;
+  Result<BudgetReport> Budget(std::string_view name) const;
 
   // Registry + family telemetry for one graph. The family stats are a
   // consistent snapshot (ExtensionFamily::stats() copies under its mutex),
@@ -292,6 +298,7 @@ class ReleaseServer {
     Entry(Graph graph_in, const ServeGraphConfig& config_in)
         : graph(std::make_shared<const Graph>(std::move(graph_in))),
           config(config_in),
+          grid(AlgorithmOneDeltaGrid(graph->NumVertices(), config.release)),
           ledger(config_in.total_epsilon) {}
 
     // The resident graph and the family built from it. shared_ptrs so
@@ -307,6 +314,10 @@ class ReleaseServer {
     bool family_warmed = false;
     long long family_used = 0;   // guarded by mu; LRU tick of the last use
     const ServeGraphConfig config;
+    // The Algorithm 1 Δ grid every warm and exact read of this entry uses.
+    // Updates only insert edges, so the vertex count, and with it the
+    // grid, is fixed for the entry's lifetime.
+    const std::vector<double> grid;
     // Serializes the writers of `family` — UpdateGraph calls and cold
     // builds — on this graph; outermost (taken before mu). An update holds
     // it across its incremental build and re-warm; a cold build only
@@ -332,20 +343,34 @@ class ReleaseServer {
     Rng child{0};
   };
 
-  Result<std::shared_ptr<Entry>> Find(const std::string& name) const;
+  Result<std::shared_ptr<Entry>> Find(std::string_view name) const;
 
   // Snapshot of the registered entries (brief mu_ critical section), for
   // walks that then take each entry.mu with no server lock held.
   std::vector<std::shared_ptr<Entry>> Entries() const;
 
-  // The shared front half of every query: find the graph, charge
-  // `epsilon_total` under `label` (refusing on budget exhaustion), split
-  // the child stream and take the resident family atomically with the
-  // charge; with none resident, build it (BuildFamily). The approx tier
-  // passes need_family = false: it runs on the graph alone, so admission
-  // never triggers (or waits on) a family build.
-  Result<Admitted> Admit(const std::string& name, double epsilon_total,
-                         const std::string& label, bool need_family = true);
+  // What an admission charges: ε (Σ ε_i for a sweep) and the parts its
+  // ledger label is made from. The label text ("release_cc eps=0.5",
+  // "sweep_cc k=3 sum=0.7") is formatted only where it is read, in a
+  // ResourceExhausted refusal message and in a durable WAL `charge` line,
+  // so an admitted read without durable ledgers never builds it.
+  struct Charge {
+    // "release_cc", "release_cc_approx", "release_sf" or "sweep_cc".
+    const char* kind = "";
+    double epsilon = 0.0;
+    std::size_t sweep_k = 0;  // the number of ε a sweep releases; else 0
+
+    std::string Label() const;
+  };
+
+  // The shared front half of every query: find the graph, make `charge`
+  // (refusing on budget exhaustion), split the child stream and take the
+  // resident family atomically with the charge; with none resident, build
+  // it (BuildFamily). The approx tier passes need_family = false: it runs
+  // on the graph alone, so admission never triggers (or waits on) a family
+  // build.
+  Result<Admitted> Admit(std::string_view name, const Charge& charge,
+                         bool need_family = true);
 
   // Snapshot of the entry's graph pointer (brief entry.mu critical
   // section). Callers hold the snapshot across any use of the graph so an
@@ -377,7 +402,8 @@ class ReleaseServer {
   void RecordOutcome(Entry& entry, bool ok, long long answered);
 
   mutable std::mutex mu_;  // guards registry_ and rng_
-  std::map<std::string, std::shared_ptr<Entry>> registry_;
+  // Transparent comparator: a query looks its graph up by string_view.
+  std::map<std::string, std::shared_ptr<Entry>, std::less<>> registry_;
   Rng rng_;
   std::atomic<std::size_t> byte_cap_;
   std::atomic<long long> use_tick_{0};

@@ -16,10 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdarg>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -229,6 +232,113 @@ TEST(ProtocolMutationTest, MutatedScriptsAnswerOkOrErrAndKeepServing) {
     }
     Replay(script, dir.path(), what);
     if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A random request line over bytes that stress the tokenizer: all six
+// separators, runs of them, '#', NUL, and two high bytes that some
+// locales call whitespace (0x85 NEL, 0xA0 NBSP) but the C locale does not.
+std::string RandomRequestLine(Rng& rng) {
+  static const std::string kBytes =
+      std::string(" \t\n\v\f\r#", 7) + std::string(1, '\0') +
+      "\x85" "\xa0" "ab09.+-=_";
+  std::string line;
+  if (rng.NextUint64(8) == 0) line += '#';
+  const std::size_t length = static_cast<std::size_t>(rng.NextUint64(40));
+  for (std::size_t i = 0; i < length; ++i) {
+    const char byte = kBytes[static_cast<std::size_t>(
+        rng.NextUint64(kBytes.size()))];
+    // Runs: repeat a byte up to three times.
+    line.append(1 + static_cast<std::size_t>(rng.NextUint64(3)), byte);
+  }
+  if (rng.NextUint64(4) == 0) line += '\r';
+  return line;
+}
+
+TEST(ProtocolMutationTest, TokenizerMatchesStreamExtraction) {
+  std::vector<std::string> lines = {"",
+                                    "\r",
+                                    "\r\n",
+                                    "# comment",
+                                    " \t#release_cc g 0.5\r",
+                                    "release_cc g 0.5\r",
+                                    "\v\frelease_cc\tg  0.5 \n",
+                                    std::string("release_cc g\0x 0.5", 18)};
+  Rng rng(20261020);
+  for (int i = 0; i < 5000; ++i) lines.push_back(RandomRequestLine(rng));
+  for (const std::string& line : lines) {
+    const std::vector<std::string_view> views = SplitRequestTokens(line);
+    const std::vector<std::string> tokens(views.begin(), views.end());
+    ASSERT_EQ(tokens, Words(line))
+        << "line bytes: " << testing::PrintToString(line);
+  }
+  ReleaseServer server(7);
+  EXPECT_TRUE(HandleRequestLine(server, "").response.empty());
+  EXPECT_TRUE(HandleRequestLine(server, "\r\n").response.empty());
+  EXPECT_TRUE(
+      HandleRequestLine(server, " \t#release_cc g 0.5\r").response.empty());
+}
+
+// printf into a std::string, for the golden replies below.
+std::string Sprintf(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
+
+std::string Sprintf(const char* format, ...) {
+  std::vector<char> buffer(1024);
+  va_list args;
+  va_start(args, format);
+  const int n = std::vsnprintf(buffer.data(), buffer.size(), format, args);
+  va_end(args);
+  EXPECT_GE(n, 0);
+  EXPECT_LT(static_cast<std::size_t>(n), buffer.size());
+  return std::string(buffer.data(), static_cast<std::size_t>(n));
+}
+
+TEST(ProtocolMutationTest, ReadRepliesMatchPrintfBytes) {
+  const std::vector<double> values = {0.0,  -0.0,         -3.0005, 1e-7,
+                                      0.1,  2.5,          1.23456789e8,
+                                      1e12, 1e300,        -1e300};
+  const std::vector<long long> counts = {0, 3, -1, 2147483647LL,
+                                         9223372036854775807LL};
+  for (double v : values) {
+    for (long long count : counts) {
+      const int small = static_cast<int>(count > 2147483647LL ? -7 : count);
+      EXPECT_EQ(ExactReleaseReply("cc", v, v, small),
+                Sprintf("ok cc=%.3f eps=%.6g delta=%d", v, v, small));
+      EXPECT_EQ(ExactReleaseReply("sf", v, 0.5, small),
+                Sprintf("ok sf=%.3f eps=%.6g delta=%d", v, 0.5, small));
+
+      SublinearCcRelease approx;
+      approx.estimate = v;
+      approx.num_samples = small;
+      approx.bfs_cutoff = 64;
+      approx.laplace_scale = v;
+      approx.truncation_bias_bound = -v;
+      EXPECT_EQ(ApproxReleaseReply(approx, v),
+                Sprintf("ok cc=%.3f eps=%.6g tier=approx samples=%d "
+                        "cutoff=%d noise=%.6g bias_le=%.6g",
+                        v, v, small, 64, v, -v));
+
+      const std::vector<double> epsilons = {v, 0.1, 2.5};
+      std::vector<ConnectedComponentsRelease> releases(3);
+      releases[0].estimate = v;
+      releases[1].estimate = -v;
+      releases[2].estimate = 1.23456789e8;
+      EXPECT_EQ(SweepReply(epsilons, releases),
+                Sprintf("ok sweep k=%zu %.6g:%.3f %.6g:%.3f %.6g:%.3f",
+                        releases.size(), v, v, 0.1, -v, 2.5, 1.23456789e8));
+
+      BudgetReport budget;
+      budget.total = v;
+      budget.spent = -v;
+      budget.remaining = 2.5;
+      budget.num_charges = count;
+      budget.num_refusals = -count;
+      EXPECT_EQ(BudgetReply(budget),
+                Sprintf("ok total=%.6g spent=%.6g remaining=%.6g "
+                        "charges=%lld refusals=%lld",
+                        v, -v, 2.5, count, -count));
+    }
   }
 }
 

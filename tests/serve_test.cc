@@ -544,6 +544,42 @@ TEST(ReleaseServerTest, StaleAdmissionsNeverChargeAReloadedLedger) {
   (void)!std::system(cleanup.c_str());
 }
 
+TEST(ReleaseServerTest, EvictRacingARetryingLoadLeavesTheReloadServable) {
+  // A loader retries Load the moment Evict frees the name. The reload
+  // must start a fresh durable ledger: had it adopted the old one just
+  // before the evict record ended it, its every charge would fail with
+  // Internal ("charge ... precedes its load record").
+  char templ[] = "/tmp/nodedp_serve_evict_load_XXXXXX";
+  ASSERT_NE(::mkdtemp(templ), nullptr);
+  const std::string dir = templ;
+  ServeGraphConfig config = SmallConfig(1e6);
+  config.prewarm = false;
+  const Graph g = TestGraph(60, 1.5, 4);
+  ReleaseServer server(5);
+  ASSERT_TRUE(server.EnableDurableLedgers(dir).ok());
+  ASSERT_TRUE(server.Load("g", g, config).ok());
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    std::atomic<bool> retrying{false};
+    std::thread loader([&] {
+      for (;;) {
+        const Status loaded = server.Load("g", g, config);
+        if (loaded.ok()) return;
+        EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument)
+            << loaded.ToString();
+        retrying.store(true);
+      }
+    });
+    while (!retrying.load()) std::this_thread::yield();
+    ASSERT_TRUE(server.Evict("g").ok());
+    loader.join();
+    const auto release = server.ReleaseCc("g", 0.125);
+    ASSERT_TRUE(release.ok())
+        << "cycle " << cycle << ": " << release.status().ToString();
+  }
+  const std::string cleanup = "rm -rf '" + dir + "'";
+  (void)!std::system(cleanup.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // ReleaseServer: file round trips
 // ---------------------------------------------------------------------------
