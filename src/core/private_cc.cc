@@ -144,8 +144,7 @@ namespace {
 template <typename ReleaseType, typename ReleaseFn>
 std::vector<Result<ReleaseType>> AnswerSweep(
     ExtensionFamily& family, const std::vector<double>& grid_deltas,
-    const std::vector<double>& epsilons, Rng& rng,
-    const ReleaseFn& release) {
+    const std::vector<double>& epsilons, Rng& rng, const ReleaseFn& release) {
   const Result<std::vector<double>> warm = family.Values(grid_deltas);
   if (!warm.ok()) {
     return std::vector<Result<ReleaseType>>(epsilons.size(), warm.status());
@@ -172,8 +171,7 @@ std::vector<Result<SpanningForestRelease>> SweepSpanningForest(
       AlgorithmOneDeltaGrid(family.num_vertices(), options);
   return AnswerSweep<SpanningForestRelease>(
       family, grid, epsilons, rng, [&](double epsilon, Rng& child) {
-        return PrivateSpanningForestSize(family, grid, epsilon, child,
-                                         options);
+        return PrivateSpanningForestSize(family, grid, epsilon, child, options);
       });
 }
 

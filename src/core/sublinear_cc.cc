@@ -9,7 +9,6 @@
 #include "dp/laplace.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/random.h"
 
 namespace nodedp {
 
@@ -80,9 +79,8 @@ SublinearCcEstimate SublinearConnectedComponents(
   if (n == 0) return result;
   std::atomic<std::uint8_t>* memo = g.ComponentSizeMemo(options.bfs_cutoff);
   double total = 0.0;
-  const BoundedSampler vertex(static_cast<std::uint64_t>(n));
   for (int s = 0; s < options.num_samples; ++s) {
-    const int v = static_cast<int>(vertex.Next(rng));
+    const int v = static_cast<int>(rng.NextUint64(n));
     const int size = TruncatedComponentSize(g, v, options.bfs_cutoff, memo,
                                             &result.vertices_visited);
     if (size > 0) total += 1.0 / size;
@@ -131,9 +129,8 @@ const std::vector<int>& SampleDistinctVertices(int n, int count, Rng& rng) {
   static thread_local std::vector<int> samples;
   if (static_cast<int>(chosen.size()) < n) chosen.resize(n, false);
   samples.clear();
-  const BoundedSampler vertex(static_cast<std::uint64_t>(n));
   while (static_cast<int>(samples.size()) < count) {
-    const int v = static_cast<int>(vertex.Next(rng));
+    const int v = static_cast<int>(rng.NextUint64(n));
     if (chosen[v]) continue;
     chosen[v] = true;
     samples.push_back(v);

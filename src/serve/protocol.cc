@@ -25,8 +25,20 @@ namespace {
 // client typo cannot mint unbounded label values (Prometheus cardinality
 // hygiene).
 enum Verb : std::size_t {
-  kQuit, kLoad, kLoadMmap, kGen, kSave, kReleaseCc, kReleaseSf, kSweep,
-  kAddEdges, kBudget, kStats, kEvict, kMetrics, kOther
+  kQuit,
+  kLoad,
+  kLoadMmap,
+  kGen,
+  kSave,
+  kReleaseCc,
+  kReleaseSf,
+  kSweep,
+  kAddEdges,
+  kBudget,
+  kStats,
+  kEvict,
+  kMetrics,
+  kOther
 };
 
 // Canonical verb names for metric labels and trace contexts.
@@ -148,8 +160,7 @@ bool ParsePositiveDouble(std::string_view token, double* out) {
   const char* text = TerminatedCopy(token, buffer, &heap);
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(value > 0.0) ||
-      !std::isnormal(value)) {
+  if (end == text || *end != '\0' || !(value > 0.0) || !std::isnormal(value)) {
     return false;
   }
   *out = value;
@@ -169,8 +180,8 @@ bool ParseNonNegativeInt(std::string_view token, long long* out) {
 
 // `load`/`gen` share the trailing [budget] [delta_max] arguments.
 bool ParseConfigTail(const std::vector<std::string_view>& args,
-                     std::size_t from,
-                     ServeGraphConfig* config, std::string* error) {
+                     std::size_t from, ServeGraphConfig* config,
+                     std::string* error) {
   if (args.size() > from) {
     if (!ParsePositiveDouble(args[from], &config->total_epsilon)) {
       *error = "budget must be a finite positive number";
@@ -305,8 +316,7 @@ ProtocolReply DispatchCommand(ReleaseServer& server, Verb verb,
       out = "err " + saved.ToString();
       return reply;
     }
-    Appendf(&out, "ok saved %s %s", name.c_str(),
-            std::string(format).c_str());
+    Appendf(&out, "ok saved %s %s", name.c_str(), std::string(format).c_str());
   } else if (verb == kReleaseCc || verb == kReleaseSf) {
     // release_cc takes an optional serving tier: `tier=exact` (default)
     // answers from the warmed Algorithm 1 family; `tier=approx` answers

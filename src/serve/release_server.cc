@@ -118,6 +118,7 @@ ReleaseServer::ReleaseServer(std::uint64_t seed)
     : rng_(seed), byte_cap_(ByteCapFromEnv()) {}
 
 Status ReleaseServer::EnableDurableLedgers(const std::string& dir) {
+  std::lock_guard<std::mutex> registration(registration_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   if (!registry_.empty()) {
     return Status::InvalidArgument(
@@ -145,12 +146,12 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
   std::shared_ptr<Entry> entry;
   std::optional<PersistedLedger> restored;
   {
-    // Durable-ledger adoption and registration are one mu_ critical
-    // section, the one Evict writes its durable record and unregisters
-    // under, so a load never adopts a durable ledger that an eviction of
-    // the same name is about to end.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (registry_.count(name) != 0) {
+    // Durable-ledger adoption and registration are one registration_mu_
+    // critical section, the one Evict writes its durable record and
+    // unregisters under, so a load never adopts a durable ledger that an
+    // eviction of the same name is about to end.
+    std::lock_guard<std::mutex> registration(registration_mu_);
+    if (Find(name).ok()) {
       return Status::InvalidArgument("graph '" + name +
                                      "' is already loaded; evict it first");
     }
@@ -175,6 +176,7 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
           restored->spent, restored->num_charges, restored->num_refusals);
       if (!adopted.ok()) return adopted;
     }
+    std::lock_guard<std::mutex> lock(mu_);
     registry_.emplace(name, entry);
   }
   if (config.prewarm) {
@@ -200,18 +202,19 @@ Status ReleaseServer::Load(const std::string& name, Graph g,
         }
       }
       if (!keep) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = registry_.find(name);
-        if (it != registry_.end() && it->second == entry) {
+        std::lock_guard<std::mutex> registration(registration_mu_);
+        Result<std::shared_ptr<Entry>> registered = Find(name);
+        if (registered.ok() && *registered == entry) {
           // A fresh registration's durable record is rolled back with it
           // (nothing was charged), so a retried load can pick a new
-          // budget; under mu_ and before the name leaves the registry, as
-          // in Evict. A *restored* ledger is never discarded here: the
-          // original promise outlives a failed re-load.
+          // budget; before the name leaves the registry, as in Evict. A
+          // *restored* ledger is never discarded here: the original
+          // promise outlives a failed re-load.
           if (wal_ != nullptr && !restored.has_value()) {
             (void)wal_->RecordEvict(name);
           }
-          registry_.erase(it);
+          std::lock_guard<std::mutex> lock(mu_);
+          registry_.erase(name);
         }
       }
       return family.status();
@@ -251,6 +254,12 @@ Status ReleaseServer::Save(const std::string& name, const std::string& path,
 }
 
 Status ReleaseServer::Evict(const std::string& name) {
+  // The durable record lands before the name leaves the registry, both
+  // under registration_mu_, which Load adopts and registers under: a
+  // concurrent load of the name is refused as already loaded until the
+  // record has ended the old durable ledger, so it starts a fresh one
+  // rather than adopting the old one just before this record deletes it.
+  std::lock_guard<std::mutex> registration(registration_mu_);
   Result<std::shared_ptr<Entry>> found = Find(name);
   if (!found.ok()) return found.status();
   const std::shared_ptr<Entry> entry = *found;
@@ -264,17 +273,6 @@ Status ReleaseServer::Evict(const std::string& name) {
     entry->family = nullptr;
     entry->family_warmed = false;
   }
-  // The durable record lands before the name leaves the registry, both
-  // under mu_, which Load adopts and registers under: a concurrent load of
-  // the name is refused as already loaded until the record has ended the
-  // old durable ledger, so it starts a fresh one rather than adopting the
-  // old one just before this record deletes it.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end() || it->second != entry) {
-    // A concurrent Evict of this registration finished first.
-    return Status::NotFound("no graph named '" + name + "'");
-  }
   // Eviction is the operator action that ends this name's durable ledger;
   // a later load starts a fresh budget. If the record cannot be made
   // durable the in-memory eviction stands and the error surfaces — the
@@ -282,7 +280,8 @@ Status ReleaseServer::Evict(const std::string& name) {
   // which errs in the conservative direction.
   const Status recorded =
       wal_ != nullptr ? wal_->RecordEvict(name) : Status::OK();
-  registry_.erase(it);
+  std::lock_guard<std::mutex> lock(mu_);
+  registry_.erase(name);
   return recorded;
 }
 
@@ -579,8 +578,7 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(std::string_view name,
       // between our Find and now; refuse before charging its ledger (and
       // before recording into the durable ledger of a later load of the
       // same name).
-      return Status::NotFound("graph '" + std::string(name) +
-                              "' was unloaded");
+      return Status::NotFound("graph '" + std::string(name) + "' was unloaded");
     }
     if (!entry.ledger.CanCharge(charge.epsilon)) {
       // Refused (or invalid) admissions never touch the durable charge
@@ -701,8 +699,7 @@ Result<std::vector<ConnectedComponentsRelease>> ReleaseServer::SweepCc(
     sum += epsilon;
   }
   // All-or-nothing admission: one charge of Σ ε_i (Lemma 2.4).
-  Result<Admitted> admitted =
-      Admit(name, {"sweep_cc", sum, epsilons.size()});
+  Result<Admitted> admitted = Admit(name, {"sweep_cc", sum, epsilons.size()});
   if (!admitted.ok()) return admitted.status();
 
   ScopedSpan mechanism_span("mechanism");

@@ -21,18 +21,20 @@
 //     graph stays registered and its next query rebuilds and re-warms.
 //
 // Concurrency: all entry points are safe to call from multiple threads.
-// The registry map and the server Rng sit behind one mutex (with durable
-// ledgers, Load and Evict also make their one WAL append under it, so a
-// name's registration and its durable record change together), each entry's
-// ledger/counters/family pointer behind another (lock order: entry update
-// mutex, then entry mutex, then server mutex; never the reverse), and the
-// heavy work — family construction, grid evaluation, noise sampling — runs
-// outside all of them, riding the internally synchronized ExtensionFamily
-// on the util/parallel.h pool. Eviction during an in-flight query is safe:
-// entries, graphs, and families are shared_ptr-held, so the query finishes
-// against its own reference. Streaming updates (UpdateGraph) warm the
-// patched family beside the old one and then swap the (graph, family) pair
-// in one entry-mutex critical section, so queries never wait on them.
+// Load, Evict and a failed prewarm's rollback are serialized by a
+// registration mutex that no query takes, so a name's durable WAL record
+// and its registration change together without a disk sync stalling any
+// read. The registry map and the server Rng sit behind one mutex, each
+// entry's ledger/counters/family pointer behind another (lock order:
+// registration mutex or entry update mutex, then entry mutex, then server
+// mutex; never the reverse), and the heavy work — family construction,
+// grid evaluation, noise sampling — runs outside all of them, riding the
+// internally synchronized ExtensionFamily on the util/parallel.h pool.
+// Eviction during an in-flight query is safe: entries, graphs, and
+// families are shared_ptr-held, so the query finishes against its own
+// reference. Streaming updates (UpdateGraph) warm the patched family
+// beside the old one and then swap the (graph, family) pair in one
+// entry-mutex critical section, so queries never wait on them.
 //
 // Determinism: every admitted query atomically (under its graph's entry
 // mutex) charges the ledger and splits a child Rng off the server stream,
@@ -401,6 +403,10 @@ class ReleaseServer {
 
   void RecordOutcome(Entry& entry, bool ok, long long answered);
 
+  // Held by Load, Evict and the failed-prewarm rollback across their
+  // registry check, durable WAL record and registry change (outermost;
+  // never taken by a query), so registry_ changes only under it.
+  std::mutex registration_mu_;
   mutable std::mutex mu_;  // guards registry_ and rng_
   // Transparent comparator: a query looks its graph up by string_view.
   std::map<std::string, std::shared_ptr<Entry>, std::less<>> registry_;
@@ -412,7 +418,9 @@ class ReleaseServer {
   std::atomic<long long> evictions_{0};
   // Durable ledger store; set once by EnableDurableLedgers before any
   // Load, read-only afterwards (LedgerWal is internally synchronized and
-  // its mutex is a leaf: taken after entry.mu / mu_, holding neither).
+  // its mutex is a leaf: a charge or refusal record is made under
+  // entry.mu, a load or evict record under registration_mu_, never one
+  // under mu_).
   std::unique_ptr<LedgerWal> wal_;
 };
 

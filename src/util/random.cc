@@ -16,11 +16,26 @@ inline uint64_t SplitMix64Next(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
+inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64Next(sm);
+}
+
+uint64_t Rng::NextUint64() {
+  // xoshiro256++
+  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
 }
 
 uint64_t Rng::NextUint64(uint64_t bound) {
@@ -72,11 +87,5 @@ double Rng::NextGaussian() {
 }
 
 Rng Rng::Split() { return Rng(NextUint64()); }
-
-BoundedSampler::BoundedSampler(uint64_t bound) : bound_(bound) {
-  NODEDP_CHECK_GT(bound, 0u);
-  threshold_ = (0 - bound) % bound;  // as in Rng::NextUint64(bound)
-  reciprocal_ = ~static_cast<Uint128>(0) / bound + 1;
-}
 
 }  // namespace nodedp

@@ -23,22 +23,11 @@ class Rng {
   // Re-seeds the stream deterministically from `seed` via SplitMix64.
   void Seed(uint64_t seed);
 
-  // Uniform 64-bit value (xoshiro256++).
-  uint64_t NextUint64() {
-    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-  }
+  // Uniform 64-bit value.
+  uint64_t NextUint64();
 
   // Uniform in [0, bound). Uses rejection sampling to avoid modulo bias.
-  // Requires bound > 0. For many draws under one bound, BoundedSampler
-  // returns the same values without the two divides per call.
+  // Requires bound > 0.
   uint64_t NextUint64(uint64_t bound);
 
   // Uniform in [0, 1) with 53 bits of precision.
@@ -67,48 +56,7 @@ class Rng {
   Rng Split();
 
  private:
-  static uint64_t Rotl(uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
   uint64_t state_[4];
-};
-
-// Uniform draws in [0, bound) for one fixed bound: the same values, from
-// the same underlying draws, as Rng::NextUint64(bound). The rejection
-// threshold is computed once, and the remainder comes from a precomputed
-// 128-bit reciprocal instead of a hardware divide (the "fastmod" of
-// Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019:
-// with M = ceil(2^128 / d), r mod d = ((M * r mod 2^128) * d) >> 128 for
-// every 64-bit r and d).
-class BoundedSampler {
- public:
-  // Requires bound > 0.
-  explicit BoundedSampler(uint64_t bound);
-
-  uint64_t Next(Rng& rng) const {
-    for (;;) {
-      const uint64_t r = rng.NextUint64();
-      if (r >= threshold_) return Mod(r);
-    }
-  }
-
- private:
-  using Uint128 = unsigned __int128;
-
-  // r % bound_: the high 64 bits of the 192-bit product
-  // (reciprocal_ * r mod 2^128) * bound_.
-  uint64_t Mod(uint64_t r) const {
-    const Uint128 fraction = reciprocal_ * r;
-    const Uint128 low = (static_cast<Uint128>(static_cast<uint64_t>(fraction)) *
-                         bound_) >> 64;
-    const Uint128 high = (fraction >> 64) * bound_;
-    return static_cast<uint64_t>((low + high) >> 64);
-  }
-
-  uint64_t bound_ = 1;
-  uint64_t threshold_ = 0;  // 2^64 mod bound_: draws below it are rejected
-  Uint128 reciprocal_ = 0;  // ceil(2^128 / bound_), wrapping to 0 for 1
 };
 
 }  // namespace nodedp

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdarg>
 #include <cstddef>
 #include <cstdio>
@@ -240,14 +241,12 @@ TEST(ProtocolMutationTest, MutatedScriptsAnswerOkOrErrAndKeepServing) {
 // locales call whitespace (0x85 NEL, 0xA0 NBSP) but the C locale does not.
 std::string RandomRequestLine(Rng& rng) {
   static const std::string kBytes =
-      std::string(" \t\n\v\f\r#", 7) + std::string(1, '\0') +
-      "\x85" "\xa0" "ab09.+-=_";
+      std::string(" \t\n\v\f\r#\0\x85\xa0", 10) + "ab09.+-=_";
   std::string line;
   if (rng.NextUint64(8) == 0) line += '#';
   const std::size_t length = static_cast<std::size_t>(rng.NextUint64(40));
   for (std::size_t i = 0; i < length; ++i) {
-    const char byte = kBytes[static_cast<std::size_t>(
-        rng.NextUint64(kBytes.size()))];
+    const char byte = kBytes[rng.NextUint64(kBytes.size())];
     // Runs: repeat a byte up to three times.
     line.append(1 + static_cast<std::size_t>(rng.NextUint64(3)), byte);
   }
@@ -256,14 +255,11 @@ std::string RandomRequestLine(Rng& rng) {
 }
 
 TEST(ProtocolMutationTest, TokenizerMatchesStreamExtraction) {
-  std::vector<std::string> lines = {"",
-                                    "\r",
-                                    "\r\n",
-                                    "# comment",
-                                    " \t#release_cc g 0.5\r",
-                                    "release_cc g 0.5\r",
-                                    "\v\frelease_cc\tg  0.5 \n",
-                                    std::string("release_cc g\0x 0.5", 18)};
+  std::vector<std::string> lines = {"", "\r", "\r\n", "# comment"};
+  lines.push_back(" \t#release_cc g 0.5\r");
+  lines.push_back("release_cc g 0.5\r");
+  lines.push_back("\v\frelease_cc\tg  0.5 \n");
+  lines.push_back(std::string("release_cc g\0x 0.5", 18));
   Rng rng(20261020);
   for (int i = 0; i < 5000; ++i) lines.push_back(RandomRequestLine(rng));
   for (const std::string& line : lines) {
@@ -295,14 +291,12 @@ std::string Sprintf(const char* format, ...) {
 }
 
 TEST(ProtocolMutationTest, ReadRepliesMatchPrintfBytes) {
-  const std::vector<double> values = {0.0,  -0.0,         -3.0005, 1e-7,
-                                      0.1,  2.5,          1.23456789e8,
-                                      1e12, 1e300,        -1e300};
-  const std::vector<long long> counts = {0, 3, -1, 2147483647LL,
-                                         9223372036854775807LL};
+  std::vector<double> values = {0.0, -0.0, -3.0005, 1e-7, 0.1, 2.5, 1e12};
+  values.insert(values.end(), {1.23456789e8, 1e300, -1e300});
+  const std::vector<long long> counts = {0, 3, -1, INT_MAX, LLONG_MAX};
   for (double v : values) {
     for (long long count : counts) {
-      const int small = static_cast<int>(count > 2147483647LL ? -7 : count);
+      const int small = static_cast<int>(count > INT_MAX ? -7 : count);
       EXPECT_EQ(ExactReleaseReply("cc", v, v, small),
                 Sprintf("ok cc=%.3f eps=%.6g delta=%d", v, v, small));
       EXPECT_EQ(ExactReleaseReply("sf", v, 0.5, small),

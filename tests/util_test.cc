@@ -77,37 +77,6 @@ TEST(RngTest, BoundedUniformIsUnbiasedRoughly) {
   }
 }
 
-TEST(RngTest, BoundedSamplerMatchesNextUint64Bitwise) {
-  // Same seed, same bound: the sampler must return NextUint64(bound)'s
-  // values and consume the same underlying draws (rejections included),
-  // so swapping one for the other leaves every stream unchanged.
-  std::vector<uint64_t> bounds = {1,
-                                  2,
-                                  3,
-                                  (uint64_t{1} << 32) - 1,
-                                  uint64_t{1} << 32,
-                                  (uint64_t{1} << 32) + 1,
-                                  uint64_t{1} << 63,
-                                  (uint64_t{1} << 63) + 1,
-                                  UINT64_MAX};
-  Rng bound_rng(77);
-  for (int i = 0; i < 200; ++i) {
-    const int width = 1 + static_cast<int>(bound_rng.NextUint64(64));
-    const uint64_t bound = bound_rng.NextUint64() >> (64 - width);
-    bounds.push_back(bound == 0 ? 1 : bound);
-  }
-  for (uint64_t bound : bounds) {
-    Rng reference(bound ^ 0x5eed);
-    Rng fast(bound ^ 0x5eed);
-    const BoundedSampler sampler(bound);
-    for (int draw = 0; draw < 2000; ++draw) {
-      ASSERT_EQ(sampler.Next(fast), reference.NextUint64(bound))
-          << "bound " << bound << " draw " << draw;
-    }
-    EXPECT_EQ(fast.NextUint64(), reference.NextUint64()) << "bound " << bound;
-  }
-}
-
 TEST(RngTest, DoubleRanges) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {
