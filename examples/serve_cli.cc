@@ -35,10 +35,8 @@
 //   add_edges <name> <u1> <v1> [<u2> <v2> ...]  insert edges (no ε charge)
 //   budget <name>   stats [<name>]   evict <name>   quit
 //
-// Environment: NODEDP_FAMILY_CACHE_BYTES caps the total memory of the
-// warmed families the registered graphs hold (least-recently-used
-// families dropped; their graphs stay registered and rebuild on the next
-// query).
+// Memory: a registered graph keeps its warmed family until it is
+// evicted; `evict <name>` reclaims both.
 
 #include <pthread.h>
 #include <unistd.h>

@@ -159,7 +159,7 @@ class ExtensionFamily {
   // cut pools and value caches) count in full in every family that holds
   // them, so the sum over a base and its derived family overstates the
   // bytes while both are alive. Safe to call while queries are in flight;
-  // feeds the serving layer's cache-eviction policy.
+  // the serving layer reports it per graph and summed in `stats`.
   std::size_t MemoryBytes() const;
 
   // Cumulative work statistics across all Value() calls.

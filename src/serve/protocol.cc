@@ -231,7 +231,12 @@ ProtocolReply DispatchCommand(ReleaseServer& server, Verb verb,
       out = "err " + loaded.ToString();
       return reply;
     }
+    // Another client's evict may land between the load and this read.
     const auto stats = server.Stats(name);
+    if (!stats.ok()) {
+      out = "err " + stats.status().ToString();
+      return reply;
+    }
     Appendf(&out, "ok loaded %s n=%d m=%d budget=%.6g warmed=%d",
             name.c_str(), stats->num_vertices, stats->num_edges,
             stats->budget.total, stats->family_warmed ? 1 : 0);
@@ -258,6 +263,10 @@ ProtocolReply DispatchCommand(ReleaseServer& server, Verb verb,
       return reply;
     }
     const auto stats = server.Stats(name);
+    if (!stats.ok()) {
+      out = "err " + stats.status().ToString();
+      return reply;
+    }
     Appendf(&out, "ok mapped %s n=%d m=%d budget=%.6g mapped_bytes=%zu",
             name.c_str(), stats->num_vertices, stats->num_edges,
             stats->budget.total, stats->graph_mapped_bytes);
@@ -435,15 +444,14 @@ ProtocolReply DispatchCommand(ReleaseServer& server, Verb verb,
       // Registry-wide summary: totals only, independent of map order, so
       // the line is stable as graphs come and go. Format documented in
       // docs/SERVING.md; per-verb/latency telemetry lives under the
-      // `metrics` verb, not here.
+      // `metrics` verb, not here. Fields are only ever appended, so the
+      // retired family byte cap keeps its two fields as fixed zeros.
       const ReleaseServer::Summary summary = server.GetSummary();
       Appendf(&out,
               "ok graphs=%zu memory_bytes=%zu mapped_bytes=%zu "
-              "cache_bytes=%zu cache_cap=%zu cache_evictions=%lld "
-              "refusals=%lld",
+              "cache_bytes=%zu cache_cap=0 cache_evictions=0 refusals=%lld",
               summary.graphs, summary.memory_bytes, summary.mapped_bytes,
-              summary.cache.bytes, summary.cache.byte_cap,
-              summary.cache.evictions, summary.refusals);
+              summary.family_bytes, summary.refusals);
     } else if (args.size() == 2) {
       const auto stats = server.Stats(std::string(args[1]));
       if (!stats.ok()) {

@@ -1,10 +1,8 @@
 #include "serve/release_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -67,24 +65,26 @@ long long ElapsedNs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Times a block into both the active QueryTrace (as a span stage) and a
-// histogram — the update path reports its phases to the slow-query log
-// and to scrapers with one clock pair.
+// Times a block into both a histogram and, when one is active, the
+// QueryTrace (as a span stage) — the update path reports its phases to
+// scrapers and to the slow-query log with one clock pair.
 class TimedStage {
  public:
   TimedStage(const char* stage, Histogram* histogram)
-      : span_(stage),
+      : stage_(stage),
         histogram_(histogram),
         start_(std::chrono::steady_clock::now()) {}
   ~TimedStage() {
-    histogram_->Observe(static_cast<double>(ElapsedNs(start_)));
+    const long long ns = ElapsedNs(start_);
+    histogram_->Observe(static_cast<double>(ns));
+    if (QueryTrace* trace = QueryTrace::Current()) trace->AddSpan(stage_, ns);
   }
 
   TimedStage(const TimedStage&) = delete;
   TimedStage& operator=(const TimedStage&) = delete;
 
  private:
-  ScopedSpan span_;
+  const char* stage_;
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
 };
@@ -103,19 +103,16 @@ Counter* CacheEventCounter(const char* event) {
       "Family lookup outcomes by kind");
 }
 
-std::size_t ByteCapFromEnv() {
-  const char* env = std::getenv("NODEDP_FAMILY_CACHE_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
-  return static_cast<std::size_t>(parsed);
+// The counter a query bumps when it finds its entry's family resident.
+Counter* FamilyEventCounter(bool warmed) {
+  static Counter* hit = CacheEventCounter("hit");
+  static Counter* warm_wait = CacheEventCounter("warm_wait");
+  return warmed ? hit : warm_wait;
 }
 
 }  // namespace
 
-ReleaseServer::ReleaseServer(std::uint64_t seed)
-    : rng_(seed), byte_cap_(ByteCapFromEnv()) {}
+ReleaseServer::ReleaseServer(std::uint64_t seed) : rng_(seed) {}
 
 Status ReleaseServer::EnableDurableLedgers(const std::string& dir) {
   std::lock_guard<std::mutex> registration(registration_mu_);
@@ -384,14 +381,10 @@ Result<UpdateReport> ReleaseServer::UpdateGraph(
     if (family != nullptr) {
       entry->family = warmed.ok() ? family : nullptr;
       entry->family_warmed = warmed.ok();
-      entry->family_used = ++use_tick_;
     }
   }
   if (!warmed.ok()) return warmed;
-  if (family != nullptr) {
-    report.family_rewarmed = true;
-    EnforceByteCap(entry.get());
-  }
+  report.family_rewarmed = family != nullptr;
   {
     // Ours may be the last references: dropping them frees whatever the
     // patched family and graph do not share.
@@ -425,18 +418,6 @@ std::shared_ptr<const Graph> ReleaseServer::GraphSnapshot(Entry& entry) {
   return entry.graph;
 }
 
-void ReleaseServer::TouchFamilyLocked(Entry& entry) {
-  ++hits_;
-  if (entry.family_warmed) {
-    static Counter* hit_events = CacheEventCounter("hit");
-    hit_events->Increment();
-  } else {
-    static Counter* warm_wait_events = CacheEventCounter("warm_wait");
-    warm_wait_events->Increment();
-  }
-  entry.family_used = ++use_tick_;
-}
-
 Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     Entry& entry) {
   std::shared_ptr<ExtensionFamily> family;
@@ -449,12 +430,11 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     {
       std::lock_guard<std::mutex> entry_lock(entry.mu);
       if (entry.family != nullptr) {
-        TouchFamilyLocked(entry);
+        FamilyEventCounter(entry.family_warmed)->Increment();
         return entry.family;
       }
       graph = entry.graph;
     }
-    ++misses_;
     static Counter* miss_events = CacheEventCounter("miss");
     miss_events->Increment();
     // Construct (cheap: one O(n+m) partition pass, no induction) and
@@ -464,10 +444,7 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     family = std::make_shared<ExtensionFamily>(*graph,
                                                entry.config.release.extension);
     std::lock_guard<std::mutex> entry_lock(entry.mu);
-    if (!entry.retired) {
-      entry.family = family;
-      entry.family_used = ++use_tick_;
-    }
+    if (!entry.retired) entry.family = family;
   }
 
   // The pipelined warm runs outside every lock; the graph snapshot pins
@@ -478,7 +455,6 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     if (entry.family == family) {
       if (warmed.ok()) {
         entry.family_warmed = true;
-        entry.family_used = ++use_tick_;
       } else {
         // Unpublish so the next query starts clean. Concurrent queries
         // that took the family mid-warm hit the same LP failure on their
@@ -488,62 +464,7 @@ Result<std::shared_ptr<ExtensionFamily>> ReleaseServer::BuildFamily(
     }
   }
   if (!warmed.ok()) return warmed;
-  EnforceByteCap(&entry);
   return family;
-}
-
-void ReleaseServer::SetFamilyCacheByteCap(std::size_t bytes) {
-  byte_cap_ = bytes;
-  EnforceByteCap(nullptr);
-}
-
-void ReleaseServer::EnforceByteCap(const Entry* keep) {
-  const std::size_t cap = byte_cap_;
-  if (cap == 0) return;
-  const std::vector<std::shared_ptr<Entry>> entries = Entries();
-  // Size every resident family exactly once (MemoryBytes walks the whole
-  // family, so it runs outside entry.mu), then drop in last-used order
-  // until the total fits.
-  struct Victim {
-    Entry* entry;
-    std::shared_ptr<ExtensionFamily> family;
-    std::size_t bytes;
-    long long used;
-  };
-  std::size_t bytes = 0;
-  std::vector<Victim> victims;
-  for (const std::shared_ptr<Entry>& entry : entries) {
-    Victim victim{entry.get(), nullptr, 0, 0};
-    bool warmed = false;
-    {
-      std::lock_guard<std::mutex> entry_lock(entry->mu);
-      victim.family = entry->family;
-      victim.used = entry->family_used;
-      warmed = entry->family_warmed;
-    }
-    if (victim.family == nullptr) continue;
-    victim.bytes = victim.family->MemoryBytes();
-    bytes += victim.bytes;
-    // Warming families and the one just warmed are pinned, so the cap is
-    // a soft target a single oversized family may exceed.
-    if (entry.get() != keep && warmed) victims.push_back(std::move(victim));
-  }
-  if (bytes <= cap) return;
-  std::sort(victims.begin(), victims.end(),
-            [](const Victim& a, const Victim& b) { return a.used < b.used; });
-  for (const Victim& victim : victims) {
-    if (bytes <= cap) break;
-    std::lock_guard<std::mutex> entry_lock(victim.entry->mu);
-    // An update may have swapped in a newer family since the sizing pass;
-    // that one is fresh, not a victim.
-    if (victim.entry->family != victim.family) continue;
-    victim.entry->family = nullptr;
-    victim.entry->family_warmed = false;
-    bytes -= victim.bytes;
-    ++evictions_;
-  }
-  // `victims` goes out of scope here, outside every lock: for a family no
-  // query holds, that frees it.
 }
 
 Rng ReleaseServer::SplitRng() {
@@ -613,7 +534,7 @@ Result<ReleaseServer::Admitted> ReleaseServer::Admit(std::string_view name,
     // order), so the k-th ledger entry always carries the k-th stream.
     admitted.child = SplitRng();
     if (need_family && entry.family != nullptr) {
-      TouchFamilyLocked(entry);
+      FamilyEventCounter(entry.family_warmed)->Increment();
       admitted.family = entry.family;
     }
   }
@@ -794,14 +715,9 @@ ReleaseServer::Summary ReleaseServer::GetSummary() const {
       summary.mapped_bytes += entry->graph->MappedBytes();
       summary.refusals += entry->ledger.num_refusals();
       family = entry->family;
-      if (entry->family_warmed) ++summary.cache.entries;
     }
-    if (family != nullptr) summary.cache.bytes += family->MemoryBytes();
+    if (family != nullptr) summary.family_bytes += family->MemoryBytes();
   }
-  summary.cache.hits = hits_;
-  summary.cache.misses = misses_;
-  summary.cache.evictions = evictions_;
-  summary.cache.byte_cap = byte_cap_;
   return summary;
 }
 

@@ -16,9 +16,10 @@
 //     induction overlaps fast-path probes and LP solves) and the family is
 //     published on the entry before it runs, so queries arriving mid-warm
 //     are served by the warming family and block only on the grid cells
-//     they need. Families are dropped least-recently-used under a global
-//     byte cap (NODEDP_FAMILY_CACHE_BYTES / SetFamilyCacheByteCap); such a
-//     graph stays registered and its next query rebuilds and re-warms.
+//     they need. A warmed family lives as long as its graph: it leaves
+//     the entry only with the graph (Evict, a failed prewarm's rollback)
+//     or when an update's re-warm fails, so the operator's memory control
+//     is Evict.
 //
 // Concurrency: all entry points are safe to call from multiple threads.
 // Load, Evict and a failed prewarm's rollback are serialized by a
@@ -47,7 +48,6 @@
 #ifndef NODEDP_SERVE_RELEASE_SERVER_H_
 #define NODEDP_SERVE_RELEASE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -262,38 +262,19 @@ class ReleaseServer {
   // safe to read while queries are in flight.
   Result<ServeGraphStats> Stats(const std::string& name) const;
 
-  // The families resident on registry entries, lookup counters since
-  // construction, and the byte cap.
-  struct CacheStats {
-    int entries = 0;  // fully warmed families resident on their entries
-    long long hits = 0;  // queries that found a family (warmed or warming)
-    long long misses = 0;  // cold builds
-    long long evictions = 0;  // byte-cap LRU drops (Evict() not counted)
-    std::size_t bytes = 0;  // MemoryBytes over resident families
-    std::size_t byte_cap = 0;  // 0 = unlimited
-  };
-
   // Registry-wide aggregate backing the no-name `stats` verb: totals only,
   // independent of registry iteration order, so the wire line is stable as
   // graphs come and go (exact format documented in docs/SERVING.md).
+  // Family lookups are counted by nodedp_family_cache_events_total
+  // (docs/OBSERVABILITY.md), not here.
   struct Summary {
     std::size_t graphs = 0;
     std::size_t memory_bytes = 0;  // resident heap bytes across all graphs
     std::size_t mapped_bytes = 0;  // mmap-backed bytes across all graphs
-    CacheStats cache;
+    std::size_t family_bytes = 0;  // MemoryBytes over resident families
     long long refusals = 0;  // Σ ledger refusals across registered graphs
   };
   Summary GetSummary() const;
-
-  CacheStats family_cache_stats() const { return GetSummary().cache; }
-
-  // Global cap on resident family bytes; least-recently-used fully warmed
-  // families are dropped to fit (their graphs stay registered; the next
-  // query rebuilds). 0 = unlimited. Also settable via
-  // NODEDP_FAMILY_CACHE_BYTES (read at construction). The cap is a soft
-  // target: warming families and the family just warmed are never
-  // dropped, so one oversized family can exceed it.
-  void SetFamilyCacheByteCap(std::size_t bytes);
 
  private:
   struct Entry {
@@ -308,13 +289,12 @@ class ReleaseServer {
     // while readers — queries, Save, Stats — keep serving the snapshot
     // they took.
     std::shared_ptr<const Graph> graph;  // guarded by mu; never null
-    // Null until built, after a byte-cap drop or a failed warm, and once
-    // the entry is retired. Only a holder of update_mu installs a non-null
-    // family, so there is one builder per entry.
+    // Null until built, after a failed warm, and once the entry is
+    // retired. Only a holder of update_mu installs a non-null family, so
+    // there is one builder per entry.
     std::shared_ptr<ExtensionFamily> family;  // guarded by mu
     // Guarded by mu; the family's warm has finished (false while null).
     bool family_warmed = false;
-    long long family_used = 0;   // guarded by mu; LRU tick of the last use
     const ServeGraphConfig config;
     // The Algorithm 1 Δ grid every warm and exact read of this entry uses.
     // Updates only insert edges, so the vertex count, and with it the
@@ -388,15 +368,6 @@ class ReleaseServer {
   // failed warm is returned and unpublished, so a later query starts clean.
   Result<std::shared_ptr<ExtensionFamily>> BuildFamily(Entry& entry);
 
-  // Counts a query that found `entry`'s family (a warmed `hit` or a
-  // `warm_wait`) and marks it used. Requires entry.mu.
-  void TouchFamilyLocked(Entry& entry);
-
-  // Drops least-recently-used fully warmed families (never `keep`'s) until
-  // the resident families fit the byte cap. Walks a registry snapshot,
-  // taking one entry.mu at a time and never mu_ with it.
-  void EnforceByteCap(const Entry* keep);
-
   // Splits a child stream off the server Rng (serialized by mu_; callers
   // may hold entry.mu, per the lock order above).
   Rng SplitRng();
@@ -411,11 +382,6 @@ class ReleaseServer {
   // Transparent comparator: a query looks its graph up by string_view.
   std::map<std::string, std::shared_ptr<Entry>, std::less<>> registry_;
   Rng rng_;
-  std::atomic<std::size_t> byte_cap_;
-  std::atomic<long long> use_tick_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
   // Durable ledger store; set once by EnableDurableLedgers before any
   // Load, read-only afterwards (LedgerWal is internally synchronized and
   // its mutex is a leaf: a charge or refusal record is made under

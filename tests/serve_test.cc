@@ -1,6 +1,6 @@
 // Tests for the serve/ subsystem: budget ledger refusal semantics, the
-// per-graph warmed families and their byte cap, and the ReleaseServer
-// registry + query surface.
+// per-graph warmed families, and the ReleaseServer registry + query
+// surface.
 
 #include "serve/release_server.h"
 
@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/budget_ledger.h"
 #include "serve/ledger_wal.h"
 #include "serve/protocol.h"
@@ -393,68 +397,66 @@ TEST(ReleaseServerTest, FailedPrewarmRollsBackRegistration) {
   EXPECT_TRUE(server.ReleaseCc("g", 0.5).ok());
 }
 
-TEST(ReleaseServerTest, FamilyByteCapEvictsAndRebuilds) {
-  // Under a byte cap the cache evicts least-recently-used families; their
-  // graphs stay registered and the next query transparently rebuilds.
+// The process-wide count of family lookups with outcome `event` (`hit`,
+// `warm_wait` or `miss`; 0 before the first such lookup registers it).
+long long FamilyEvents(const std::string& event) {
+  const std::string name =
+      "nodedp_family_cache_events_total{event=\"" + event + "\"}";
+  for (const MetricsRegistry::Sample& sample :
+       MetricsRegistry::Default().Samples()) {
+    if (sample.name == name) return static_cast<long long>(sample.value);
+  }
+  return 0;
+}
+
+TEST(ReleaseServerTest, FamilyLookupsCountHitsAndMisses) {
+  // A load's prewarm builds its graph's family (a miss); every exact read
+  // after it finds that family resident (a hit), and the family stays on
+  // its entry until the graph is evicted.
   ReleaseServer server(11);
+  const long long hits = FamilyEvents("hit");
+  const long long misses = FamilyEvents("miss");
   ASSERT_TRUE(server.Load("g1", TestGraph(200, 1.5, 1),
                           SmallConfig(100.0)).ok());
   ASSERT_TRUE(server.Load("g2", TestGraph(200, 1.5, 2),
                           SmallConfig(100.0)).ok());
-  auto cache = server.family_cache_stats();
-  EXPECT_EQ(cache.entries, 2);
-  EXPECT_GT(cache.bytes, 0u);
-  EXPECT_GT(server.Stats("g1")->family_memory_bytes, 0u);
-  EXPECT_EQ(cache.byte_cap, 0u);  // unlimited unless configured
+  EXPECT_EQ(FamilyEvents("miss"), misses + 2);
+  EXPECT_EQ(FamilyEvents("hit"), hits);
 
-  // The loads built both families; a query finds its graph's resident
-  // family, every time.
-  EXPECT_EQ(cache.misses, 2);
-  EXPECT_EQ(cache.hits, 0);
   ASSERT_TRUE(server.ReleaseCc("g1", 0.5).ok());
   ASSERT_TRUE(server.ReleaseCc("g1", 0.5).ok());
-  cache = server.family_cache_stats();
-  EXPECT_EQ(cache.misses, 2);
-  EXPECT_EQ(cache.hits, 2);
+  ASSERT_TRUE(server.ReleaseSf("g2", 0.5).ok());
+  ASSERT_TRUE(server.SweepCc("g2", {0.25, 0.5}).ok());
+  // The approx tier never looks a family up.
+  ASSERT_TRUE(server.ReleaseCcApprox("g2", 0.5).ok());
+  EXPECT_EQ(FamilyEvents("hit"), hits + 4);
+  EXPECT_EQ(FamilyEvents("miss"), misses + 2);
 
-  // g1 was used after g2 was loaded, so under a cap that fits one family
-  // the least recently used, g2, is the one dropped.
+  // The summary's family bytes are the resident families' own.
   const std::size_t g1_bytes = server.Stats("g1")->family_memory_bytes;
   const std::size_t g2_bytes = server.Stats("g2")->family_memory_bytes;
-  server.SetFamilyCacheByteCap(g1_bytes + g2_bytes / 2);
+  EXPECT_GT(g1_bytes, 0u);
+  EXPECT_GT(g2_bytes, 0u);
+  EXPECT_EQ(server.GetSummary().family_bytes, g1_bytes + g2_bytes);
+
+  // Evicting g2 ends its family with it and leaves g1's resident.
+  ASSERT_TRUE(server.Evict("g2").ok());
+  const ReleaseServer::Summary summary = server.GetSummary();
+  EXPECT_EQ(summary.graphs, 1u);
+  EXPECT_EQ(summary.family_bytes, g1_bytes);
   EXPECT_TRUE(server.Stats("g1")->family_warmed);
-  EXPECT_FALSE(server.Stats("g2")->family_warmed);
-  cache = server.family_cache_stats();
-  EXPECT_EQ(cache.entries, 1);
-  EXPECT_EQ(cache.evictions, 1);
-  EXPECT_EQ(cache.bytes, g1_bytes);
-  EXPECT_LE(cache.bytes, cache.byte_cap);
 
-  server.SetFamilyCacheByteCap(1);  // evict everything evictable
-  cache = server.family_cache_stats();
-  EXPECT_EQ(cache.entries, 0);
-  EXPECT_EQ(cache.evictions, 2);
-  EXPECT_FALSE(server.Stats("g1")->family_warmed);
-  EXPECT_EQ(server.Stats("g1")->family_memory_bytes, 0u);
-
-  // Queries still work: each rebuilds its family on demand (the fresh
-  // build is pinned while in use, then evicted to honor the tiny cap).
-  const long long misses_before = cache.misses;
-  ASSERT_TRUE(server.ReleaseCc("g1", 0.5).ok());
-  ASSERT_TRUE(server.ReleaseCc("g2", 0.5).ok());
-  cache = server.family_cache_stats();
-  EXPECT_EQ(cache.misses, misses_before + 2);
-  // The family just warmed is pinned even though it alone exceeds the cap;
-  // g1's made room for it.
-  EXPECT_TRUE(server.Stats("g2")->family_warmed);
-  EXPECT_FALSE(server.Stats("g1")->family_warmed);
-  EXPECT_EQ(server.family_cache_stats().evictions, 3);
-
-  // With the cap lifted, the next query's rebuild stays resident again.
-  server.SetFamilyCacheByteCap(0);
-  ASSERT_TRUE(server.ReleaseCc("g2", 0.5).ok());
-  EXPECT_TRUE(server.Stats("g2")->family_warmed);
-  EXPECT_GT(server.Stats("g2")->family_memory_bytes, 0u);
+  // Without a prewarm the first exact read builds (a miss) and the next
+  // finds what it built (a hit).
+  ServeGraphConfig lazy = SmallConfig(100.0);
+  lazy.prewarm = false;
+  ASSERT_TRUE(server.Load("h", TestGraph(200, 1.5, 3), lazy).ok());
+  EXPECT_EQ(FamilyEvents("miss"), misses + 2);
+  ASSERT_TRUE(server.ReleaseCc("h", 0.5).ok());
+  EXPECT_EQ(FamilyEvents("miss"), misses + 3);
+  ASSERT_TRUE(server.ReleaseCc("h", 0.5).ok());
+  EXPECT_EQ(FamilyEvents("hit"), hits + 5);
+  EXPECT_EQ(FamilyEvents("miss"), misses + 3);
 }
 
 TEST(ReleaseServerTest, EvictedFamilyServesItsInFlightQuery) {
@@ -466,6 +468,7 @@ TEST(ReleaseServerTest, EvictedFamilyServesItsInFlightQuery) {
   config.prewarm = false;
   ReleaseServer server(19);
   ASSERT_TRUE(server.Load("g", TestGraph(2000, 1.5, 33), config).ok());
+  const long long misses = FamilyEvents("miss");
   std::atomic<bool> done{false};
   Result<ConnectedComponentsRelease> release =
       Status::Internal("not answered");
@@ -473,16 +476,16 @@ TEST(ReleaseServerTest, EvictedFamilyServesItsInFlightQuery) {
     release = server.ReleaseCc("g", 0.5);
     done.store(true);
   });
-  while (server.family_cache_stats().misses == 0 && !done.load()) {
+  while (FamilyEvents("miss") == misses && !done.load()) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(server.Evict("g").ok());
   reader.join();
   ASSERT_TRUE(release.ok()) << release.status().ToString();
   EXPECT_TRUE(std::isfinite(release->estimate));
-  const auto cache = server.family_cache_stats();
-  EXPECT_EQ(cache.entries, 0);
-  EXPECT_EQ(cache.bytes, 0u);
+  const ReleaseServer::Summary summary = server.GetSummary();
+  EXPECT_EQ(summary.graphs, 0u);
+  EXPECT_EQ(summary.family_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -578,6 +581,65 @@ TEST(ReleaseServerTest, EvictRacingARetryingLoadLeavesTheReloadServable) {
   }
   const std::string cleanup = "rm -rf '" + dir + "'";
   (void)!std::system(cleanup.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// ReleaseServer through the protocol
+// ---------------------------------------------------------------------------
+
+TEST(ReleaseServerTest, BareStatsLineKeepsItsRetiredCacheFields) {
+  // The no-name `stats` line only ever appends fields. The family byte cap
+  // is gone, so `cache_cap` and `cache_evictions` keep their old position
+  // as fixed zeros.
+  const std::string path = testing::TempDir() + "/nodedp_serve_stats.ndpg";
+  ASSERT_TRUE(WriteGraphV2File(TestGraph(60, 1.5, 5), path).ok());
+  ReleaseServer server(1);
+  EXPECT_EQ(HandleRequestLine(server, "stats").response,
+            "ok graphs=0 memory_bytes=0 mapped_bytes=0 cache_bytes=0 "
+            "cache_cap=0 cache_evictions=0 refusals=0");
+  ASSERT_EQ(HandleRequestLine(server, "load g " + path + " 2 8")
+                .response.substr(0, 9),
+            "ok loaded");
+  const ReleaseServer::Summary summary = server.GetSummary();
+  EXPECT_GT(summary.family_bytes, 0u);
+  EXPECT_EQ(HandleRequestLine(server, "stats").response,
+            "ok graphs=1 memory_bytes=" +
+                std::to_string(summary.memory_bytes) +
+                " mapped_bytes=0 cache_bytes=" +
+                std::to_string(summary.family_bytes) +
+                " cache_cap=0 cache_evictions=0 refusals=0");
+  std::remove(path.c_str());
+}
+
+TEST(ReleaseServerTest, EvictRacingAProtocolLoadRepliesErr) {
+  // Another client's evict can land after a load registered its graph
+  // (during the load's prewarm, say) and before the load reads the
+  // graph's stats for its reply. That load is answered `err`, and the
+  // server keeps serving.
+  const std::string path = testing::TempDir() + "/nodedp_serve_race.ndpg";
+  ASSERT_TRUE(WriteGraphV2File(TestGraph(400, 1.5, 7), path).ok());
+  ReleaseServer server(5);
+  std::atomic<bool> done{false};
+  std::thread evictor([&] {
+    while (!done.load()) (void)HandleRequestLine(server, "evict g");
+  });
+  const std::string lines[] = {"load g " + path + " 100 8",
+                               "load_mmap g " + path + " 100 8"};
+  for (int i = 0; i < 40; ++i) {
+    for (const std::string& line : lines) {
+      const std::string reply = HandleRequestLine(server, line).response;
+      EXPECT_TRUE(reply.rfind("ok ", 0) == 0 || reply.rfind("err ", 0) == 0)
+          << line << " -> " << reply;
+    }
+  }
+  done.store(true);
+  evictor.join();
+  EXPECT_EQ(HandleRequestLine(server, "gen h gnp 50 1.5 3 10 8")
+                .response.substr(0, 2),
+            "ok");
+  EXPECT_EQ(HandleRequestLine(server, "release_cc h 0.5").response.substr(0, 2),
+            "ok");
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -754,6 +816,44 @@ TEST(ReleaseServerTest, UpdateGraphTimesTheLockWaitAndTheRelease) {
   EXPECT_EQ(UpdateStageSamples("release"), releases + 1);
 }
 
+std::mutex g_slow_lines_mu;
+std::vector<std::string> g_slow_lines;
+
+void CaptureSlowLine(const std::string& line) {
+  std::lock_guard<std::mutex> lock(g_slow_lines_mu);
+  g_slow_lines.push_back(line);
+}
+
+TEST(ReleaseServerTest, AddEdgesReportsItsStagesToTheSlowQueryLog) {
+  // Each update stage is timed once, into both its histogram and the
+  // request's slow_query line.
+  ReleaseServer server(3);
+  ASSERT_EQ(HandleRequestLine(server, "gen g gnp 60 1.2 5 10 8")
+                .response.substr(0, 2),
+            "ok");
+  const std::string stages[] = {"graph", "apply", "rewarm", "publish"};
+  std::vector<long long> before;
+  for (const std::string& stage : stages) {
+    before.push_back(UpdateStageSamples(stage));
+  }
+  g_slow_lines.clear();
+  SetSlowQueryLogSink(&CaptureSlowLine);
+  SetSlowQueryThresholdNs(1);  // every request is slow
+  const std::string reply =
+      HandleRequestLine(server, "add_edges g 0 59 1 58").response;
+  SetSlowQueryThresholdNs(0);
+  SetSlowQueryLogSink(nullptr);
+  ASSERT_NE(reply.find("rewarmed=1"), std::string::npos) << reply;
+  ASSERT_EQ(g_slow_lines.size(), 1u);
+  const std::string& line = g_slow_lines[0];
+  EXPECT_EQ(line.rfind("slow_query verb=add_edges target=g ", 0), 0u) << line;
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    EXPECT_NE(line.find("update_" + stages[i] + ":"), std::string::npos)
+        << stages[i] << " in " << line;
+    EXPECT_EQ(UpdateStageSamples(stages[i]), before[i] + 1) << stages[i];
+  }
+}
+
 TEST(ReleaseServerTest, ApproxReadsRaceUpdatesSafely) {
   // Approx readers fill the resident graph's component-size memo while a
   // writer swaps in patched graphs, each with a memo of its own. Run under
@@ -803,7 +903,7 @@ TEST(ReleaseServerTest, ExactReadsRaceUpdatesSafely) {
   ReleaseServer server(29);
   ASSERT_TRUE(
       server.Load("g", TestGraph(1000, 1.5, 9), SmallConfig(1e6)).ok());
-  const long long misses_after_load = server.family_cache_stats().misses;
+  const long long misses_after_load = FamilyEvents("miss");
   constexpr int kReaders = 3;
   constexpr int kReads = 20;
   constexpr int kUpdates = 20;
@@ -844,7 +944,7 @@ TEST(ReleaseServerTest, ExactReadsRaceUpdatesSafely) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->queries_failed, 0);
   EXPECT_TRUE(stats->family_warmed);
-  EXPECT_EQ(server.family_cache_stats().misses, misses_after_load);
+  EXPECT_EQ(FamilyEvents("miss"), misses_after_load);
 }
 
 // ---------------------------------------------------------------------------
